@@ -1,11 +1,9 @@
 // Shared plumbing for the fleet runtime surfaces: the deterministic fleet
 // scenario (synthetic community trace + explicit workload), protocol-spec
-// -> FleetConfig assembly with Eq. 5 DF tuning, and the fd-limit raiser
-// the per-node-socket baseline needs. Used by bench_fleet (the gated
-// harness) and the bsub_fleet CLI (one point, interactive).
+// -> FleetConfig assembly with Eq. 5 DF tuning, and the engine-harness
+// differential. Used by bench_fleet (the gated harness) and the bsub_fleet
+// CLI (one point, interactive).
 #pragma once
-
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -145,17 +143,6 @@ inline bool fleet_matches_engine(const FleetScenario& scenario,
   check_f64("mean_delay_minutes", got.mean_delay_minutes,
             expect.mean_delay_minutes);
   return ok;
-}
-
-/// Raises the soft RLIMIT_NOFILE toward `want` descriptors (capped at the
-/// hard limit; never lowers). The per-node-socket baseline needs one fd
-/// per node plus reactor/pipe slack; the shard modes never come close.
-inline void raise_fd_limit(std::size_t want) {
-  struct rlimit rl{};
-  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return;
-  if (rl.rlim_cur >= static_cast<rlim_t>(want)) return;
-  rl.rlim_cur = std::min<rlim_t>(static_cast<rlim_t>(want), rl.rlim_max);
-  (void)::setrlimit(RLIMIT_NOFILE, &rl);
 }
 
 }  // namespace bsub::bench

@@ -2,8 +2,8 @@
 //
 // The runtime never reads wall time directly: every component takes a Clock
 // so the same reactor/session/transport code runs under a ManualClock
-// (deterministic virtual time, advanced by the test or the contact
-// orchestrator) or a SteadyClock (monotonic real time, used by the
+// (deterministic virtual time, advanced by a test or a fleet loopback
+// lane) or a SteadyClock (monotonic real time, used by the
 // bsub_node daemon). util::Time stays the single time type — for the real
 // clock it means "milliseconds since the clock was constructed", which
 // lines up with traces measuring time since their own start.

@@ -183,7 +183,7 @@ void FleetRuntime::make_nodes(std::size_t node_count,
   nodes_.reserve(node_count);
   for (trace::NodeId n = 0; n < node_count; ++n) {
     nodes_.push_back(
-        std::make_unique<FleetNode>(n, config_.runtime, counters_));
+        std::make_unique<NodeRuntime>(n, config_.runtime, counters_));
     engine::BsubNode& node = nodes_.back()->node();
     for (workload::KeyId k : workload.interests_of(n)) {
       node.subscribe(workload.keys().name(k));
@@ -214,7 +214,7 @@ FleetRuntime::Lane& FleetRuntime::lane_for_thread() {
   return *lane;
 }
 
-void FleetRuntime::pump_lane(Lane& lane, FleetNode& a, FleetNode& b,
+void FleetRuntime::pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b,
                              util::Time cap) {
   for (;;) {
     lane.hub.deliver_all();
@@ -238,16 +238,16 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
   // Election only mutates the two endpoints' state — safe inside a
   // conflict batch, exactly like TraceRunner.
   election_->on_contact(c.a, c.b, c.start);
-  FleetNode& a = *nodes_[c.a];
-  FleetNode& b = *nodes_[c.b];
+  NodeRuntime& a = *nodes_[c.a];
+  NodeRuntime& b = *nodes_[c.b];
   a.node().set_broker(election_->is_broker(c.a));
   b.node().set_broker(election_->is_broker(c.b));
 
   a.bind(lane.port(c.a), lane.reactor);
   b.bind(lane.port(c.b), lane.reactor);
 
-  // One shared byte budget, charged frame-by-frame in the same order the
-  // engine harness charges its FIFO (see ContactOrchestrator).
+  // One shared byte budget, charged frame-by-frame by the two sessions in
+  // the same order the engine harness charges its FIFO.
   auto budget = std::make_shared<sim::Link>(c.duration(),
                                             config_.bandwidth_bytes_per_second);
   a.connect(c.b, budget);
@@ -270,7 +270,7 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
     }
     lane.reactor.advance_to(lane.clock, next);
   }
-  lane.hub.deliver_all();  // stray FIN_ACKs to already-gone sessions
+  lane.hub.deliver_all();  // FIN_ACKs that outlived their sessions
 
   a.unbind();
   b.unbind();

@@ -1,9 +1,7 @@
 // Fleet runtime: thousands of live B-SUB nodes per reactor thread.
 //
-// The contact orchestrator (net/orchestrator.h) proves the live stack
-// correct one node-pair at a time on a single reactor; the fleet runtime
-// scales the same stack out in two directions, both driving contacts from
-// any trace::ContactStream:
+// The fleet runtime drives NodeRuntimes (net/node_runtime.h) from any
+// trace::ContactStream on two engines:
 //
 //   run_loopback()  deterministic virtual time, sharded across reactor
 //                   threads. Contacts are scheduled with the windowed
@@ -12,18 +10,17 @@
 //                   so each worker thread owns a *lane* — a ManualClock +
 //                   Reactor + LoopbackHub — and replays its contacts as
 //                   independent virtual-time episodes (clock reset +
-//                   reactor rebase per contact). FleetNodes carry the
-//                   persistent per-node state between lanes. Results are
-//                   bit-identical to ContactOrchestrator and — for
-//                   decay_tick = 0, which this engine requires — to
-//                   engine::TraceRunner, across any thread count.
+//                   reactor rebase per contact). NodeRuntimes carry the
+//                   persistent per-node state between lanes. For
+//                   decay_tick = 0, which this engine requires, results are
+//                   bit-identical to engine::TraceRunner across any thread
+//                   count; threads = 1 is the single-lane loopback replay.
 //
 //   run_udp()       real time over the fleet UDP plane
 //                   (net/fleet/fleet_udp.h): nodes are sharded
 //                   node-disjoint across reactor threads (home shard =
 //                   node % shards), each shard multiplexes its nodes over
-//                   one socket (or per-node sockets as the measurable
-//                   baseline) with optional sendmmsg/recvmmsg batching.
+//                   one socket with optional sendmmsg/recvmmsg batching.
 //                   A driver thread replays the scenario as fast as an
 //                   in-flight window allows, posting contact/role/publish
 //                   commands to the owning shard over a wake pipe; each
@@ -48,7 +45,6 @@
 #include "core/broker_allocation.h"
 #include "engine/trace_runner.h"
 #include "metrics/collector.h"
-#include "net/fleet/fleet_node.h"
 #include "net/fleet/fleet_udp.h"
 #include "net/node_runtime.h"
 #include "net/reactor.h"
@@ -154,7 +150,7 @@ class FleetRuntime {
   /// Valid after a run.
   const engine::BsubNode& node(trace::NodeId id) const;
   /// All consumer deliveries, node-major — the canonical order shared with
-  /// TraceRunner and ContactOrchestrator. Populated by run_loopback();
+  /// TraceRunner. Populated by run_loopback();
   /// empty after run_udp() (real-time runs only count and sample).
   const std::vector<engine::DeliveryRecord>& deliveries() const;
 
@@ -171,7 +167,7 @@ class FleetRuntime {
   void exec_loopback_event(const sim::ScenarioEvent& event,
                            const workload::Workload& workload);
   void exec_loopback_contact(Lane& lane, const trace::Contact& c);
-  void pump_lane(Lane& lane, FleetNode& a, FleetNode& b, util::Time cap);
+  void pump_lane(Lane& lane, NodeRuntime& a, NodeRuntime& b, util::Time cap);
 
   // --- udp engine ---
   static std::uint64_t contact_key(std::uint32_t a, std::uint32_t b) {
@@ -212,8 +208,8 @@ class FleetRuntime {
   std::atomic<std::uint64_t> live_deliveries_{0};
 
   bool ran_ = false;
-  /// Declared last: FleetNode teardown (unbind) may touch lanes/shards.
-  std::vector<std::unique_ptr<FleetNode>> nodes_;
+  /// Declared last: NodeRuntime teardown (unbind) may touch lanes/shards.
+  std::vector<std::unique_ptr<NodeRuntime>> nodes_;
 };
 
 }  // namespace bsub::net

@@ -52,12 +52,6 @@ bool fleet_udp_batched_available() {
 }
 
 void FleetUdpConfig::validate() const {
-  if (batched_io && per_node_sockets) {
-    throw util::ConfigError(
-        "batched_io requires shard sockets (per-node sockets would need a "
-        "send queue per socket, defeating the batching)",
-        "fleet.batched_io", "use socket mode 'shard' or io mode 'single'");
-  }
   if (batched_io && !fleet_udp_batched_available()) {
     throw util::ConfigError("sendmmsg/recvmmsg unavailable on this platform",
                             "fleet.batched_io", "use io mode 'single'");
@@ -86,11 +80,9 @@ FleetUdpShard::FleetUdpShard(Reactor& reactor, std::size_t shard_index,
       shard_count_(shard_count) {
   config_.validate();
   recv_buf_.resize(config_.mtu + kFleetHeaderBytes + 1);
-  if (!config_.per_node_sockets) {
-    shard_fd_ = make_socket(
-        static_cast<std::uint16_t>(config_.base_port + shard_index_));
-    reactor_.add_fd(shard_fd_, [this] { on_readable(shard_fd_); });
-  }
+  fd_ = make_socket(
+      static_cast<std::uint16_t>(config_.base_port + shard_index_));
+  reactor_.add_fd(fd_, [this] { on_readable(); });
   if (config_.batched_io) {
     scatter_.assign(config_.batch_burst,
                     std::vector<std::uint8_t>(recv_buf_.size()));
@@ -100,16 +92,8 @@ FleetUdpShard::FleetUdpShard(Reactor& reactor, std::size_t shard_index,
 
 FleetUdpShard::~FleetUdpShard() {
   flush();
-  for (auto& [node, port] : ports_) {
-    if (port->fd_ != shard_fd_ && port->fd_ >= 0) {
-      reactor_.remove_fd(port->fd_);
-      ::close(port->fd_);
-    }
-  }
-  if (shard_fd_ >= 0) {
-    reactor_.remove_fd(shard_fd_);
-    ::close(shard_fd_);
-  }
+  reactor_.remove_fd(fd_);
+  ::close(fd_);
 }
 
 int FleetUdpShard::make_socket(std::uint16_t port) const {
@@ -147,11 +131,8 @@ int FleetUdpShard::make_socket(std::uint16_t port) const {
 }
 
 void FleetUdpShard::fill_addr(std::uint32_t node, sockaddr_in& out) const {
-  const std::uint16_t port =
-      config_.per_node_sockets
-          ? static_cast<std::uint16_t>(config_.base_port + node)
-          : static_cast<std::uint16_t>(config_.base_port +
-                                       node % shard_count_);
+  const auto port =
+      static_cast<std::uint16_t>(config_.base_port + node % shard_count_);
   std::memset(&out, 0, sizeof(out));
   out.sin_family = AF_INET;
   out.sin_addr.s_addr = htonl(config_.ipv4);
@@ -162,14 +143,8 @@ FleetPort& FleetUdpShard::add_node(std::uint32_t node) {
   if (node % shard_count_ != shard_index_) {
     throw std::invalid_argument("FleetUdpShard: node not homed here");
   }
-  int fd = shard_fd_;
-  if (config_.per_node_sockets) {
-    fd = make_socket(static_cast<std::uint16_t>(config_.base_port + node));
-    reactor_.add_fd(fd, [this, fd] { on_readable(fd); });
-  }
-  auto [it, inserted] =
-      ports_.emplace(node, std::unique_ptr<FleetPort>(
-                               new FleetPort(*this, node, fd)));
+  auto [it, inserted] = ports_.emplace(
+      node, std::unique_ptr<FleetPort>(new FleetPort(*this, node)));
   if (!inserted) {
     throw std::invalid_argument("FleetUdpShard: duplicate node");
   }
@@ -195,9 +170,8 @@ bool FleetUdpShard::submit(FleetPort& port, Endpoint to,
     std::memcpy(wire + kFleetHeaderBytes, payload.data(), payload.size());
     // A refused sendto surfaces as false so the session counts the drop,
     // exactly like UdpTransport.
-    return send_now(port.fd_, dst,
-                    std::span<const std::uint8_t>(
-                        wire, payload.size() + kFleetHeaderBytes));
+    return send_now(dst, std::span<const std::uint8_t>(
+                             wire, payload.size() + kFleetHeaderBytes));
   }
 
   if (sendq_.size() >= kMaxSendQueue) {
@@ -221,13 +195,13 @@ bool FleetUdpShard::submit(FleetPort& port, Endpoint to,
   return true;
 }
 
-bool FleetUdpShard::send_now(int fd, std::uint32_t dst,
+bool FleetUdpShard::send_now(std::uint32_t dst,
                              std::span<const std::uint8_t> wire) {
   sockaddr_in addr;
   fill_addr(dst, addr);
   ++send_syscalls_;
   const ssize_t n =
-      ::sendto(fd, wire.data(), wire.size(), 0,
+      ::sendto(fd_, wire.data(), wire.size(), 0,
                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   if (n == static_cast<ssize_t>(wire.size())) {
     ++datagrams_out_;
@@ -260,7 +234,7 @@ void FleetUdpShard::flush() {
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     ++send_syscalls_;
-    const int sent = ::sendmmsg(shard_fd_, msgs.data(),
+    const int sent = ::sendmmsg(fd_, msgs.data(),
                                 static_cast<unsigned>(burst), 0);
     if (sent < 0) {
       if (errno == EINTR) continue;
@@ -281,24 +255,24 @@ void FleetUdpShard::flush() {
   // No sendmmsg on this platform (validate() rejects batched_io, so this
   // path only runs if a caller bypassed validation): fall back to sendto.
   for (PendingSend& p : sendq_) {
-    if (!send_now(shard_fd_, p.dst_node, p.bytes)) ++sendq_drops_;
+    if (!send_now(p.dst_node, p.bytes)) ++sendq_drops_;
   }
   sendq_.clear();
 #endif
 }
 
-void FleetUdpShard::on_readable(int fd) {
+void FleetUdpShard::on_readable() {
   if (config_.batched_io) {
-    drain_batched(fd);
+    drain_batched();
   } else {
-    drain_single(fd);
+    drain_single();
   }
 }
 
-void FleetUdpShard::drain_single(int fd) {
+void FleetUdpShard::drain_single() {
   for (;;) {
     ++recv_syscalls_;
-    const ssize_t n = ::recv(fd, recv_buf_.data(), recv_buf_.size(), 0);
+    const ssize_t n = ::recv(fd_, recv_buf_.data(), recv_buf_.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN or transient error; the next readiness retries
@@ -310,7 +284,7 @@ void FleetUdpShard::drain_single(int fd) {
   }
 }
 
-void FleetUdpShard::drain_batched(int fd) {
+void FleetUdpShard::drain_batched() {
 #if defined(__linux__)
   const std::size_t burst = scatter_.size();
   std::vector<iovec> iovs(burst);
@@ -324,7 +298,7 @@ void FleetUdpShard::drain_batched(int fd) {
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     ++recv_syscalls_;
-    const int n = ::recvmmsg(fd, msgs.data(), static_cast<unsigned>(burst),
+    const int n = ::recvmmsg(fd_, msgs.data(), static_cast<unsigned>(burst),
                              0, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -338,7 +312,7 @@ void FleetUdpShard::drain_batched(int fd) {
     if (static_cast<std::size_t>(n) < burst) return;  // socket drained
   }
 #else
-  drain_single(fd);
+  drain_single();
 #endif
 }
 

@@ -1,18 +1,16 @@
 // Fleet UDP data plane: many node endpoints multiplexed over few sockets,
 // with batched syscalls.
 //
-// One UdpTransport per node (PR 5) costs one socket, one pollfd slot and
-// one recvfrom per datagram per node — fine for a daemon, ruinous for 10k
+// One UdpTransport per node costs one socket, one pollfd slot and one
+// recvfrom per datagram per node — fine for a daemon, ruinous for 10k
 // in-process nodes. The fleet plane changes both axes:
 //
-//   sockets   In `shard` mode every reactor thread owns ONE socket
-//             (127.0.0.1, base_port + shard). Node addressing moves into a
-//             10-byte mux header (magic 0xF5, version, src node, dst node)
-//             prepended to each session datagram; a node's home shard is
+//   sockets   Every reactor thread owns ONE socket (127.0.0.1,
+//             base_port + shard). Node addressing moves into a 10-byte mux
+//             header (magic 0xF5, version, src node, dst node) prepended to
+//             each session datagram; a node's home shard is
 //             node % shard_count, so any sender can compute any
-//             destination's socket address. `node` mode (one socket per
-//             node, port base_port + node) is kept as the measurable
-//             baseline — it is what the naive scale-out of PR 5 would do.
+//             destination's socket address.
 //
 //   syscalls  In `batched` mode sends are queued per shard and flushed
 //             with sendmmsg() in bursts, and the readable upcall drains
@@ -22,8 +20,8 @@
 //             non-Linux builds; see fleet_udp_batched_available()).
 //
 // Each node sees the plane through a FleetPort — a Transport whose
-// endpoints are node ids — so Session/FleetNode code is identical over
-// loopback, single-socket UDP, and the batched mux. Delivery is
+// endpoints are node ids — so Session/NodeRuntime code is identical over
+// loopback, a daemon's UdpTransport, and the batched mux. Delivery is
 // best-effort exactly like UDP: a full send queue or socket buffer drops
 // the datagram (counted), and the session RTO ladder recovers.
 //
@@ -62,12 +60,8 @@ struct FleetUdpConfig {
   std::uint32_t ipv4 = 0x7F000001;  ///< host order; default 127.0.0.1
   /// Max inner (session) datagram; the wire adds kFleetHeaderBytes.
   std::size_t mtu = 1400;
-  /// `node` socket mode: one socket per node (the baseline) instead of one
-  /// per shard.
-  bool per_node_sockets = false;
-  /// sendmmsg/recvmmsg bursts instead of sendto/recvfrom loops. Requires
-  /// shard sockets (per-socket send queues would defeat the point) and a
-  /// Linux build; validate() rejects unsupported combinations.
+  /// sendmmsg/recvmmsg bursts instead of sendto/recvfrom loops. Requires a
+  /// Linux build; validate() rejects it elsewhere.
   bool batched_io = true;
   std::size_t batch_burst = 64;
   /// SO_SNDBUF / SO_RCVBUF request per socket; 0 leaves the kernel default.
@@ -91,17 +85,16 @@ class FleetPort final : public Transport {
 
  private:
   friend class FleetUdpShard;
-  FleetPort(FleetUdpShard& shard, std::uint32_t node, int fd)
-      : shard_(shard), node_(node), fd_(fd) {}
+  FleetPort(FleetUdpShard& shard, std::uint32_t node)
+      : shard_(shard), node_(node) {}
 
   FleetUdpShard& shard_;
   std::uint32_t node_;
-  int fd_;  ///< socket this node's traffic uses (shard's or its own)
   ReceiveHandler handler_;
 };
 
-/// The per-reactor-thread slice of the fleet plane: the shard's socket(s),
-/// its local nodes' ports, the batched send queue and receive scatter
+/// The per-reactor-thread slice of the fleet plane: the shard's socket, its
+/// local nodes' ports, the batched send queue and receive scatter
 /// array.
 class FleetUdpShard {
  public:
@@ -112,8 +105,7 @@ class FleetUdpShard {
   FleetUdpShard(const FleetUdpShard&) = delete;
   FleetUdpShard& operator=(const FleetUdpShard&) = delete;
 
-  /// Creates the port for a node homed on this shard (in `node` socket
-  /// mode this opens and registers the node's socket). The node id must
+  /// Creates the port for a node homed on this shard. The node id must
   /// belong to this shard (node % shard_count == shard_index).
   FleetPort& add_node(std::uint32_t node);
 
@@ -143,21 +135,20 @@ class FleetUdpShard {
 
   bool submit(FleetPort& port, Endpoint to,
               std::span<const std::uint8_t> payload);
-  void on_readable(int fd);
-  void drain_single(int fd);
-  void drain_batched(int fd);
+  void on_readable();
+  void drain_single();
+  void drain_batched();
   /// Routes one wire datagram (header included) to its local port.
   void dispatch(std::span<const std::uint8_t> wire);
   int make_socket(std::uint16_t port) const;
   void fill_addr(std::uint32_t node, sockaddr_in& out) const;
-  bool send_now(int fd, std::uint32_t dst,
-                std::span<const std::uint8_t> wire);
+  bool send_now(std::uint32_t dst, std::span<const std::uint8_t> wire);
 
   Reactor& reactor_;
   FleetUdpConfig config_;
   std::size_t shard_index_;
   std::size_t shard_count_;
-  int shard_fd_ = -1;  ///< shard-mode socket; -1 in node mode
+  int fd_ = -1;  ///< the shard's socket
   std::unordered_map<std::uint32_t, std::unique_ptr<FleetPort>> ports_;
   std::vector<PendingSend> sendq_;
   std::vector<std::uint8_t> recv_buf_;  ///< single-mode receive scratch

@@ -11,9 +11,8 @@
 //               (SteadyClock).
 //   virtual time advance_to(t) moves a ManualClock through every timer
 //               deadline up to t in deterministic order without ever
-//               blocking. Used by the loopback tests, the contact
-//               orchestrator, and the fleet's loopback lanes; fds are not
-//               polled (loopback has none).
+//               blocking. Used by the loopback tests and the fleet's
+//               loopback lanes; fds are not polled (loopback has none).
 //
 // Readiness backends, selected at construction (like the TCBF kernels are
 // selected at dispatch):

@@ -5,8 +5,8 @@
 // ~4.1 s and ~4.4 min cover ~4.7 hours of future deadlines; anything
 // further out parks in an overflow bucket that is re-cascaded when the
 // wheel's horizon reaches it. schedule() and cancel() are O(1); advance(t)
-// costs O(slots crossed + timers fired), so the virtual-time orchestrator
-// can jump hours of trace time cheaply.
+// costs O(slots crossed + timers fired), so a virtual-time reactor can
+// jump hours of trace time cheaply.
 //
 // Firing order is fully deterministic: timers due at or before the new
 // instant fire ordered by (deadline, schedule sequence), regardless of

@@ -4,7 +4,7 @@
 // bounded size between endpoints. Everything above it (fragmentation,
 // sessions, the node runtime) is backend-agnostic; the two backends are
 //
-//   LoopbackTransport  deterministic in-memory hub (tests, orchestrator),
+//   LoopbackTransport  deterministic in-memory hub (tests, fleet lanes),
 //   UdpTransport       real IPv4/UDP sockets (bsub_node daemon).
 //
 // Endpoints are opaque 64-bit addresses. The loopback hub uses small

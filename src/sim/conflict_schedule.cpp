@@ -25,12 +25,6 @@ void ConflictScheduler::schedule(std::span<const EventNodes> events,
     return;
   }
 
-  // Epoch trick: bumping stamp_base_ past every stamp written last window
-  // invalidates the whole table without touching it. Stored stamps are
-  // stamp_base_ + batch, so advancing by (previous batch count + 1) suffices;
-  // we conservatively advance by n + 1.
-  stamp_base_ += n + 1;
-
   batch_of_.resize(n);
   counts_.clear();
 
@@ -61,6 +55,10 @@ void ConflictScheduler::schedule(std::span<const EventNodes> events,
     if (counts_.size() <= batch) counts_.resize(batch + 1, 0);
     ++counts_[batch];
   }
+  // Epoch trick: moving stamp_base_ past every stamp this window wrote
+  // (stamp_base_ + max_batch at most) invalidates the whole table for the
+  // next window without touching it.
+  stamp_base_ += static_cast<std::uint64_t>(max_batch) + 1;
 
   // Counting sort by batch keeps input order within each batch and builds
   // the offsets table in one pass — O(n + batches), no comparisons.

@@ -2,7 +2,7 @@
 //
 // A ContactStream is a cursor over a time-ordered sequence of contacts. The
 // execution pipeline (sim::Simulator, engine::TraceRunner,
-// net::ContactOrchestrator) consumes scenarios through this interface with a
+// net::FleetRuntime) consumes scenarios through this interface with a
 // bounded window of in-flight events, so a million-node, hundred-million-
 // contact run never materializes the trace in RAM — peak memory is
 // O(node state + window), independent of contact count.

@@ -1,12 +1,26 @@
-// Fleet loopback engine vs engine harness at fleet scale: a thousand live
-// nodes sharded across reactor lanes must reproduce engine::TraceRunner
-// *bit for bit* — delivery logs, frame tallies, byte usage, float summaries
-// — across seeds, with >= 2 reactor threads. Custody sets (which nodes ever
-// carried each message) are compared against a serial engine replay, so the
-// messages traveled the same broker paths on both substrates.
+// Fleet loopback engine vs engine harness: live nodes replaying a scenario
+// over real sessions on reactor lanes must reproduce engine::TraceRunner
+// *bit for bit* — delivery logs, frame tallies, byte usage, float
+// summaries — across seeds. Custody sets (which nodes ever carried each
+// message) are compared against a serial engine replay, so the messages
+// traveled the same broker paths on both substrates.
 //
-// decay_tick is 0 throughout: both substrates decay TCBF counters lazily
-// over identical intervals (see live_loopback_differential_test.cpp).
+// Two scenario families:
+//   - single lane: 12 nodes, 600 dense contacts, one reactor thread — the
+//     plain loopback replay of one contact at a time;
+//   - fleet: 1000 nodes, 8000 sparse community contacts, two reactor
+//     threads — lanes executing node-disjoint conflict batches.
+//
+// The equivalence argument: (1) the lane hub's FIFO delivers datagrams in
+// send order, which for a two-party contact reproduces the harness's
+// alternating queue processing; (2) sessions charge frames against the
+// shared sim::Link at offer time in the same order the harness charges them
+// at pop time; (3) uncharged control datagrams (ACK/FIN) exist only below
+// the frame layer. decay_tick is 0 throughout: both substrates then decay
+// TCBF counters lazily over identical intervals. Splitting a decay interval
+// across ticks changes the floating-point sum (df*t1 + df*t2 != df*(t1+t2)
+// bitwise), which would perturb counter values without changing protocol
+// semantics; tick-driven decay is covered in loopback_runtime_test.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,50 +29,72 @@
 #include <vector>
 
 #include "core/df_tuning.h"
-#include "engine/network.h"
 #include "engine/trace_runner.h"
 #include "net/fleet/fleet_runtime.h"
+#include "testing/engine_replay.h"
 #include "trace/synthetic.h"
 #include "workload/workload.h"
 
 namespace bsub::net {
 namespace {
 
-constexpr std::size_t kNodes = 1000;
-constexpr std::size_t kContacts = 8000;
-constexpr util::Time kTtl = 6 * util::kHour;
+struct Family {
+  std::size_t nodes;
+  std::size_t contacts;
+  util::Time duration;
+  std::size_t communities;
+  util::Time ttl;
+  double messages_per_minute;  ///< per-node workload base rate
+  std::size_t threads;         ///< reactor lanes
+};
+
+constexpr Family kSingleLane{12, 600, 8 * util::kHour, 5, 3 * util::kHour,
+                             1.0 / 30.0, 1};
+// The message population stays proportionate to the sparse contact plan
+// (~8 contacts per node).
+constexpr Family kFleet{1000, 8000, 12 * util::kHour, 20, 6 * util::kHour,
+                        1.0 / 1440.0, 2};
+
+const core::BrokerElection::Config kElection{3, 5, 5 * util::kHour};
 
 struct Scenario {
   trace::ContactTrace trace;
   workload::KeySet keys;
   workload::Workload workload;
 
-  explicit Scenario(std::uint64_t seed)
+  Scenario(const Family& f, std::uint64_t seed)
       : trace([&] {
           trace::SyntheticTraceConfig cfg;
-          cfg.node_count = kNodes;
-          cfg.contact_count = kContacts;
-          cfg.duration = 12 * util::kHour;
-          cfg.community_count = 20;
+          cfg.node_count = f.nodes;
+          cfg.contact_count = f.contacts;
+          cfg.duration = f.duration;
+          cfg.community_count = f.communities;
           cfg.seed = seed;
           return trace::generate_trace(cfg);
         }()),
         keys(workload::twitter_trend_keys()), workload([&] {
           workload::WorkloadConfig wcfg;
-          wcfg.ttl = kTtl;
-          // Keep the message population proportionate to the sparse
-          // contact plan (~8 contacts per node).
-          wcfg.base_rate_per_minute = 1.0 / 1440.0;
+          wcfg.ttl = f.ttl;
+          wcfg.base_rate_per_minute = f.messages_per_minute;
           wcfg.seed = seed + 1;
           return workload::Workload(trace, keys, wcfg);
         }()) {}
 };
 
-engine::NodeConfig node_config_for(const Scenario& s) {
+engine::NodeConfig node_config_for(const Family& f, const Scenario& s) {
   engine::NodeConfig cfg;
   cfg.df_per_minute =
-      core::compute_df(s.trace, kTtl, cfg.filter_params, cfg.initial_counter)
+      core::compute_df(s.trace, f.ttl, cfg.filter_params, cfg.initial_counter)
           .df_per_minute;
+  return cfg;
+}
+
+FleetConfig fleet_config_for(const Family& f, engine::NodeConfig node_config) {
+  FleetConfig cfg;
+  cfg.runtime.node = node_config;
+  cfg.runtime.decay_tick = 0;
+  cfg.election = kElection;
+  cfg.threads = f.threads;
   return cfg;
 }
 
@@ -75,104 +111,45 @@ std::vector<DeliveryTuple> tuples(
   return out;
 }
 
-FleetConfig fleet_config_for(engine::NodeConfig node_config) {
-  FleetConfig cfg;
-  cfg.runtime.node = node_config;
-  cfg.runtime.decay_tick = 0;
-  cfg.threads = 2;  // >= 2 reactor threads, per the acceptance bar
-  return cfg;
+/// Scalar results: integers exactly, floats bitwise (same summation order
+/// over identical delivery logs).
+void expect_scalars_match(const Family& f, std::uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const Scenario s(f, seed);
+  const engine::NodeConfig node_config = node_config_for(f, s);
+
+  engine::TraceRunner runner(node_config, kElection);
+  const engine::TraceRunResults expect = runner.run(s.trace, s.workload);
+  ASSERT_GT(expect.deliveries, 0u);
+
+  FleetRuntime fleet(fleet_config_for(f, node_config));
+  const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
+  EXPECT_EQ(got.reactor_threads, f.threads);
+
+  EXPECT_EQ(got.protocol.deliveries, expect.deliveries);
+  EXPECT_EQ(got.protocol.expected_deliveries, expect.expected_deliveries);
+  EXPECT_EQ(got.protocol.contacts_processed, expect.contacts_processed);
+  EXPECT_EQ(got.protocol.frames_delivered, expect.frames_delivered);
+  EXPECT_EQ(got.protocol.frames_dropped, expect.frames_dropped);
+  EXPECT_EQ(got.protocol.bytes_used, expect.bytes_used);
+  EXPECT_EQ(got.protocol.delivery_ratio, expect.delivery_ratio);
+  EXPECT_EQ(got.protocol.mean_delay_minutes, expect.mean_delay_minutes);
 }
 
-/// Serial engine replay that keeps its Network for custody introspection
-/// (TraceRunner discards its Network at return).
-class EngineReplay {
- public:
-  EngineReplay(const Scenario& s, engine::NodeConfig node_config,
-               core::BrokerElection::Config election_config)
-      : net_(node_config), election_(s.trace.node_count(), election_config) {
-    net_.use_per_node_delivery_log(s.trace.node_count());
-    for (trace::NodeId n = 0; n < s.trace.node_count(); ++n) {
-      engine::BsubNode& node = net_.add_node(n);
-      for (workload::KeyId k : s.workload.interests_of(n)) {
-        node.subscribe(s.workload.keys().name(k));
-      }
-    }
-    const auto& contacts = s.trace.contacts();
-    const auto& messages = s.workload.messages();
-    std::size_t ci = 0, mi = 0;
-    while (ci < contacts.size() || mi < messages.size()) {
-      const bool take_message =
-          mi < messages.size() &&
-          (ci >= contacts.size() ||
-           messages[mi].created <= contacts[ci].start);
-      if (take_message) {
-        const workload::Message& m = messages[mi++];
-        engine::ContentMessage cm;
-        cm.id = m.id;
-        cm.key = s.workload.keys().name(m.key);
-        cm.body.assign(m.size_bytes, 0x5A);
-        cm.created = m.created;
-        cm.ttl = m.ttl;
-        net_.node(m.producer).publish(std::move(cm), m.created);
-        continue;
-      }
-      const trace::Contact& c = contacts[ci++];
-      election_.on_contact(c.a, c.b, c.start);
-      net_.node(c.a).set_broker(election_.is_broker(c.a));
-      net_.node(c.b).set_broker(election_.is_broker(c.b));
-      net_.contact(c.a, c.b, c.start, c.duration());
-    }
-  }
+/// Record-for-record delivery logs in the canonical node-major order, and
+/// identical custody sets: every message was ever carried by exactly the
+/// same nodes on both substrates — same brokers, same relay paths.
+void expect_logs_and_custody_match(const Family& f, std::uint64_t seed) {
+  const Scenario s(f, seed);
+  const engine::NodeConfig node_config = node_config_for(f, s);
+  testing::EngineReplay replay(s.trace, s.workload, node_config, kElection);
 
-  engine::Network& net() { return net_; }
-
- private:
-  engine::Network net_;
-  core::BrokerElection election_;
-};
-
-TEST(FleetDifferential, BitForBitVsTraceRunnerAcrossSeeds) {
-  for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Scenario s(seed);
-    const engine::NodeConfig node_config = node_config_for(s);
-    const core::BrokerElection::Config election{3, 5, 5 * util::kHour};
-
-    engine::TraceRunner runner(node_config, election);
-    const engine::TraceRunResults expect = runner.run(s.trace, s.workload);
-    ASSERT_GT(expect.deliveries, 0u);
-
-    FleetRuntime fleet(fleet_config_for(node_config));
-    const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
-    EXPECT_GE(got.reactor_threads, 2u);
-
-    EXPECT_EQ(got.protocol.deliveries, expect.deliveries);
-    EXPECT_EQ(got.protocol.expected_deliveries, expect.expected_deliveries);
-    EXPECT_EQ(got.protocol.contacts_processed, expect.contacts_processed);
-    EXPECT_EQ(got.protocol.frames_delivered, expect.frames_delivered);
-    EXPECT_EQ(got.protocol.frames_dropped, expect.frames_dropped);
-    EXPECT_EQ(got.protocol.bytes_used, expect.bytes_used);
-    EXPECT_EQ(got.protocol.delivery_ratio, expect.delivery_ratio);
-    EXPECT_EQ(got.protocol.mean_delay_minutes, expect.mean_delay_minutes);
-  }
-}
-
-TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
-  Scenario s(77);
-  const engine::NodeConfig node_config = node_config_for(s);
-  const core::BrokerElection::Config election{3, 5, 5 * util::kHour};
-
-  EngineReplay replay(s, node_config, election);
-
-  FleetRuntime fleet(fleet_config_for(node_config));
+  FleetRuntime fleet(fleet_config_for(f, node_config));
   const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
   ASSERT_GT(got.protocol.deliveries, 0u);
 
-  // Record-for-record delivery logs in the canonical node-major order.
   EXPECT_EQ(tuples(fleet.deliveries()), tuples(replay.net().deliveries()));
 
-  // Custody sets: every message was ever carried by exactly the same nodes
-  // on both substrates — same brokers, same relay paths.
   std::set<std::uint64_t> message_ids;
   for (const workload::Message& m : s.workload.messages()) {
     message_ids.insert(m.id);
@@ -190,6 +167,26 @@ TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
   }
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GT(custody_hops, 0u);  // the relay path was actually exercised
+}
+
+TEST(FleetDifferential, SingleLaneBitForBitAcrossSeeds) {
+  for (std::uint64_t seed : {101u, 202u, 303u, 404u, 505u, 606u}) {
+    expect_scalars_match(kSingleLane, seed);
+  }
+}
+
+TEST(FleetDifferential, SingleLaneDeliveryLogsAndCustodySetsMatch) {
+  expect_logs_and_custody_match(kSingleLane, 707);
+}
+
+TEST(FleetDifferential, BitForBitVsTraceRunnerAcrossSeeds) {
+  for (std::uint64_t seed : {11u, 22u, 33u, 44u, 55u, 66u}) {
+    expect_scalars_match(kFleet, seed);
+  }
+}
+
+TEST(FleetDifferential, DeliveryLogsAndCustodySetsMatch) {
+  expect_logs_and_custody_match(kFleet, 77);
 }
 
 }  // namespace

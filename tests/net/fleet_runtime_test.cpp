@@ -1,7 +1,8 @@
-// FleetRuntime: the deterministic loopback engine must be bit-identical to
-// the single-reactor ContactOrchestrator (and therefore to the engine
-// harness); the real-time UDP engine must complete every contact and
-// deliver end to end over real sockets.
+// FleetRuntime: the deterministic loopback engine must not depend on its
+// lane count — down to every transport tally — and a lossless replay drops
+// no datagram; the real-time UDP engine must complete every contact and
+// deliver end to end over real sockets. Bit-identity with the engine
+// harness is tests/integration/fleet_differential_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +14,6 @@
 #include "core/df_tuning.h"
 #include "engine/trace_runner.h"
 #include "net/fleet/fleet_runtime.h"
-#include "net/orchestrator.h"
 #include "trace/synthetic.h"
 #include "util/errors.h"
 #include "workload/workload.h"
@@ -65,48 +65,50 @@ std::vector<DeliveryTuple> tuples(
   return out;
 }
 
-TEST(FleetRuntimeLoopback, BitIdenticalToOrchestrator) {
+FleetRunResults run_loopback_with(const Scenario& s, std::size_t threads) {
+  FleetConfig cfg;
+  cfg.runtime.node = node_config_for(s);
+  cfg.runtime.decay_tick = 0;
+  cfg.threads = threads;
+  FleetRuntime fleet(cfg);
+  return fleet.run_loopback(s.trace, s.workload);
+}
+
+TEST(FleetRuntimeLoopback, TransportStatsIdenticalAcrossLaneCounts) {
+  // Every contact is an independent virtual-time episode, so the sessions
+  // send, receive and drop the same datagrams whichever lane runs them.
   Scenario s(101);
-  const engine::NodeConfig node_config = node_config_for(s);
+  const FleetRunResults serial = run_loopback_with(s, 1);
+  const FleetRunResults parallel = run_loopback_with(s, 4);
+  ASSERT_GT(serial.protocol.deliveries, 0u);
+  EXPECT_EQ(parallel.reactor_threads, 4u);
 
-  OrchestratorConfig ocfg;
-  ocfg.runtime.node = node_config;
-  ocfg.runtime.decay_tick = 0;
-  ContactOrchestrator orch(ocfg);
-  const LiveRunResults expect = orch.run(s.trace, s.workload);
-  ASSERT_GT(expect.protocol.deliveries, 0u);
+  const metrics::TransportStats& a = serial.transport;
+  const metrics::TransportStats& b = parallel.transport;
+  EXPECT_EQ(a.datagrams_sent, b.datagrams_sent);
+  EXPECT_EQ(a.datagrams_received, b.datagrams_received);
+  EXPECT_EQ(a.datagrams_dropped, b.datagrams_dropped);
+  EXPECT_EQ(a.frames_sent, b.frames_sent);
+  EXPECT_EQ(a.frames_received, b.frames_received);
+  EXPECT_EQ(a.frames_retransmitted, b.frames_retransmitted);
+  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
+  EXPECT_EQ(a.session_opens, b.session_opens);
+  EXPECT_EQ(a.session_timeouts, b.session_timeouts);
+  EXPECT_EQ(a.reassembly_failures, b.reassembly_failures);
+  // Two sessions per contact, all closed gracefully.
+  EXPECT_EQ(a.session_opens, 2 * serial.protocol.contacts_processed);
+  EXPECT_EQ(a.session_timeouts, 0u);
+}
 
-  FleetConfig fcfg;
-  fcfg.runtime.node = node_config;
-  fcfg.runtime.decay_tick = 0;
-  fcfg.threads = 2;
-  FleetRuntime fleet(fcfg);
-  const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
-
-  // Protocol results: integers exactly, floats bitwise (identical delivery
-  // logs summed in the same node-major order).
-  EXPECT_EQ(got.protocol.deliveries, expect.protocol.deliveries);
-  EXPECT_EQ(got.protocol.expected_deliveries,
-            expect.protocol.expected_deliveries);
-  EXPECT_EQ(got.protocol.contacts_processed,
-            expect.protocol.contacts_processed);
-  EXPECT_EQ(got.protocol.frames_delivered, expect.protocol.frames_delivered);
-  EXPECT_EQ(got.protocol.frames_dropped, expect.protocol.frames_dropped);
-  EXPECT_EQ(got.protocol.bytes_used, expect.protocol.bytes_used);
-  EXPECT_EQ(got.protocol.delivery_ratio, expect.protocol.delivery_ratio);
-  EXPECT_EQ(got.protocol.mean_delay_minutes,
-            expect.protocol.mean_delay_minutes);
-
-  // Transport tallies: the same sessions sent the same datagrams.
-  EXPECT_EQ(got.transport.datagrams_sent, expect.transport.datagrams_sent);
-  EXPECT_EQ(got.transport.datagrams_received,
-            expect.transport.datagrams_received);
-  EXPECT_EQ(got.transport.frames_sent, expect.transport.frames_sent);
-  EXPECT_EQ(got.transport.frames_received, expect.transport.frames_received);
-  EXPECT_EQ(got.transport.session_opens, expect.transport.session_opens);
-
-  // The delivery logs agree record for record.
-  EXPECT_EQ(tuples(fleet.deliveries()), tuples(orch.deliveries()));
+TEST(FleetRuntimeLoopback, LosslessReplayDropsNoDatagrams) {
+  // A clean loopback lane loses nothing and sends nothing malformed; the
+  // FIN_ACKs that outlive a simultaneous close are received, not dropped.
+  Scenario s(202);
+  const FleetRunResults r = run_loopback_with(s, 1);
+  ASSERT_GT(r.transport.datagrams_received, 0u);
+  EXPECT_EQ(r.transport.datagrams_dropped, 0u);
+  EXPECT_EQ(r.transport.datagrams_received, r.transport.datagrams_sent);
+  EXPECT_EQ(r.transport.frames_retransmitted, 0u);
 }
 
 TEST(FleetRuntimeLoopback, ThreadCountDoesNotChangeResults) {

@@ -144,6 +144,24 @@ TEST(ConflictScheduler, SchedulerIsReusableAcrossWindows) {
   check_invariants(w1, again);
 }
 
+TEST(ConflictScheduler, ShortWindowAfterLongChainHasNoEmptyBatches) {
+  // A window's conflict chain can be longer than the next window has
+  // events; the next window must still start from batch 0 and leave no
+  // batch empty.
+  ConflictScheduler sched(16);
+  const auto chain = contacts({{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5},
+                               {0, 6}, {0, 7}, {0, 8}, {0, 9}, {0, 10}});
+  ASSERT_EQ(sched.schedule(chain).batch_count(), chain.size());
+
+  const auto short_window = contacts({{0, 1}, {2, 3}});
+  const ConflictSchedule s = sched.schedule(short_window);
+  check_invariants(short_window, s);
+  EXPECT_EQ(s.batch_count(), 1u);
+  for (std::size_t k = 0; k < s.batch_count(); ++k) {
+    EXPECT_FALSE(s.batch(k).empty()) << "batch " << k << " is empty";
+  }
+}
+
 TEST(ConflictScheduler, RandomizedWindowsHoldAllInvariants) {
   util::Rng rng(2010);
   for (int round = 0; round < 50; ++round) {

@@ -8,12 +8,8 @@
 //   bsub_fleet --nodes 1000 --contacts 8000 --threads 2 --differential
 //
 //   # real time over batched shard sockets on the epoll backend
-//   bsub_fleet --mode udp --nodes 256 --contacts 2000 --shards 2 \
-//              --backend epoll --io batched --sockets shard
-//
-// `--sockets node` is the measurable baseline (one UDP socket per node);
-// it implies `--io single` unless batching is asked for explicitly, and
-// raises RLIMIT_NOFILE toward what the fleet needs.
+//   bsub_fleet --mode udp --nodes 256 --contacts 2000 --shards 2
+//              --backend epoll --io batched
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,7 +44,6 @@ int usage(const char* argv0) {
       "(default 2)\n"
       "  --backend auto|poll|epoll  readiness backend (udp mode)\n"
       "  --io batched|single    sendmmsg/recvmmsg vs sendto/recvfrom\n"
-      "  --sockets shard|node   one socket per shard or per node\n"
       "  --base-port P          first UDP port (default 47000)\n"
       "  --protocol SPEC        B-SUB spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (default: DF tuned from the trace)\n"
@@ -68,9 +63,8 @@ struct Options {
   std::uint64_t threads = 0;
   std::uint64_t shards = 2;
   net::ReactorBackend backend = net::ReactorBackend::kAuto;
-  bool batched_io = false;
-  bool io_explicit = false;
-  bool per_node_sockets = false;
+  /// Batch by default where the platform supports it.
+  bool batched_io = net::fleet_udp_batched_available();
   std::uint64_t base_port = 47000;
   std::string protocol;
   std::string kernel;
@@ -137,17 +131,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       } else {
         return false;
       }
-      opts.io_explicit = true;
-    } else if (std::strcmp(arg, "--sockets") == 0) {
-      const char* m = next();
-      if (!m) return false;
-      if (std::strcmp(m, "shard") == 0) {
-        opts.per_node_sockets = false;
-      } else if (std::strcmp(m, "node") == 0) {
-        opts.per_node_sockets = true;
-      } else {
-        return false;
-      }
     } else if (std::strcmp(arg, "--base-port") == 0) {
       if (!next_u64(opts.base_port) || opts.base_port == 0 ||
           opts.base_port > 65535) {
@@ -193,12 +176,6 @@ int main(int argc, char** argv) {
                  "(real-time runs are not bit-comparable)\n");
     return 2;
   }
-  if (!opts.io_explicit) {
-    // Batch by default where the platform supports it; the per-node-socket
-    // baseline has per-socket queues, which batching cannot help.
-    opts.batched_io =
-        net::fleet_udp_batched_available() && !opts.per_node_sockets;
-  }
 
   namespace kernels = bsub::bloom::kernels;
   if (!opts.kernel.empty() && opts.kernel != "auto") {
@@ -237,17 +214,12 @@ int main(int argc, char** argv) {
       cfg.shards = static_cast<std::size_t>(opts.shards);
       cfg.udp.base_port = static_cast<std::uint16_t>(opts.base_port);
       cfg.udp.batched_io = opts.batched_io;
-      cfg.udp.per_node_sockets = opts.per_node_sockets;
       cfg.udp.validate();
-      if (opts.per_node_sockets) {
-        raise_fd_limit(opts.point.nodes + 4 * opts.shards + 64);
-      }
       std::printf("engine:         udp real-time, %zu shard(s), backend %s, "
-                  "io %s, sockets %s\n",
+                  "io %s\n",
                   cfg.shards,
                   std::string(net::reactor_backend_name(cfg.backend)).c_str(),
-                  cfg.udp.batched_io ? "batched" : "single",
-                  cfg.udp.per_node_sockets ? "node" : "shard");
+                  cfg.udp.batched_io ? "batched" : "single");
       net::FleetRuntime fleet(cfg);
       r = fleet.run_udp(scenario.trace, scenario.workload);
     } else {

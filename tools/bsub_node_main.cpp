@@ -196,8 +196,8 @@ int main(int argc, char** argv) {
       }
       config.node = bsub::engine::node_config_from(proto);
     }
-    bsub::net::NodeRuntime runtime(opts.id, config, transport, reactor,
-                                   counters);
+    bsub::net::NodeRuntime runtime(opts.id, config, counters);
+    runtime.bind(transport, reactor);
     runtime.node().set_broker(opts.broker);
     for (const std::string& key : opts.subscriptions) {
       runtime.node().subscribe(key);
