@@ -24,8 +24,8 @@
 //      slower CI runners don't trip it on noise.
 //   3. Bytes/node ceiling: every point's peak RSS per node must fit the
 //      lazy-state budget kPerNodeFloor + kBaseRss/nodes +
-//      relays*kPerBrokerBytes/nodes. The historical eager layout (one relay
-//      filter + window maps per node, ~6.4 KB/node at 10^6 nodes) violates
+//      relays*kPerBrokerBytes/nodes. The retired eager layout (one relay
+//      filter + window maps per node, ~6.4 KB/node at 10^6 nodes) violated
 //      this by 4x and more at every large point; the measured lazy layout
 //      clears it with >= 10% margin (459 B/node at the 10^6 x 10^5 point).
 //

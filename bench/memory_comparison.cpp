@@ -2,9 +2,9 @@
 // VII-A): representing the interest set with a TCBF takes about half the
 // space of raw strings, and each protocol exchange ships only dozens of
 // bytes. On top of the wire-size table, measures the *resident* side of the
-// same story: what one node of protocol state costs on the heap, eager
-// (historical layout) vs lazy/pooled, using the shared allocation hooks
-// from resource_stats.h.
+// same story: what one node of lazy/pooled protocol state costs on the
+// heap, idle and once active, using the shared allocation hooks from
+// resource_stats.h.
 #define BSUB_RESOURCE_STATS_COUNT_ALLOCS
 #include "resource_stats.h"
 
@@ -26,16 +26,12 @@ struct StateCost {
   std::uint64_t active_bytes = 0;  ///< materialization for `active` nodes
 };
 
-StateCost measure_state(std::size_t nodes, std::size_t active,
-                        bool reference) {
+StateCost measure_state(std::size_t nodes, std::size_t active) {
   using namespace bsub;
   const bloom::BloomParams params{256, 4};
   const std::uint64_t start = bench::allocated_bytes_now();
-  core::InterestManager im(nodes, params, 50.0, 0.5,
-                           /*eager_state=*/reference);
-  core::BrokerElection el(nodes,
-                          {3, 5, 5 * util::kHour,
-                           /*reference_state=*/reference});
+  core::InterestManager im(nodes, params, 50.0, 0.5);
+  core::BrokerElection el(nodes, {3, 5, 5 * util::kHour});
   StateCost cost;
   cost.idle_bytes = bench::allocated_bytes_now() - start;
   const bloom::Tcbf genuine = im.make_genuine("NewMoon");
@@ -100,32 +96,20 @@ int main() {
                   all.popcount(), params.m,
                   bloom::CounterEncoding::kCounterLess));
 
-  print_header("Resident state — eager (reference) vs lazy/pooled layout");
+  print_header("Resident state — lazy/pooled layout");
   constexpr std::size_t kNodes = 100000;
   constexpr std::size_t kActive = kNodes / 10;  // 10% ever participate
-  const StateCost eager = measure_state(kNodes, kActive, /*reference=*/true);
-  const StateCost lazy = measure_state(kNodes, kActive, /*reference=*/false);
+  const StateCost lazy = measure_state(kNodes, kActive);
   std::printf("%zu nodes, %zu active (interest + election state)\n", kNodes,
               kActive);
   std::printf("%-28s | %14s | %10s\n", "layout", "idle heap bytes",
               "bytes/node");
-  auto state_row = [&](const char* label, const StateCost& c) {
-    std::printf("%-28s | %14llu | %10.0f\n", label,
-                static_cast<unsigned long long>(c.idle_bytes),
-                static_cast<double>(c.idle_bytes) /
-                    static_cast<double>(kNodes));
-  };
-  state_row("eager (historical)", eager);
-  state_row("lazy/pooled", lazy);
-  std::printf("idle floor ratio: %.1fx\n",
-              static_cast<double>(eager.idle_bytes) /
-                  static_cast<double>(lazy.idle_bytes));
-  std::printf("activation cost:  %.0f bytes per active node (lazy; the "
-              "eager layout\n                  pre-pays this for every "
-              "node: %.0f measured on touch)\n",
+  std::printf("%-28s | %14llu | %10.0f\n", "lazy/pooled",
+              static_cast<unsigned long long>(lazy.idle_bytes),
+              static_cast<double>(lazy.idle_bytes) /
+                  static_cast<double>(kNodes));
+  std::printf("activation cost:  %.0f bytes per active node\n",
               static_cast<double>(lazy.active_bytes) /
-                  static_cast<double>(kActive),
-              static_cast<double>(eager.active_bytes) /
                   static_cast<double>(kActive));
 
   std::printf("\npaper claim: the TCBF uses about half the space of raw "

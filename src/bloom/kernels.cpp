@@ -3,13 +3,12 @@
 // Resolution order:
 //   1. -DBSUB_FORCE_SCALAR builds hardwire the portable scalar kernel (the
 //      other backends are not even registered).
-//   2. The BSUB_KERNEL environment variable names a backend (scalar |
-//      blocked | avx2 | neon); an unavailable or unknown name is reported
-//      to stderr once and default dispatch proceeds ("auto" skips straight
-//      there).
+//   2. The BSUB_KERNEL environment variable names a backend (scalar | avx2 |
+//      neon); an unavailable or unknown name is reported to stderr once and
+//      default dispatch proceeds ("auto" skips straight there).
 //   3. Default: the widest backend this build and this CPU support —
 //      AVX2 (runtime CPUID check) > NEON (architectural on aarch64) >
-//      blocked > scalar.
+//      scalar.
 //
 // force_kernel() replaces the cached choice afterwards (startup flags and
 // the differential tests use it); it is not safe against concurrently
@@ -41,8 +40,6 @@ const Ops* lookup(Kind kind) {
     case Kind::kScalar:
       return &scalar_ops();
 #if !defined(BSUB_FORCE_SCALAR)
-    case Kind::kBlocked:
-      return &blocked_ops();
 #if defined(BSUB_HAVE_AVX2_KERNEL)
     case Kind::kAvx2:
       return cpu_has_avx2() ? &avx2_ops() : nullptr;
@@ -70,13 +67,13 @@ const Ops& detect() {
                      env);
       } else {
         std::fprintf(stderr,
-                     "bsub: unknown BSUB_KERNEL=%s (want scalar | blocked | "
-                     "avx2 | neon | auto); using default kernel dispatch\n",
+                     "bsub: unknown BSUB_KERNEL=%s (want scalar | avx2 | "
+                     "neon | auto); using default kernel dispatch\n",
                      env);
       }
     }
   }
-  for (Kind kind : {Kind::kAvx2, Kind::kNeon, Kind::kBlocked}) {
+  for (Kind kind : {Kind::kAvx2, Kind::kNeon}) {
     if (const Ops* ops = lookup(kind); ops != nullptr) return *ops;
   }
   return scalar_ops();
@@ -115,8 +112,6 @@ std::string_view kind_name(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return "scalar";
-    case Kind::kBlocked:
-      return "blocked";
     case Kind::kAvx2:
       return "avx2";
     case Kind::kNeon:
@@ -127,7 +122,6 @@ std::string_view kind_name(Kind kind) {
 
 std::optional<Kind> parse_kind(std::string_view name) {
   if (name == "scalar") return Kind::kScalar;
-  if (name == "blocked") return Kind::kBlocked;
   if (name == "avx2") return Kind::kAvx2;
   if (name == "neon") return Kind::kNeon;
   return std::nullopt;

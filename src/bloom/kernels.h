@@ -7,15 +7,15 @@
 //   - kScalar   portable reference: the exact per-bit loops the repo
 //               shipped with, plus a dense full-sweep fallback above the
 //               density crossover (see below);
-//   - kBlocked  register-blocked, cache-conscious: walks the occupancy
-//               bitmap one 64-slot word at a time and touches counters at
-//               cache-line granularity (8 doubles = 64 bytes per occupancy
-//               byte), so a sparse merge moves O(set keys) cache lines
-//               instead of O(m) — and never branches per bit inside a line;
-//   - kAvx2     x86-64 AVX2: the same blocked structure with each cache
-//               line processed as two 256-bit vector ops (point queries
-//               stay scalar — k is tiny and gathers lose to plain loads);
-//   - kNeon     aarch64 NEON: the blocked structure on 128-bit lanes.
+//   - kAvx2     x86-64 AVX2: walks the occupancy bitmap one 64-slot word at
+//               a time and touches counters at cache-line granularity
+//               (8 doubles = 64 bytes per occupancy byte), each line
+//               processed as two 256-bit vector ops, so a sparse merge
+//               moves O(set keys) cache lines instead of O(m) (point
+//               queries stay scalar — k is tiny and gathers lose to plain
+//               loads);
+//   - kNeon     aarch64 NEON: the same cache-line structure on 128-bit
+//               lanes.
 //
 // Every kernel computes bit-identical results: all arithmetic is
 // element-wise IEEE add/sub/min/max with no reassociation, so the effective
@@ -28,8 +28,8 @@
 // threshold (1/16 of slots) it switches to a dense word sweep — per-bit
 // extraction costs more than streaming the array once when a meaningful
 // fraction of slots is live (this is what made the lazy representation
-// *lose* to dense on a_merge at m=1024). The blocked and SIMD kernels make
-// the equivalent decision at cache-line granularity instead: one occupancy
+// *lose* to dense on a_merge at m=1024). The SIMD kernels make the
+// equivalent decision at cache-line granularity instead: one occupancy
 // byte gates one 64-byte block, a nearly-free predictable branch when the
 // source is dense and a full line of saved memory traffic when it is
 // sparse, so they need no density switch at all. Crossovers only change
@@ -37,7 +37,7 @@
 //
 // Dispatch: the backend is chosen once per process — CPUID feature
 // detection picks the widest available kernel, overridable with the
-// BSUB_KERNEL environment variable (scalar | blocked | avx2 | neon | auto)
+// BSUB_KERNEL environment variable (scalar | avx2 | neon | auto)
 // or force_kernel(). Building with -DBSUB_FORCE_SCALAR=ON compiles the
 // portable scalar kernel only (CI keeps that configuration green for
 // machines without AVX2).
@@ -111,7 +111,7 @@ struct MutView {
   std::size_t* occupied_bits;
 };
 
-enum class Kind : std::uint8_t { kScalar = 0, kBlocked = 1, kAvx2 = 2, kNeon = 3 };
+enum class Kind : std::uint8_t { kScalar, kAvx2, kNeon };
 
 /// One backend's implementation of the TCBF data plane. All functions are
 /// total over valid views and produce results bit-identical to the scalar
@@ -151,12 +151,10 @@ inline double preference(const Ops& ops, const ConstView& b,
   return cb - cf;
 }
 
-/// Per-backend tables. scalar_ops()/blocked_ops() always exist;
-/// avx2_ops()/neon_ops() exist only in builds whose toolchain produced the
-/// corresponding translation unit — use get()/available() for portable
-/// lookup.
+/// Per-backend tables. scalar_ops() always exists; avx2_ops()/neon_ops()
+/// exist only in builds whose toolchain produced the corresponding
+/// translation unit — use get()/available() for portable lookup.
 const Ops& scalar_ops();
-const Ops& blocked_ops();
 #if defined(BSUB_HAVE_AVX2_KERNEL)
 const Ops& avx2_ops();
 #endif
@@ -182,7 +180,7 @@ Kind active_kind();
 bool force_kernel(Kind kind);
 
 std::string_view kind_name(Kind kind);
-/// Parses "scalar" | "blocked" | "avx2" | "neon" (nullopt otherwise,
+/// Parses "scalar" | "avx2" | "neon" (nullopt otherwise,
 /// including "auto", which callers treat as "use default dispatch").
 std::optional<Kind> parse_kind(std::string_view name);
 

@@ -1,9 +1,10 @@
 // AVX2 TCBF kernel (x86-64; this TU is compiled with -mavx2 and only ever
 // entered after runtime CPUID dispatch confirms the ISA).
 //
-// Same blocked structure as kernels_blocked.cpp — occupancy word, then
-// 8-slot / 64-byte counter block — with each block processed as two 256-bit
-// lanes. Arithmetic is element-wise IEEE add/sub/min/max with no
+// Walks the occupancy bitmap one word at a time and, for each non-zero
+// occupancy byte, processes its 8-slot / 64-byte counter block (one cache
+// line) as two 256-bit lanes: a sparse merge touches only the cache lines
+// that hold live counters, with no per-bit branching inside a line. Arithmetic is element-wise IEEE add/sub/min/max with no
 // reassociation and no FMA, so every result is bit-identical to the scalar
 // reference:
 //   effective(v)  = and(sub(v, base), cmp_gt(v, base))   [exact 0.0 when dead]

@@ -2,7 +2,7 @@
 // guaranteed — no runtime feature probe needed, the dispatcher just prefers
 // this backend when the TU exists).
 //
-// Mirrors the AVX2 backend's blocked structure on 128-bit lanes: one
+// Mirrors the AVX2 backend's cache-line structure on 128-bit lanes: one
 // occupancy byte = one 64-byte counter block = four float64x2 lanes.
 // Element-wise IEEE sub/add/min/max only — bit-identical to the scalar
 // reference (counters are never NaN or -0.0, so min/max tie handling and

@@ -45,9 +45,9 @@
 //     normalize().
 //   - The data-plane operations (merges, normalize, popcount/set-bit
 //     sweeps, point queries) run through the runtime-dispatched backend in
-//     bloom/kernels.h — scalar, register-blocked, AVX2, or NEON — all
-//     bit-identical; see that header for dispatch rules and the
-//     lazy-vs-dense merge crossover.
+//     bloom/kernels.h — scalar, AVX2, or NEON — all bit-identical; see
+//     that header for dispatch rules and the lazy-vs-dense merge
+//     crossover.
 //   - All query entry points have overloads taking a precomputed
 //     util::HashPair so hot paths never re-hash key strings (see
 //     workload::KeySet::hash for the interned table).

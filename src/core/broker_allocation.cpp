@@ -6,21 +6,16 @@
 namespace bsub::core {
 
 BrokerElection::BrokerElection(std::size_t node_count, Config config)
-    : config_(config), broker_(node_count, 0) {
+    : config_(config), broker_(node_count, 0), state_(node_count) {
   assert(config.window > 0);
   assert(config.lower <= config.upper);
-  if (config_.reference_state) {
-    ref_state_.resize(node_count);
-  } else {
-    state_.resize(node_count);
-  }
 }
 
 void BrokerElection::set_broker(trace::NodeId node, bool broker) {
   broker_[node] = broker ? 1 : 0;
 }
 
-// --- compact-layout plumbing -----------------------------------------------
+// --- ring + table plumbing -------------------------------------------------
 
 void BrokerElection::ring_push(NodeState& s, const Meeting& m) {
   if (s.ring_size == s.ring_cap) {
@@ -123,59 +118,18 @@ void BrokerElection::prune(NodeState& s, util::Time now) {
   }
 }
 
-// --- reference-layout plumbing ---------------------------------------------
-
-void BrokerElection::prune_ref(RefNodeState& s, util::Time now) {
-  const util::Time cutoff = now - config_.window;
-  while (!s.meetings.empty() && s.meetings.front().time < cutoff) {
-    const RefMeeting& m = s.meetings.front();
-    auto pit = s.peer_counts.find(m.peer);
-    if (pit != s.peer_counts.end() && --pit->second == 0) {
-      s.peer_counts.erase(pit);
-    }
-    if (m.peer_was_broker) {
-      auto bit = s.broker_counts.find(m.peer);
-      if (bit != s.broker_counts.end() && --bit->second == 0) {
-        s.broker_counts.erase(bit);
-      }
-      s.broker_degree_sum -= static_cast<double>(m.peer_degree);
-      --s.broker_degree_n;
-    }
-    s.meetings.pop_front();
-  }
-}
-
-// --- shared election logic -------------------------------------------------
-
-std::size_t BrokerElection::distinct_peers_of(trace::NodeId node) const {
-  return config_.reference_state ? ref_state_[node].peer_counts.size()
-                                 : state_[node].distinct_peers;
-}
+// --- election logic --------------------------------------------------------
 
 void BrokerElection::record(trace::NodeId self, trace::NodeId peer,
                             util::Time now) {
   const bool peer_broker = broker_[peer] != 0;
   // The peer's degree is what the peer would report in the handshake:
   // its own distinct-peer count over its (already-updated) window.
-  const std::size_t peer_degree = distinct_peers_of(peer);
-  if (config_.reference_state) {
-    RefNodeState& s = ref_state_[self];
-    prune_ref(s, now);
-    s.meetings.push_back(RefMeeting{now, peer, peer_broker, peer_degree});
-    ++s.peer_counts[peer];
-    if (peer_broker) {
-      ++s.broker_counts[peer];
-      s.broker_degree_sum += static_cast<double>(peer_degree);
-      ++s.broker_degree_n;
-    }
-    return;
-  }
+  const std::uint32_t peer_degree = state_[peer].distinct_peers;
   NodeState& s = state_[self];
   prune(s, now);
   assert(peer_degree < kBrokerFlag);
-  Meeting m{now, peer,
-            static_cast<std::uint32_t>(peer_degree) |
-                (peer_broker ? kBrokerFlag : 0)};
+  Meeting m{now, peer, peer_degree | (peer_broker ? kBrokerFlag : 0)};
   ring_push(s, m);
   PeerEntry& e = table_entry(s, peer);
   if (e.meetings++ == 0) ++s.distinct_peers;
@@ -189,31 +143,18 @@ void BrokerElection::record(trace::NodeId self, trace::NodeId peer,
 void BrokerElection::elect(trace::NodeId self, trace::NodeId peer,
                            util::Time now) {
   if (broker_[self]) return;  // brokers do not run the election rules
-  std::size_t brokers_seen;
-  double degree_sum;
-  std::uint64_t degree_n;
-  if (config_.reference_state) {
-    RefNodeState& s = ref_state_[self];
-    prune_ref(s, now);
-    brokers_seen = s.broker_counts.size();
-    degree_sum = s.broker_degree_sum;
-    degree_n = s.broker_degree_n;
-  } else {
-    NodeState& s = state_[self];
-    prune(s, now);
-    brokers_seen = s.distinct_brokers;
-    degree_sum = s.broker_degree_sum;
-    degree_n = s.broker_degree_n;
-  }
-  if (brokers_seen < config_.lower && !broker_[peer]) {
+  NodeState& s = state_[self];
+  prune(s, now);
+  if (s.distinct_brokers < config_.lower && !broker_[peer]) {
     broker_[peer] = 1;
     promotions_.fetch_add(1, std::memory_order_relaxed);
-  } else if (brokers_seen > config_.upper && broker_[peer]) {
+  } else if (s.distinct_brokers > config_.upper && broker_[peer]) {
     // Demote only below-average brokers, so popular nodes keep the role.
-    if (degree_n > 0) {
-      const double avg = degree_sum / static_cast<double>(degree_n);
+    if (s.broker_degree_n > 0) {
+      const double avg =
+          s.broker_degree_sum / static_cast<double>(s.broker_degree_n);
       const double peer_degree =
-          static_cast<double>(distinct_peers_of(peer));
+          static_cast<double>(state_[peer].distinct_peers);
       if (peer_degree < avg) {
         broker_[peer] = 0;
         demotions_.fetch_add(1, std::memory_order_relaxed);
@@ -263,17 +204,10 @@ std::size_t BrokerElection::degree(trace::NodeId node, util::Time now) const {
   const util::Time cutoff = now - config_.window;
   thread_local std::vector<trace::NodeId> scratch;
   scratch.clear();
-  if (config_.reference_state) {
-    const RefNodeState& s = ref_state_[node];
-    std::size_t i = 0;
-    while (i < s.meetings.size() && s.meetings[i].time < cutoff) ++i;
-    for (; i < s.meetings.size(); ++i) scratch.push_back(s.meetings[i].peer);
-  } else {
-    const NodeState& s = state_[node];
-    std::uint32_t i = 0;
-    while (i < s.ring_size && ring_at(s, i).time < cutoff) ++i;
-    for (; i < s.ring_size; ++i) scratch.push_back(ring_at(s, i).peer);
-  }
+  const NodeState& s = state_[node];
+  std::uint32_t i = 0;
+  while (i < s.ring_size && ring_at(s, i).time < cutoff) ++i;
+  for (; i < s.ring_size; ++i) scratch.push_back(ring_at(s, i).peer);
   return count_distinct(scratch);
 }
 
@@ -282,30 +216,19 @@ std::size_t BrokerElection::brokers_met(trace::NodeId node,
   const util::Time cutoff = now - config_.window;
   thread_local std::vector<trace::NodeId> scratch;
   scratch.clear();
-  if (config_.reference_state) {
-    const RefNodeState& s = ref_state_[node];
-    std::size_t i = 0;
-    while (i < s.meetings.size() && s.meetings[i].time < cutoff) ++i;
-    for (; i < s.meetings.size(); ++i) {
-      if (s.meetings[i].peer_was_broker) scratch.push_back(s.meetings[i].peer);
-    }
-  } else {
-    const NodeState& s = state_[node];
-    std::uint32_t i = 0;
-    while (i < s.ring_size && ring_at(s, i).time < cutoff) ++i;
-    for (; i < s.ring_size; ++i) {
-      const Meeting& m = ring_at(s, i);
-      if ((m.degree_flag & kBrokerFlag) != 0) scratch.push_back(m.peer);
-    }
+  const NodeState& s = state_[node];
+  std::uint32_t i = 0;
+  while (i < s.ring_size && ring_at(s, i).time < cutoff) ++i;
+  for (; i < s.ring_size; ++i) {
+    const Meeting& m = ring_at(s, i);
+    if ((m.degree_flag & kBrokerFlag) != 0) scratch.push_back(m.peer);
   }
   return count_distinct(scratch);
 }
 
 std::size_t BrokerElection::state_bytes_reserved() const {
-  const std::size_t fixed = config_.reference_state
-                                ? ref_state_.capacity() * sizeof(RefNodeState)
-                                : state_.capacity() * sizeof(NodeState);
-  return fixed + pool_.bytes_reserved() + broker_.capacity();
+  return state_.capacity() * sizeof(NodeState) + pool_.bytes_reserved() +
+         broker_.capacity();
 }
 
 }  // namespace bsub::core

@@ -18,18 +18,15 @@
 // a ring buffer of window meetings and a single open-addressing peer table
 // (meeting + broker-meeting counts per peer), both allocated from a
 // per-election BlockPool arena. Idle nodes cost just the NodeState; active
-// windows cost ~16 bytes per meeting + ~16 bytes per live peer. The
-// historical deque + two-unordered_map layout is retained behind
-// Config::reference_state as the differential-test reference — both layouts
-// run the identical prune/record/elect sequence (including the order of
-// floating-point add/subtract on the broker-degree average), so they are
-// bit-identical in every observable.
+// windows cost ~16 bytes per meeting + ~16 bytes per live peer. The plain
+// one-deque-plus-two-maps model in tests/testing/reference_election.h runs
+// the identical prune/record/elect sequence (including the order of
+// floating-point add/subtract on the broker-degree average); the election
+// tests hold the two in lock-step, contact by contact.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/contact.h"
@@ -44,9 +41,6 @@ class BrokerElection {
     std::uint32_t lower = 3;              ///< B_l
     std::uint32_t upper = 5;              ///< B_u
     util::Time window = 5 * util::kHour;  ///< W
-    /// Retains the deque + two-hash-map per-node layout (the
-    /// differential-test reference); default is the pooled compact layout.
-    bool reference_state = false;
   };
 
   BrokerElection(std::size_t node_count, Config config);
@@ -80,8 +74,8 @@ class BrokerElection {
     return demotions_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes held for per-node window state (compact mode: pool slabs; the
-  /// fixed NodeState array is reported in both modes).
+  /// Bytes held for per-node window state: the fixed NodeState array plus
+  /// the pool slabs behind the rings and tables.
   std::size_t state_bytes_reserved() const;
 
  private:
@@ -119,22 +113,6 @@ class BrokerElection {
     double broker_degree_sum = 0.0;
   };
 
-  /// Reference layout (Config::reference_state): the historical
-  /// one-deque-plus-two-maps per node.
-  struct RefMeeting {
-    util::Time time;
-    trace::NodeId peer;
-    bool peer_was_broker;
-    std::size_t peer_degree;
-  };
-  struct RefNodeState {
-    std::deque<RefMeeting> meetings;
-    std::unordered_map<trace::NodeId, std::uint32_t> peer_counts;
-    std::unordered_map<trace::NodeId, std::uint32_t> broker_counts;
-    double broker_degree_sum = 0.0;
-    std::uint64_t broker_degree_n = 0;
-  };
-
   static std::uint32_t hash_id(trace::NodeId id) {
     std::uint32_t x = id * 0x9E3779B1u;
     x ^= x >> 16;
@@ -155,10 +133,8 @@ class BrokerElection {
   void erase_entry(NodeState& s, std::uint32_t i);
 
   void prune(NodeState& s, util::Time now);
-  void prune_ref(RefNodeState& s, util::Time now);
   void record(trace::NodeId self, trace::NodeId peer, util::Time now);
   void elect(trace::NodeId self, trace::NodeId peer, util::Time now);
-  std::size_t distinct_peers_of(trace::NodeId node) const;
 
   Config config_;
   // One byte per node, NOT vector<bool>: the bit-packed specialization
@@ -166,8 +142,7 @@ class BrokerElection {
   // executor even though the *logical* elements are disjoint. All reads and
   // writes during a run touch only the contact's two endpoints.
   std::vector<std::uint8_t> broker_;
-  std::vector<NodeState> state_;         ///< compact mode (default)
-  std::vector<RefNodeState> ref_state_;  ///< reference mode only
+  std::vector<NodeState> state_;
   /// Arena for ring/table blocks. Shared across nodes, so acquire/release
   /// lock internally; blocks in use are touched only by the worker that
   /// owns the node (batch barriers order cross-batch reuse).

@@ -37,11 +37,10 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
   election_ = std::make_unique<BrokerElection>(
       nodes,
       BrokerElection::Config{config_.broker_lower, config_.broker_upper,
-                             config_.election_window,
-                             config_.reference_node_state});
+                             config_.election_window});
   interests_ = std::make_unique<InterestManager>(
       nodes, config_.filter_params, config_.initial_counter,
-      config_.df_per_minute, /*eager_state=*/config_.reference_node_state);
+      config_.df_per_minute);
   producer_.clear();
   producer_.resize(nodes);
   carrier_.clear();
@@ -62,13 +61,7 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
       interest_hashes_flat_.push_back(key_hash(k));
     }
   }
-  if (config_.reference_node_state) {
-    filter_cache_.assign(nodes, NodeFilterCache());
-    filter_ptr_.clear();
-  } else {
-    filter_ptr_.assign(nodes, nullptr);
-    filter_cache_.clear();
-  }
+  filter_ptr_.assign(nodes, nullptr);
   shared_filters_.clear();
   filter_index_.clear();
   key_indices_.clear();
@@ -89,20 +82,11 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
 void BsubProtocol::on_message_created(const workload::Message& msg,
                                       util::Time /*now*/) {
   // The simulator hands a reference into the workload's stable message
-  // table, so the fast path borrows the payload; the reference path keeps
-  // the historical deep copy per producer buffer.
-  auto& hp = collector_->hot_path();
+  // table, so the producer buffer borrows the payload instead of copying.
   ProducerState& ps = producer_state(msg.producer);
-  if (config_.reference_contact_path) {
-    ps.produced.emplace(
-        msg.id, OwnedMessage{std::make_shared<const workload::Message>(msg),
-                             config_.copy_limit});
-    ++hp.payload_copies_made;
-  } else {
-    ps.produced.emplace(
-        msg.id, OwnedMessage{sim::borrow_message(msg), config_.copy_limit});
-    ++hp.payload_copies_avoided;
-  }
+  ps.produced.emplace(
+      msg.id, OwnedMessage{sim::borrow_message(msg), config_.copy_limit});
+  ++collector_->hot_path().payload_copies_avoided;
   ps.expiry.add(msg.expiry(), msg.id);
 }
 
@@ -110,24 +94,9 @@ void BsubProtocol::purge(trace::NodeId node, util::Time now) {
   // Null producer/carrier state reads as empty buffers: nothing to purge.
   ProducerState* ps = producer_[node].get();
   CarrierState* cs = carrier_[node].get();
-  if (config_.reference_contact_path) {
-    if (ps != nullptr) {
-      std::erase_if(ps->produced, [now](const auto& kv) {
-        return kv.second.msg->expired_at(now);
-      });
-    }
-    if (cs != nullptr) {
-      cs->carried.purge_expired_scan(now);
-      std::erase_if(cs->falsely_injected, [&](workload::MessageId id) {
-        return !cs->carried.contains(id);
-      });
-    }
-    return;
-  }
-  // Fast path: the expiry index proves in O(1) that nothing in produced
-  // expired since the last purge; otherwise only the due ids are visited
-  // (entries for messages that already left via copy exhaustion are stale
-  // and skipped). falsely_injected only ever names carried ids, so its
+  // The expiry index proves in O(1) that nothing in produced expired since
+  // the last purge; otherwise only the due ids are visited (entries for
+  // messages that already left via copy exhaustion are stale and skipped). falsely_injected only ever names carried ids, so its
   // rescan is needed only when the carried purge actually dropped copies.
   auto& hp = collector_->hot_path();
   if (ps != nullptr) {
@@ -161,29 +130,17 @@ void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
   fc.genuine = interests_->make_genuine(interest_hashes(node));
   fc.genuine_bytes = bloom::encoded_tcbf_wire_size(
       fc.genuine, bloom::CounterEncoding::kUniform);
-  fc.built = true;
 }
 
 const BsubProtocol::NodeFilterCache& BsubProtocol::node_filters(
     trace::NodeId node) {
   auto& hp = collector_->hot_path();
-  if (config_.reference_node_state) {
-    NodeFilterCache& fc = filter_cache_[node];
-    if (!fc.built) {
-      build_filter_cache(fc, node);
-      ++hp.encode_cache_misses;
-    } else {
-      ++hp.encode_cache_hits;
-    }
-    return fc;
-  }
   if (const NodeFilterCache* fc = filter_ptr_[node]) {
     ++hp.encode_cache_hits;
     return *fc;
   }
-  // First use for this node counts as a miss (same accounting as the
-  // historical per-node cache), even when another node already built the
-  // shared entry.
+  // First use for this node counts as a miss, even when another node
+  // already built the shared entry.
   ++hp.encode_cache_misses;
   // Canonical key: filter contents are a pure function of the interest
   // *set* — insertion order cannot change final bits/counters and repeats
@@ -202,15 +159,6 @@ const BsubProtocol::NodeFilterCache& BsubProtocol::node_filters(
   }
   filter_ptr_[node] = it->second;
   return *it->second;
-}
-
-void BsubProtocol::handle_role_changes(trace::NodeId node, bool /*was*/,
-                                       util::Time /*now*/) {
-  // Role flips keep the relay filter: the election churns (nodes hover
-  // around the thresholds), and decay already retires stale relay state —
-  // clearing on every flip would destroy live routes for nothing. A
-  // re-promoted broker simply resumes from its decayed filter.
-  (void)node;
 }
 
 void BsubProtocol::maybe_update_adaptive_df(trace::NodeId node,
@@ -248,11 +196,11 @@ void BsubProtocol::on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
   purge(a, now);
   purge(b, now);
 
-  const bool a_was = election_->is_broker(a);
-  const bool b_was = election_->is_broker(b);
+  // Role flips keep the relay filter: the election churns (nodes hover
+  // around the thresholds), and decay already retires stale relay state —
+  // clearing on every flip would destroy live routes for nothing. A
+  // re-promoted broker simply resumes from its decayed filter.
   election_->on_contact(a, b, now);
-  handle_role_changes(a, a_was, now);
-  handle_role_changes(b, b_was, now);
   maybe_update_adaptive_df(a, now);
   maybe_update_adaptive_df(b, now);
 
@@ -277,35 +225,13 @@ void BsubProtocol::on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
 
 void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
                                    util::Time now, sim::Link& link) {
-  if (config_.reference_contact_path) {
-    // Decay both relay filters up to the contact, then exchange them. The
-    // forwarding decisions use the pre-merge snapshots (section V-D).
-    const bloom::Tcbf snap_a = interests_->relay(a, now);
-    const bloom::Tcbf snap_b = interests_->relay(b, now);
-    const auto shadow_a = interests_->shadow_snapshot(a);
-    const auto shadow_b = interests_->shadow_snapshot(b);
-
-    const auto enc_a =
-        bloom::encode_tcbf(snap_a, bloom::CounterEncoding::kFull);
-    const auto enc_b =
-        bloom::encode_tcbf(snap_b, bloom::CounterEncoding::kFull);
-    if (!link.try_send(enc_a.size() + enc_b.size())) return;
-    collector_->record_control_bytes(enc_a.size() + enc_b.size());
-
-    forward_between_brokers(a, b, snap_a, snap_b, now, link);
-    forward_between_brokers(b, a, snap_b, snap_a, now, link);
-
-    interests_->merge_relay_from(a, snap_b, shadow_b, config_.broker_merge,
-                                 now);
-    interests_->merge_relay_from(b, snap_a, shadow_a, config_.broker_merge,
-                                 now);
-    return;
-  }
-  // Fast path. Forwarding decisions run before either merge, so the live
-  // (decayed) filters *are* the pre-merge snapshots — no copies needed for
-  // ranking. The exchange's byte cost comes from the exact wire-size
-  // formula; the encodings themselves are never materialized because the
-  // simulator only charges their sizes against the link budget.
+  // Decay both relay filters up to the contact, then exchange them. The
+  // forwarding decisions use the pre-merge filters (section V-D); they run
+  // before either merge, so the live (decayed) filters *are* the pre-merge
+  // snapshots — no copies needed for ranking. The exchange's byte cost
+  // comes from the exact wire-size formula; the encodings themselves are
+  // never materialized because the simulator only charges their sizes
+  // against the link budget.
   bloom::Tcbf& relay_a = interests_->relay(a, now);
   bloom::Tcbf& relay_b = interests_->relay(b, now);
   const std::size_t bytes =
@@ -314,8 +240,8 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
   if (!link.try_send(bytes)) return;
   collector_->record_control_bytes(bytes);
 
-  forward_between_brokers(a, b, relay_a, relay_b, now, link);
-  forward_between_brokers(b, a, relay_b, relay_a, now, link);
+  forward_between_brokers(a, b, relay_a, relay_b, link);
+  forward_between_brokers(b, a, relay_b, relay_a, link);
 
   // The first merge mutates a, so only a's pre-merge state needs to survive
   // in scratch; b's live state feeds the first merge directly. thread_local
@@ -335,7 +261,6 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
                                            trace::NodeId to,
                                            const bloom::Tcbf& filter_from,
                                            const bloom::Tcbf& filter_to,
-                                           util::Time /*now*/,
                                            sim::Link& link) {
   // Rank carried messages by the peer's preference over ours; only positive
   // preferences move (the peer is a strictly better custodian).
@@ -346,18 +271,13 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
   CarrierState* cs_from = carrier_[from].get();
   if (cs_from == nullptr) return;  // never carried anything: nothing to move
   std::vector<Candidate> ranked;
-  const bool ref_path = config_.reference_contact_path;
   for (const auto& [id, msg] : cs_from->carried) {
     if (msg->producer == to) continue;
     if (carries_or_carried(to, id)) continue;
-    // Fast path: preferential query over the interned bit positions (no
-    // re-deriving k indices per filter). Bit-identical to the hash-pair
-    // overload the reference path keeps exercising.
-    const double pref =
-        ref_path
-            ? bloom::preference(filter_to, filter_from, key_hash(msg->key))
-            : bloom::preference_at(filter_to, filter_from,
-                                   key_indices(msg->key));
+    // Preferential query over the interned bit positions (no re-deriving k
+    // indices per filter); bit-identical to the hash-pair overload.
+    const double pref = bloom::preference_at(filter_to, filter_from,
+                                             key_indices(msg->key));
     if (pref > 0.0) ranked.push_back({pref, id});
   }
   std::sort(ranked.begin(), ranked.end(), [](const Candidate& x,
@@ -371,11 +291,7 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
     collector_->record_forwarding(*msg);
     traffic_broker_transfers_.fetch_add(1, std::memory_order_relaxed);
     CarrierState& cs_to = carrier_state(to);
-    if (config_.reference_contact_path) {
-      cs_to.carried.add(*msg);  // naive reference: deep copy per custody move
-    } else {
-      cs_to.carried.add(msg);  // custody moves by sharing the payload
-    }
+    cs_to.carried.add(msg);  // custody moves by sharing the payload
     cs_to.carried_ever.insert(c.id);
     if (cs_from->falsely_injected.contains(c.id)) {
       cs_to.falsely_injected.insert(c.id);
@@ -389,24 +305,12 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
 void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
                                    util::Time now, sim::Link& link) {
   // The consumer side reports a counter-less BF of its interests. Interests
-  // are static per run, so the fast path reuses the cached report and its
-  // exact wire size; the reference path rebuilds and re-encodes per contact.
-  bloom::BloomFilter ref_report;
-  const bloom::BloomFilter* report = nullptr;
-  std::size_t report_bytes = 0;
-  if (config_.reference_contact_path) {
-    ref_report = interests_->make_report(interest_hashes(to));
-    report_bytes = bloom::encode_bloom(ref_report).size();
-    report = &ref_report;
-  } else {
-    const NodeFilterCache& fc = node_filters(to);
-    report = &fc.report;
-    report_bytes = fc.report_bytes;
-  }
-  if (!link.try_send(report_bytes)) return;
-  collector_->record_control_bytes(report_bytes);
-
-  const bool fast = !config_.reference_contact_path;
+  // are static per run, so the cached report and its exact wire size are
+  // reused.
+  const NodeFilterCache& fc = node_filters(to);
+  const bloom::BloomFilter& report = fc.report;
+  if (!link.try_send(fc.report_bytes)) return;
+  collector_->record_control_bytes(fc.report_bytes);
 
   // Returns false when the link budget is exhausted; sets `accepted` when
   // the consumer's true interest matches (it keeps the message and acks).
@@ -416,11 +320,8 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
                          bool& accepted) -> bool {
     accepted = false;
     if (msg.producer == to) return true;
-    // Interned per-key bit positions on the fast path: same bits, no
-    // per-probe index derivation.
-    const bool hit = fast ? report->contains_at(key_indices(msg.key))
-                          : report->contains(key_hash(msg.key));
-    if (!hit) return true;
+    // Interned per-key bit positions: no per-probe index derivation.
+    if (!report.contains_at(key_indices(msg.key))) return true;
     if (collector_->delivered(msg.id, to)) return true;
     if (!link.try_send(msg.size_bytes)) return false;
     collector_->record_forwarding(msg);
@@ -452,40 +353,23 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
     relay = &interests_->relay(from, now);
   }
   for (const auto& [id, msg] : cs->carried) {
-    if (fast) {
-      if (relay != nullptr && !relay->contains_at(key_indices(msg->key))) {
-        continue;
-      }
-      auto falsely = [&, &id = id] {
-        return cs->falsely_injected.contains(id);
-      };
-      if (!try_deliver(*msg, falsely, accepted)) return;
-    } else {
-      if (relay != nullptr && !relay->contains(key_hash(msg->key))) continue;
-      const bool fi = cs->falsely_injected.contains(id);
-      if (!try_deliver(*msg, [fi] { return fi; }, accepted)) return;
+    if (relay != nullptr && !relay->contains_at(key_indices(msg->key))) {
+      continue;
     }
+    auto falsely = [&, &id = id] {
+      return cs->falsely_injected.contains(id);
+    };
+    if (!try_deliver(*msg, falsely, accepted)) return;
   }
 }
 
 void BsubProtocol::propagate_interest(trace::NodeId consumer,
                                       trace::NodeId broker, util::Time now,
                                       sim::Link& link) {
+  // The genuine filter is a pure function of the consumer's static interest
+  // set — reuse the cached build and its wire size (fresh genuine filters
+  // have identical counters: uniform encoding).
   const std::span<const std::string_view> keys = interest_names(consumer);
-  if (config_.reference_contact_path) {
-    const bloom::Tcbf genuine =
-        interests_->make_genuine(interest_hashes(consumer));
-    // Fresh genuine filters have identical counters: uniform encoding.
-    const auto enc =
-        bloom::encode_tcbf(genuine, bloom::CounterEncoding::kUniform);
-    if (!link.try_send(enc.size())) return;
-    collector_->record_control_bytes(enc.size());
-    interests_->absorb_genuine(broker, genuine, keys, now);
-    return;
-  }
-  // Fast path: the genuine filter is a pure function of the consumer's
-  // static interest set — reuse the cached build and its uniform-encoding
-  // wire size.
   const NodeFilterCache& fc = node_filters(consumer);
   if (!link.try_send(fc.genuine_bytes)) return;
   collector_->record_control_bytes(fc.genuine_bytes);
@@ -496,21 +380,13 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
                                  util::Time now, sim::Link& link) {
   // The broker ships its relay filter counter-less (section VI-C: "when a
   // broker requests messages from a source, it does not need to report the
-  // counters").
-  const bool ref_path = config_.reference_contact_path;
+  // counters"). The TCBF answers counter-less membership directly (bit set
+  // iff its effective counter is positive — exactly to_bloom_filter's bits),
+  // so neither the BF nor its encoding is materialized: the exact wire size
+  // is charged.
   bloom::Tcbf& relay = interests_->relay(broker, now);
-  bloom::BloomFilter relay_bf;
-  std::size_t enc_bytes = 0;
-  if (ref_path) {
-    relay_bf = relay.to_bloom_filter();
-    enc_bytes = bloom::encode_bloom(relay_bf).size();
-  } else {
-    // The TCBF answers counter-less membership directly (bit set iff its
-    // effective counter is positive — exactly to_bloom_filter's bits), so
-    // the fast path skips both the BF materialization and the encode.
-    enc_bytes = bloom::encoded_bloom_wire_size(relay.popcount(),
-                                               relay.params());
-  }
+  const std::size_t enc_bytes =
+      bloom::encoded_bloom_wire_size(relay.popcount(), relay.params());
   if (!link.try_send(enc_bytes)) return;
   collector_->record_control_bytes(enc_bytes);
 
@@ -534,7 +410,7 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
     z ^= z >> 31;
     std::snprintf(probe, sizeof(probe), "\x01probe:%016llx",
                   static_cast<unsigned long long>(z));
-    local_hits += ref_path ? relay_bf.contains(probe) : relay.contains(probe);
+    local_hits += relay.contains(probe);
   }
   fpr_probes_.fetch_add(8, std::memory_order_relaxed);
   fpr_hits_.fetch_add(local_hits, std::memory_order_relaxed);
@@ -545,10 +421,8 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
     OwnedMessage& owned = it->second;
     const workload::Message& msg = *owned.msg;
     const std::string& key = key_name(msg.key);
-    const bool relay_hit = ref_path ? relay_bf.contains(key_hash(msg.key))
-                                    : relay.contains_at(key_indices(msg.key));
     if (owned.copies_left == 0 || carries_or_carried(broker, msg.id) ||
-        !relay_hit) {
+        !relay.contains_at(key_indices(msg.key))) {
       ++it;
       continue;
     }
@@ -556,11 +430,7 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
     collector_->record_forwarding(msg);
     traffic_pickups_.fetch_add(1, std::memory_order_relaxed);
     CarrierState& cs = carrier_state(broker);
-    if (ref_path) {
-      cs.carried.add(msg);  // naive deep copy into the broker buffer
-    } else {
-      cs.carried.add(owned.msg);  // share the producer's payload
-    }
+    cs.carried.add(owned.msg);  // share the producer's payload
     cs.carried_ever.insert(msg.id);
     // Ground truth: a pickup whose key the relay never genuinely absorbed is
     // a false injection (Bloom false positive of the relay filter).
@@ -587,7 +457,6 @@ void BsubProtocol::on_end(util::Time /*now*/) {
     hp.purge_scans_skipped += s.purges_skipped;
     hp.purge_scans_run += s.purges_scanned;
     hp.payload_copies_avoided += s.shared_adds;
-    hp.payload_copies_made += s.copied_adds;
   }
 }
 

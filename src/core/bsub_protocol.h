@@ -108,9 +108,9 @@ class BsubProtocol final : public sim::Protocol {
   struct ProducerState {
     /// Messages this node produced, with remaining broker-copy budget.
     std::map<workload::MessageId, OwnedMessage> produced;
-    /// Expiry index over `produced` (fast path): purge pops only due
-    /// entries instead of scanning the whole buffer. Entries go stale when
-    /// a message leaves early (copy budget exhausted), skipped lazily.
+    /// Expiry index over `produced`: purge pops only due entries instead
+    /// of scanning the whole buffer. Entries go stale when a message leaves
+    /// early (copy budget exhausted), skipped lazily.
     sim::ExpiryIndex expiry;
   };
 
@@ -136,7 +136,6 @@ class BsubProtocol final : public sim::Protocol {
     std::size_t report_bytes = 0;
     bloom::Tcbf genuine;
     std::size_t genuine_bytes = 0;
-    bool built = false;
   };
 
   const std::string& key_name(workload::KeyId key) const;
@@ -153,10 +152,10 @@ class BsubProtocol final : public sim::Protocol {
     return {interest_hashes_flat_.data() + interest_offsets_[node],
             interest_offsets_[node + 1] - interest_offsets_[node]};
   }
-  /// Precomputed filter bit positions per key (fast path): the key universe
-  /// and the filter geometry are both fixed for a run, so every membership
-  /// probe in the contact loop reuses these instead of re-deriving k
-  /// positions from the hash pair.
+  /// Precomputed filter bit positions per key: the key universe and the
+  /// filter geometry are both fixed for a run, so every membership probe in
+  /// the contact loop reuses these instead of re-deriving k positions from
+  /// the hash pair.
   const util::IndexArray& key_indices(workload::KeyId key) const {
     return key_indices_[key];
   }
@@ -186,14 +185,11 @@ class BsubProtocol final : public sim::Protocol {
   }
 
   void purge(trace::NodeId node, util::Time now);
-  void handle_role_changes(trace::NodeId node, bool was_broker,
-                           util::Time now);
   void broker_exchange(trace::NodeId a, trace::NodeId b, util::Time now,
                        sim::Link& link);
   void forward_between_brokers(trace::NodeId from, trace::NodeId to,
                                const bloom::Tcbf& filter_from,
-                               const bloom::Tcbf& filter_to, util::Time now,
-                               sim::Link& link);
+                               const bloom::Tcbf& filter_to, sim::Link& link);
   void direct_delivery(trace::NodeId from, trace::NodeId to, util::Time now,
                        sim::Link& link);
   void propagate_interest(trace::NodeId consumer, trace::NodeId broker,
@@ -225,17 +221,14 @@ class BsubProtocol final : public sim::Protocol {
   /// Static wire artifacts, deduplicated by interest set: a NodeFilterCache
   /// is a pure function of the node's subscription *set* (plus the run's
   /// filter params), so nodes sharing a set share one entry. Per node: one
-  /// pointer, null until the node's first use (which keeps the per-node
-  /// encode-cache hit/miss accounting identical to the historical per-node
-  /// cache). The index map and deque are mutex-guarded; built entries are
-  /// immutable and deque-stable, so the pointer fast path takes no lock.
+  /// pointer, null until the node's first use (so encode-cache hits and
+  /// misses are counted per node, not per shared entry). The index map and
+  /// deque are mutex-guarded; built entries are immutable and deque-stable,
+  /// so the pointer fast path takes no lock.
   std::vector<const NodeFilterCache*> filter_ptr_;
   std::deque<NodeFilterCache> shared_filters_;
   std::map<std::vector<workload::KeyId>, NodeFilterCache*> filter_index_;
   std::mutex filter_mu_;
-  /// Reference mode (config_.reference_node_state): the historical private
-  /// cache per node.
-  std::vector<NodeFilterCache> filter_cache_;
 
   /// Cache for the adaptive-DF Eq. 4 evaluations, keyed by degree. Shared
   /// across nodes, so it is mutex-guarded; harmless for determinism because

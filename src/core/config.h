@@ -55,22 +55,6 @@ struct BsubConfig {
   /// df_per_minute. The interest-removal horizon used is `df_window`.
   bool adaptive_df = false;
   util::Time df_window = 10 * util::kHour;
-
-  /// Runs the contact loop through the retained naive reference path: full
-  /// purge scans every contact, filters freshly encoded per exchange, deep
-  /// message copies on every buffer admission. Observable protocol behavior
-  /// (deliveries, delays, traffic bytes) is identical to the fast path —
-  /// the differential test asserts exactly that. Off in production.
-  bool reference_contact_path = false;
-
-  /// Runs per-node protocol state through the retained eager layouts: a
-  /// RelayState per node up front, the deque + two-hash-map election state,
-  /// and a private filter cache per node. The default is the lazy/pooled
-  /// layout (relay state materializes on first broker use, election windows
-  /// live in pooled rings + open-addressing tables, interest-filter caches
-  /// dedup by interest set). Observable behavior is identical — the
-  /// node-state differential test asserts exactly that. Off in production.
-  bool reference_node_state = false;
 };
 
 }  // namespace bsub::core

@@ -6,21 +6,11 @@ namespace bsub::core {
 
 InterestManager::InterestManager(std::size_t node_count,
                                  bloom::BloomParams params,
-                                 double initial_counter, double df_per_minute,
-                                 bool eager_state)
+                                 double initial_counter, double df_per_minute)
     : params_(params), initial_counter_(initial_counter),
-      df_per_minute_(df_per_minute), eager_(eager_state),
-      slots_(node_count), empty_relay_(params, initial_counter) {
+      df_per_minute_(df_per_minute), slots_(node_count),
+      empty_relay_(params, initial_counter) {
   assert(df_per_minute >= 0.0);
-  if (eager_) {
-    // Reference layout: one RelayState per node, built up front, decay
-    // clocks at 0 (the historical behavior).
-    for (std::size_t n = 0; n < node_count; ++n) {
-      slots_[n].state = pool_.acquire([&] {
-        return RelayState{bloom::Tcbf(params_, initial_counter_), {}, 0};
-      });
-    }
-  }
 }
 
 InterestManager::RelayState& InterestManager::state_for(trace::NodeId node,
@@ -31,8 +21,8 @@ InterestManager::RelayState& InterestManager::state_for(trace::NodeId node,
       return RelayState{bloom::Tcbf(params_, initial_counter_), {}, now};
     });
     // Recycled states keep their (cleared) buffers; only the clock needs
-    // re-arming. Starting it at `now` equals an eager empty state decayed
-    // to `now` — decaying an empty filter is a no-op.
+    // re-arming. Starting it at `now` equals an empty state built up front
+    // and decayed to `now` — decaying an empty filter is a no-op.
     pool_[slot.state].last_decay = now;
   }
   return pool_[slot.state];
@@ -147,8 +137,8 @@ bool InterestManager::genuinely_contains(trace::NodeId node,
                                          std::string_view key,
                                          util::Time now) {
   // An unmaterialized relay never absorbed anything: answer without
-  // materializing (the eager equivalent — decaying an empty state, then
-  // probing an empty shadow — observes the same `false`).
+  // materializing (decaying an empty state, then probing an empty shadow,
+  // would observe the same `false`).
   if (slots_[node].state == util::kNoPoolHandle) return false;
   relay(node, now);  // bring the shadow up to date
   const ShadowMap& shadow = pool_[slots_[node].state].shadow;
@@ -156,20 +146,12 @@ bool InterestManager::genuinely_contains(trace::NodeId node,
   return it != shadow.end() && it->second > 0.0;
 }
 
-void InterestManager::clear_relay(trace::NodeId node, util::Time now) {
+void InterestManager::clear_relay(trace::NodeId node) {
   NodeSlot& slot = slots_[node];
   if (slot.state == util::kNoPoolHandle) return;  // nothing to reset
-  if (eager_) {
-    // Reference layout: reset in place (the historical behavior).
-    RelayState& s = pool_[slot.state];
-    s.filter.clear();
-    s.shadow.clear();
-    s.last_decay = now;
-    return;
-  }
-  // Pooled: return the state for reuse; the DF override lives in the slot
-  // and deliberately survives the reset (clear_relay resets the *filter*,
-  // not the node's tuning).
+  // Return the state for reuse; the DF override lives in the slot and
+  // deliberately survives the reset (clear_relay resets the *filter*, not
+  // the node's tuning).
   pool_.release(slot.state, [](RelayState& s) {
     s.filter.clear();
     s.shadow.clear();

@@ -17,12 +17,11 @@
 // override) until its relay is first touched. Relay state (a full TCBF +
 // shadow map) materializes from an ObjectPool on first use and returns to
 // the pool on clear_relay — a re-promoted broker reuses the heap capacity a
-// demoted one left behind. `eager_state` retains the historical
-// one-RelayState-per-node layout as the differential-test reference; the
-// two modes are bit-identical in every protocol-observable way (an
-// unmaterialized relay behaves exactly like an eagerly-built empty one:
-// decay of an empty filter is a no-op, so the decay-clock origin is
-// unobservable until the first insert, which materializes).
+// demoted one left behind. This is bit-identical in every protocol-
+// observable way to building every node's relay up front (an unmaterialized
+// relay behaves exactly like an eagerly-built empty one: decay of an empty
+// filter is a no-op, so the decay-clock origin is unobservable until the
+// first insert, which materializes).
 #pragma once
 
 #include <functional>
@@ -56,11 +55,8 @@ class InterestManager {
   /// Ground-truth key -> remaining counter value.
   using ShadowMap =
       std::unordered_map<std::string, double, StringHash, std::equal_to<>>;
-  /// `eager_state` pre-materializes every node's relay state up front (the
-  /// historical layout, kept as the differential-test reference).
   InterestManager(std::size_t node_count, bloom::BloomParams params,
-                  double initial_counter, double df_per_minute,
-                  bool eager_state = false);
+                  double initial_counter, double df_per_minute);
 
   /// The node's relay filter, decayed up to `now`. The per-node DF override
   /// (if set) takes precedence over the global DF. Materializes the node's
@@ -123,10 +119,9 @@ class InterestManager {
                                           : pool_[s.state].shadow;
   }
 
-  /// Resets a node's relay filter (e.g. on demotion from brokership). In
-  /// pooled mode the state returns to the free pool; the node's DF override
-  /// survives the reset in both modes.
-  void clear_relay(trace::NodeId node, util::Time now);
+  /// Resets a node's relay filter (e.g. on demotion from brokership): the
+  /// state returns to the free pool; the node's DF override survives.
+  void clear_relay(trace::NodeId node);
 
   /// Per-node DF override in counter units per minute (adaptive DF); pass a
   /// negative value to clear the override.
@@ -160,13 +155,12 @@ class InterestManager {
 
   /// Materializes (or fetches) the node's relay state; a fresh/recycled
   /// state starts its decay clock at `now`, which is indistinguishable from
-  /// an eager empty state decayed to `now`.
+  /// an empty state built up front and decayed to `now`.
   RelayState& state_for(trace::NodeId node, util::Time now);
 
   bloom::BloomParams params_;
   double initial_counter_;
   double df_per_minute_;
-  bool eager_;
   std::vector<NodeSlot> slots_;
   util::ObjectPool<RelayState> pool_;
   /// Shared snapshots for unmaterialized nodes.

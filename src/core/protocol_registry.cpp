@@ -55,10 +55,6 @@ BsubConfig config_from_params(sim::ProtocolParams& params) {
   cfg.adaptive_df = params.get_bool("adaptive", cfg.adaptive_df);
   cfg.df_window = static_cast<util::Time>(params.get_u64(
       "df_window_ms", static_cast<std::uint64_t>(cfg.df_window), 1));
-  cfg.reference_contact_path =
-      params.get_bool("reference", cfg.reference_contact_path);
-  cfg.reference_node_state =
-      params.get_bool("reference_state", cfg.reference_node_state);
   return cfg;
 }
 
@@ -149,12 +145,6 @@ std::string bsub_spec(const BsubConfig& config) {
   }
   if (config.df_window != defaults.df_window) {
     add("df_window_ms", std::to_string(config.df_window));
-  }
-  if (config.reference_contact_path != defaults.reference_contact_path) {
-    add("reference", config.reference_contact_path ? "1" : "0");
-  }
-  if (config.reference_node_state != defaults.reference_node_state) {
-    add("reference_state", config.reference_node_state ? "1" : "0");
   }
   return spec.str();
 }

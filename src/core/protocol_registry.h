@@ -25,8 +25,6 @@ namespace bsub::core {
 ///   window_ms=<u64 >= 1>   election window        merge=<m|a>
 ///   gated=<bool>           relay-gated delivery   adaptive=<bool>
 ///   df_window_ms=<u64 >= 1>
-///   reference=<bool>       naive contact-path reference
-///   reference_state=<bool> eager node-state reference
 void register_bsub_protocol(sim::ProtocolRegistry& registry);
 
 /// The full table: B-SUB + the routing baselines (PUSH, PULL, SPRAY).

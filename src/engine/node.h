@@ -31,6 +31,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -38,6 +39,7 @@
 
 #include "bloom/bloom_filter.h"
 #include "bloom/tcbf.h"
+#include "core/broker_allocation.h"
 #include "core/config.h"
 #include "engine/wire.h"
 #include "util/time.h"
@@ -57,10 +59,24 @@ struct NodeConfig {
 
 /// Projects the simulator-side protocol config onto the live node's knobs
 /// (the shared constants: filter geometry, C, DF, copy limit, gating,
-/// merge mode). Election thresholds and simulator-only execution-path
-/// toggles are not part of a node; callers that also need the election use
-/// the BsubConfig directly (see TraceRunner::from_protocol_spec).
+/// merge mode). Election thresholds are not part of a node; see
+/// live_config_from_spec for the full mapping.
 NodeConfig node_config_from(const core::BsubConfig& config);
+
+/// A B-SUB spec resolved for every frame-driven surface (TraceRunner, the
+/// fleet, the bsub_node daemon): the node's knobs plus the election
+/// thresholds.
+struct LiveConfig {
+  NodeConfig node;
+  core::BrokerElection::Config election;
+};
+
+/// Parses a B-SUB spec (see core::bsub_config_from_spec) into a LiveConfig:
+/// the shared constants map onto NodeConfig, bl/bu/window_ms onto the
+/// election config. Throws util::ConfigError for a non-B-SUB spec, a bad
+/// parameter, or adaptive=1 (the frame engine has no online DF estimator —
+/// failing loudly beats silently running a different protocol than asked).
+LiveConfig live_config_from_spec(std::string_view protocol_spec);
 
 class BsubNode {
  public:
@@ -186,11 +202,10 @@ class BsubNode {
   void on_genuine(const GenuineFrame& frame, util::Time now);
   std::vector<std::vector<std::uint8_t>> on_data(const DataFrame& frame,
                                                  util::Time now);
-  void on_custody_ack(const CustodyAckFrame& ack, util::Time now);
+  void on_custody_ack(const CustodyAckFrame& ack);
   void append_deliveries(const bloom::BloomFilter& report, util::Time now,
                          std::vector<std::vector<std::uint8_t>>& out);
   void append_pickups(NodeId broker, const bloom::BloomFilter& relay_report,
-                      util::Time now,
                       std::vector<std::vector<std::uint8_t>>& out);
 
   NodeId id_;

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/protocol_registry.h"
 #include "sim/event_stream.h"
 
 namespace bsub::engine {
@@ -13,19 +12,9 @@ namespace bsub::engine {
 TraceRunner TraceRunner::from_protocol_spec(std::string_view protocol_spec,
                                             double bandwidth_bytes_per_second,
                                             TraceRunnerOptions options) {
-  const core::BsubConfig cfg = core::bsub_config_from_spec(protocol_spec);
-  if (cfg.adaptive_df) {
-    throw util::ConfigError(
-        "adaptive DF is not supported by the frame-driven engine",
-        "B-SUB.adaptive", "use the simulator for adaptive-DF runs");
-  }
-  core::BrokerElection::Config election;
-  election.lower = cfg.broker_lower;
-  election.upper = cfg.broker_upper;
-  election.window = cfg.election_window;
-  election.reference_state = cfg.reference_node_state;
-  return TraceRunner(node_config_from(cfg), election,
-                     bandwidth_bytes_per_second, options);
+  const LiveConfig live = live_config_from_spec(protocol_spec);
+  return TraceRunner(live.node, live.election, bandwidth_bytes_per_second,
+                     options);
 }
 
 TraceRunResults TraceRunner::run(trace::ContactStream& contacts,

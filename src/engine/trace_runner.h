@@ -61,12 +61,9 @@ class TraceRunner {
       : node_config_(node_config), election_config_(election),
         bandwidth_(bandwidth_bytes_per_second), options_(options) {}
 
-  /// Builds a runner from a B-SUB protocol spec (see
-  /// core::bsub_config_from_spec): the shared constants map onto
-  /// NodeConfig, bl/bu/window_ms onto the election config. Throws
-  /// util::ConfigError for a non-B-SUB spec, a bad parameter, or
-  /// adaptive=1 (the frame engine has no online DF estimator — failing
-  /// loudly beats silently running a different protocol than asked).
+  /// Builds a runner from a B-SUB protocol spec via live_config_from_spec
+  /// (which throws util::ConfigError for a non-B-SUB spec, a bad
+  /// parameter, or adaptive=1).
   static TraceRunner from_protocol_spec(
       std::string_view protocol_spec,
       double bandwidth_bytes_per_second = sim::kDefaultBandwidthBytesPerSecond,

@@ -59,8 +59,9 @@ class RelaxedCounter {
 
 /// Hot-path instrumentation for the contact-loop fast path. These counters
 /// describe *how* a run executed (cache hits, skipped scans), never *what*
-/// it computed — fast and reference paths produce identical RunResults
-/// semantic fields while differing freely here.
+/// it computed, so they are excluded from every semantic comparison of
+/// RunResults. payload_copies_made reads 0 (no protocol deep-copies a
+/// payload); the benchmark reports it as a tripwire.
 struct HotPathStats {
   std::uint64_t purge_scans_skipped = 0;  ///< purges with no due expiry
   std::uint64_t purge_scans_run = 0;      ///< purges that touched storage

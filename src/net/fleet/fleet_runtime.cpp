@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/protocol_registry.h"
 #include "net/loopback.h"
 #include "sim/event_stream.h"
 #include "sim/link.h"
@@ -37,17 +36,9 @@ double percentile(const std::vector<std::int64_t>& sorted, double p) {
 
 FleetConfig fleet_config_from_spec(std::string_view protocol_spec,
                                    FleetConfig base) {
-  const core::BsubConfig cfg = core::bsub_config_from_spec(protocol_spec);
-  if (cfg.adaptive_df) {
-    throw util::ConfigError(
-        "adaptive DF is not supported by the frame-driven engine",
-        "B-SUB.adaptive", "use the simulator for adaptive-DF runs");
-  }
-  base.runtime.node = engine::node_config_from(cfg);
-  base.election.lower = cfg.broker_lower;
-  base.election.upper = cfg.broker_upper;
-  base.election.window = cfg.election_window;
-  base.election.reference_state = cfg.reference_node_state;
+  const engine::LiveConfig live = engine::live_config_from_spec(protocol_spec);
+  base.runtime.node = live.node;
+  base.election = live.election;
   return base;
 }
 

@@ -80,10 +80,10 @@ struct FleetConfig {
   util::Time idle_check_period = 2 * util::kMillisecond;
 };
 
-/// Builds a FleetConfig from a B-SUB protocol spec, exactly like
-/// TraceRunner::from_protocol_spec maps specs onto (NodeConfig, election).
-/// All non-protocol fields are taken from `base`. Throws util::ConfigError
-/// for a non-B-SUB spec or adaptive=1.
+/// Builds a FleetConfig from a B-SUB protocol spec via
+/// engine::live_config_from_spec (the mapping TraceRunner::from_protocol_spec
+/// uses too). All non-protocol fields are taken from `base`. Throws
+/// util::ConfigError for a non-B-SUB spec or adaptive=1.
 FleetConfig fleet_config_from_spec(std::string_view protocol_spec,
                                    FleetConfig base = {});
 

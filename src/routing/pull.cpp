@@ -27,24 +27,15 @@ void PullProtocol::on_start(const sim::ScenarioInfo& scenario,
 
 void PullProtocol::on_message_created(const workload::Message& msg,
                                       util::Time /*now*/) {
-  if (naive_purge_) {
-    produced_[msg.producer].add(msg);  // reference: deep copy
-  } else {
-    // The simulator hands a reference into the workload's stable message
-    // table; producers borrow it instead of copying.
-    produced_[msg.producer].add(sim::borrow_message(msg));
-  }
+  // The simulator hands a reference into the workload's stable message
+  // table; producers borrow it instead of copying.
+  produced_[msg.producer].add(sim::borrow_message(msg));
 }
 
 void PullProtocol::on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
                               util::Time /*duration*/, sim::Link& link) {
-  if (naive_purge_) {
-    produced_[a].purge_expired_scan(now);
-    produced_[b].purge_expired_scan(now);
-  } else {
-    produced_[a].purge_expired(now);
-    produced_[b].purge_expired(now);
-  }
+  produced_[a].purge_expired(now);
+  produced_[b].purge_expired(now);
   pull(a, b, now, link);
   pull(b, a, now, link);
 }
@@ -56,7 +47,6 @@ void PullProtocol::on_end(util::Time /*now*/) {
     hp.purge_scans_skipped += s.purges_skipped;
     hp.purge_scans_run += s.purges_scanned;
     hp.payload_copies_avoided += s.shared_adds;
-    hp.payload_copies_made += s.copied_adds;
   }
 }
 
@@ -65,25 +55,17 @@ void PullProtocol::pull(trace::NodeId consumer, trace::NodeId producer,
   // The consumer announces its interests: raw key strings. The size is a
   // pure function of the consumer's (static) interest set, so it is
   // computed once per consumer, not once per contact.
-  std::size_t announce_bytes;
-  if (naive_purge_) {
-    // Reference path: recompute from the raw strings every contact.
-    announce_bytes = pull_announce_wire_size(*workload_, consumer);
+  std::uint32_t& announce_bytes = announce_bytes_[consumer];
+  auto& hp = collector_->hot_path();
+  if (announce_bytes == kAnnounceUnknown) {
+    announce_bytes = static_cast<std::uint32_t>(
+        pull_announce_wire_size(*workload_, consumer));
+    ++hp.encode_cache_misses;
   } else {
-    std::uint32_t& cached = announce_bytes_[consumer];
-    auto& hp = collector_->hot_path();
-    if (cached == kAnnounceUnknown) {
-      cached =
-          static_cast<std::uint32_t>(pull_announce_wire_size(*workload_,
-                                                             consumer));
-      ++hp.encode_cache_misses;
-    } else {
-      ++hp.encode_cache_hits;
-    }
-    assert(cached == pull_announce_wire_size(*workload_, consumer) &&
-           "cached announce size diverged from the wire-size formula");
-    announce_bytes = cached;
+    ++hp.encode_cache_hits;
   }
+  assert(announce_bytes == pull_announce_wire_size(*workload_, consumer) &&
+         "cached announce size diverged from the wire-size formula");
   if (!link.try_send(announce_bytes)) return;
   collector_->record_control_bytes(announce_bytes);
 

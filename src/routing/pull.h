@@ -22,11 +22,6 @@ std::size_t pull_announce_wire_size(const workload::Workload& workload,
 
 class PullProtocol final : public sim::Protocol {
  public:
-  /// `naive_purge` selects the full-scan purge and deep-copy admission (the
-  /// differential-test reference) over the expiry-index fast path.
-  explicit PullProtocol(bool naive_purge = false)
-      : naive_purge_(naive_purge) {}
-
   using sim::Protocol::on_start;
   void on_start(const sim::ScenarioInfo& scenario,
                 const workload::Workload& workload,
@@ -45,7 +40,6 @@ class PullProtocol final : public sim::Protocol {
   void pull(trace::NodeId consumer, trace::NodeId producer, util::Time now,
             sim::Link& link);
 
-  bool naive_purge_;
   const workload::Workload* workload_ = nullptr;
   metrics::Collector* collector_ = nullptr;
   std::vector<sim::MessageStore> produced_;  // each node's own messages
@@ -54,8 +48,7 @@ class PullProtocol final : public sim::Protocol {
   /// lazily on a consumer's first pull. Interests are fixed after on_start —
   /// the only interest-change point — which resets every slot to the
   /// sentinel; an assert re-checks the formula on every cached use in debug
-  /// builds. The naive reference path keeps recomputing from the raw
-  /// strings each contact (the differential tests compare the two).
+  /// builds.
   static constexpr std::uint32_t kAnnounceUnknown = UINT32_MAX;
   std::vector<std::uint32_t> announce_bytes_;
 };

@@ -50,7 +50,7 @@ void PushProtocol::transfer(trace::NodeId from, trace::NodeId to,
     collector_->record_forwarding(msg);
     mark_seen(to, id);
     buffers_[to].push_back(id);
-    if (!naive_purge_) expiry_[to].add(msg.expiry(), id);
+    expiry_[to].add(msg.expiry(), id);
     if (workload_->is_interested(to, msg.key)) {
       collector_->record_delivery(msg, to, now, /*interested=*/true);
     }
@@ -58,16 +58,14 @@ void PushProtocol::transfer(trace::NodeId from, trace::NodeId to,
 }
 
 void PushProtocol::purge(trace::NodeId node, util::Time now) {
-  if (!naive_purge_) {
-    // Expired copies can only exist once the earliest registered expiry is
-    // due; otherwise the scan is provably a no-op and is skipped.
-    if (!expiry_[node].due(now)) {
-      ++collector_->hot_path().purge_scans_skipped;
-      return;
-    }
-    ++collector_->hot_path().purge_scans_run;
-    expiry_[node].drop_due(now);
+  // Expired copies can only exist once the earliest registered expiry is
+  // due; otherwise the scan is provably a no-op and is skipped.
+  if (!expiry_[node].due(now)) {
+    ++collector_->hot_path().purge_scans_skipped;
+    return;
   }
+  ++collector_->hot_path().purge_scans_run;
+  expiry_[node].drop_due(now);
   const auto& messages = workload_->messages();
   std::erase_if(buffers_[node], [&](workload::MessageId id) {
     return messages[id].expired_at(now);

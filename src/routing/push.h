@@ -16,12 +16,6 @@ namespace bsub::routing {
 
 class PushProtocol final : public sim::Protocol {
  public:
-  /// `naive_purge` runs the retained full-scan purge every contact (the
-  /// differential-test reference); the default gates purging behind a
-  /// per-node expiry index so contacts with nothing expired cost O(1).
-  explicit PushProtocol(bool naive_purge = false)
-      : naive_purge_(naive_purge) {}
-
   using sim::Protocol::on_start;
   void on_start(const sim::ScenarioInfo& scenario,
                 const workload::Workload& workload,
@@ -50,7 +44,6 @@ class PushProtocol final : public sim::Protocol {
   }
   void mark_seen(trace::NodeId node, workload::MessageId id);
 
-  bool naive_purge_;
   const workload::Workload* workload_ = nullptr;
   metrics::Collector* collector_ = nullptr;
   // buffers_[n]: ids of live messages held by n, in acquisition order.
@@ -59,7 +52,8 @@ class PushProtocol final : public sim::Protocol {
   std::size_t seen_words_ = 0;  ///< bitmap words per node (fixed per run)
   util::BlockPool seen_pool_;
   // expiry_[n]: earliest-expiry gate over buffers_[n]; a purge scans only
-  // when some held copy could actually have expired.
+  // when some held copy could actually have expired, so contacts with
+  // nothing expired cost O(1).
   std::vector<sim::ExpiryIndex> expiry_;
 };
 

@@ -13,18 +13,16 @@ void register_baseline_protocols(sim::ProtocolRegistry& registry) {
       "PUSH",
       {},
       "epidemic flooding: replicate every message to every encountered node",
-      [](sim::ProtocolParams& params) -> std::unique_ptr<sim::Protocol> {
-        const bool reference = params.get_bool("reference", false);
-        return std::make_unique<PushProtocol>(reference);
+      [](sim::ProtocolParams&) -> std::unique_ptr<sim::Protocol> {
+        return std::make_unique<PushProtocol>();
       },
   });
   registry.add({
       "PULL",
       {},
       "one-hop interest-driven collection from direct neighbors, no relaying",
-      [](sim::ProtocolParams& params) -> std::unique_ptr<sim::Protocol> {
-        const bool reference = params.get_bool("reference", false);
-        return std::make_unique<PullProtocol>(reference);
+      [](sim::ProtocolParams&) -> std::unique_ptr<sim::Protocol> {
+        return std::make_unique<PullProtocol>();
       },
   });
   registry.add({
@@ -34,8 +32,7 @@ void register_baseline_protocols(sim::ProtocolRegistry& registry) {
       "relays deliver one hop",
       [](sim::ProtocolParams& params) -> std::unique_ptr<sim::Protocol> {
         const std::uint32_t copies = params.get_u32("copies", 3, 1);
-        const bool reference = params.get_bool("reference", false);
-        return std::make_unique<SprayProtocol>(copies, reference);
+        return std::make_unique<SprayProtocol>(copies);
       },
   });
 }

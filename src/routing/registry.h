@@ -13,10 +13,9 @@ namespace bsub::routing {
 /// Adds PUSH, PULL, and SPRAY to `registry`.
 ///
 /// Accepted parameters (all optional):
-///   PUSH:  reference=<bool>           naive full-scan purge reference path
-///   PULL:  reference=<bool>
+///   PUSH:  none
+///   PULL:  none
 ///   SPRAY: copies=<u32 >= 1>          spray budget L (default 3)
-///          reference=<bool>
 void register_baseline_protocols(sim::ProtocolRegistry& registry);
 
 }  // namespace bsub::routing

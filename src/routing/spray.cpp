@@ -14,17 +14,9 @@ void SprayProtocol::on_start(const sim::ScenarioInfo& scenario,
 
 void SprayProtocol::on_message_created(const workload::Message& msg,
                                        util::Time /*now*/) {
-  auto& hp = collector_->hot_path();
-  if (naive_purge_) {
-    produced_[msg.producer].emplace(
-        msg.id, SourceMessage{std::make_shared<const workload::Message>(msg),
-                              copies_});
-    ++hp.payload_copies_made;
-  } else {
-    produced_[msg.producer].emplace(
-        msg.id, SourceMessage{sim::borrow_message(msg), copies_});
-    ++hp.payload_copies_avoided;
-  }
+  produced_[msg.producer].emplace(
+      msg.id, SourceMessage{sim::borrow_message(msg), copies_});
+  ++collector_->hot_path().payload_copies_avoided;
   produced_expiry_[msg.producer].add(msg.expiry(), msg.id);
 }
 
@@ -57,11 +49,7 @@ void SprayProtocol::spray(trace::NodeId producer, trace::NodeId peer,
     }
     if (!link.try_send(msg.size_bytes)) break;
     collector_->record_forwarding(msg);
-    if (naive_purge_) {
-      relayed_[peer].add(msg);  // reference: deep copy per sprayed replica
-    } else {
-      relayed_[peer].add(sm.msg);  // share the producer's payload
-    }
+    relayed_[peer].add(sm.msg);  // share the producer's payload
     // A spray copy that lands on its consumer is also a delivery.
     if (workload_->is_interested(peer, msg.key)) {
       collector_->record_delivery(msg, peer, now, /*interested=*/true);
@@ -100,13 +88,6 @@ void SprayProtocol::deliver(trace::NodeId holder, trace::NodeId consumer,
 }
 
 void SprayProtocol::purge(trace::NodeId node, util::Time now) {
-  if (naive_purge_) {
-    std::erase_if(produced_[node], [now](const auto& kv) {
-      return kv.second.msg->expired_at(now);
-    });
-    relayed_[node].purge_expired_scan(now);
-    return;
-  }
   auto& hp = collector_->hot_path();
   sim::ExpiryIndex& idx = produced_expiry_[node];
   if (!idx.due(now)) {
@@ -131,7 +112,6 @@ void SprayProtocol::on_end(util::Time /*now*/) {
     hp.purge_scans_skipped += s.purges_skipped;
     hp.purge_scans_run += s.purges_scanned;
     hp.payload_copies_avoided += s.shared_adds;
-    hp.payload_copies_made += s.copied_adds;
   }
 }
 

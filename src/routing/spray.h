@@ -24,10 +24,8 @@ namespace bsub::routing {
 class SprayProtocol final : public sim::Protocol {
  public:
   /// `copies` is the spray budget L per message (the paper's C-limit analog,
-  /// default matching B-SUB's 3). `naive_purge` selects the full-scan purge
-  /// and deep-copy admission (the differential-test reference).
-  explicit SprayProtocol(std::uint32_t copies = 3, bool naive_purge = false)
-      : copies_(copies), naive_purge_(naive_purge) {}
+  /// default matching B-SUB's 3).
+  explicit SprayProtocol(std::uint32_t copies = 3) : copies_(copies) {}
 
   using sim::Protocol::on_start;
   void on_start(const sim::ScenarioInfo& scenario,
@@ -57,13 +55,12 @@ class SprayProtocol final : public sim::Protocol {
   void purge(trace::NodeId node, util::Time now);
 
   std::uint32_t copies_;
-  bool naive_purge_;
   const workload::Workload* workload_ = nullptr;
   metrics::Collector* collector_ = nullptr;
   std::vector<std::map<workload::MessageId, SourceMessage>> produced_;
   std::vector<sim::MessageStore> relayed_;
-  /// Expiry gate over produced_ (fast path); stale entries from copy
-  /// exhaustion are skipped lazily.
+  /// Expiry gate over produced_; stale entries from copy exhaustion are
+  /// skipped lazily.
   std::vector<sim::ExpiryIndex> produced_expiry_;
 };
 

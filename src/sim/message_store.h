@@ -3,14 +3,15 @@
 // A sorted flat vector of (id, shared payload) entries: iteration — and
 // therefore transmission order under bandwidth pressure — is deterministic
 // (id == creation order), and lookups are binary searches over a contiguous
-// array. Payloads are immutable and refcounted, so copying a message between
+// array. Payloads are immutable and shared, so copying a message between
 // nodes (pickup, custody transfer, spraying) shares one body instead of
-// deep-copying it per holder.
+// deep-copying it per holder; the store only ever admits shared payloads.
 //
 // TTL purging rides the ExpiryIndex fast path: `purge_expired` is O(1) when
 // nothing registered has expired, and touches only expired entries
-// otherwise. `purge_expired_scan` retains the naive full-scan reference for
-// differential testing; both report how many messages were dropped.
+// otherwise. `purge_expired_scan` is the naive full-scan oracle the
+// message-store tests hold it against; both report how many messages were
+// dropped.
 #pragma once
 
 #include <algorithm>
@@ -44,21 +45,19 @@ class MessageStore {
   /// Hot-path accounting, aggregated into metrics::HotPathStats at run end.
   struct Stats {
     std::uint64_t shared_adds = 0;    ///< payload copies avoided
-    std::uint64_t copied_adds = 0;    ///< payloads deep-copied on admission
     std::uint64_t purges_skipped = 0; ///< O(1) nothing-due purge calls
     std::uint64_t purges_scanned = 0; ///< purge calls that did real work
   };
 
-  /// Adds a copy; returns false if the id is already buffered.
-  bool add(const workload::Message& msg) {
-    return insert(msg.id, std::make_shared<const workload::Message>(msg),
-                  /*shared=*/false);
-  }
-
   /// Adds a shared payload (no body copy); returns false on duplicate id.
   bool add(MessageRef msg) {
     const workload::MessageId id = msg->id;
-    return insert(id, std::move(msg), /*shared=*/true);
+    auto it = lower_bound(id);
+    if (it != entries_.end() && it->id == id) return false;
+    expiry_.add(msg->expiry(), id);
+    entries_.insert(it, Entry{id, std::move(msg)});
+    ++stats_.shared_adds;
+    return true;
   }
 
   bool contains(workload::MessageId id) const {
@@ -106,8 +105,8 @@ class MessageStore {
     return before - entries_.size();
   }
 
-  /// Naive full-scan purge — the retained reference the differential test
-  /// runs against the fast path. Identical observable semantics.
+  /// Naive full-scan purge — the oracle the message-store tests run against
+  /// purge_expired. Identical observable semantics.
   std::size_t purge_expired_scan(util::Time now) {
     ++stats_.purges_scanned;
     const std::size_t before = entries_.size();
@@ -142,15 +141,6 @@ class MessageStore {
     return std::lower_bound(
         entries_.begin(), entries_.end(), id,
         [](const Entry& e, workload::MessageId v) { return e.id < v; });
-  }
-
-  bool insert(workload::MessageId id, MessageRef ref, bool shared) {
-    auto it = lower_bound(id);
-    if (it != entries_.end() && it->id == id) return false;
-    expiry_.add(ref->expiry(), id);
-    entries_.insert(it, Entry{id, std::move(ref)});
-    ++(shared ? stats_.shared_adds : stats_.copied_adds);
-    return true;
   }
 
   std::vector<Entry> entries_;

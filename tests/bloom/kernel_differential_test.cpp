@@ -1,6 +1,6 @@
 // Cross-kernel differential test: the same seeded schedule of interleaved
 // insert / A-merge / M-merge / decay / query operations is replayed under
-// every compiled-and-runnable kernel backend (scalar, blocked, avx2, neon),
+// every compiled-and-runnable kernel backend (scalar, avx2, neon),
 // and the complete observable state — every raw counter bit pattern, the
 // derived views, every point-query answer, the preferential query, and the
 // encoded wire bytes — must be identical to the scalar reference run.
@@ -44,8 +44,7 @@ class KernelDifferentialTest : public ::testing::Test {
 std::vector<kernels::Kind> runnable_kernels() {
   std::vector<kernels::Kind> kinds;
   for (kernels::Kind k :
-       {kernels::Kind::kScalar, kernels::Kind::kBlocked, kernels::Kind::kAvx2,
-        kernels::Kind::kNeon}) {
+       {kernels::Kind::kScalar, kernels::Kind::kAvx2, kernels::Kind::kNeon}) {
     if (kernels::available(k)) kinds.push_back(k);
   }
   return kinds;

@@ -121,7 +121,7 @@ TEST(InterestManager, ShadowTracksGroundTruthUnderDecay) {
 TEST(InterestManager, ClearRelayResetsFilterAndShadow) {
   auto im = make_manager();
   im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
-  im.clear_relay(0, util::kMinute);
+  im.clear_relay(0);
   EXPECT_TRUE(im.relay(0, util::kMinute).empty());
   EXPECT_FALSE(im.genuinely_contains(0, "key", util::kMinute));
 }
@@ -152,7 +152,7 @@ TEST(InterestManager, DfOverrideSurvivesClearRelay) {
   auto im = make_manager(/*df=*/0.0);
   im.set_node_df(0, 5.0);
   im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
-  im.clear_relay(0, 0);
+  im.clear_relay(0);
   EXPECT_DOUBLE_EQ(im.node_df(0), 5.0);
   // The override keeps governing the next incarnation's decay.
   im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
@@ -185,7 +185,7 @@ TEST(InterestManager, ClearRelayReturnsStateToPool) {
   im.absorb_genuine(1, im.make_genuine("key"), "key", 0);
   ASSERT_EQ(im.materialized_relays(), 1u);
   EXPECT_EQ(im.pooled_relays(), 0u);
-  im.clear_relay(1, 0);
+  im.clear_relay(1);
   EXPECT_FALSE(im.relay_materialized(1));
   EXPECT_EQ(im.materialized_relays(), 0u);
   EXPECT_EQ(im.pooled_relays(), 1u);
@@ -196,7 +196,7 @@ TEST(InterestManager, RePromotionReusesPooledState) {
   // off the free list (recycled), not from a fresh allocation.
   auto im = make_manager();
   im.absorb_genuine(1, im.make_genuine("old"), "old", 0);
-  im.clear_relay(1, 0);
+  im.clear_relay(1);
   ASSERT_EQ(im.pooled_relays(), 1u);
   ASSERT_EQ(im.relays_recycled(), 0u);
 
@@ -212,10 +212,11 @@ TEST(InterestManager, RePromotionReusesPooledState) {
 
 TEST(InterestManager, RecycledStateDecaysFromReacquisitionTime) {
   // A recycled relay's decay clock starts at its new first touch — exactly
-  // like an eager empty filter, whose decay up to that point is a no-op.
+  // like an empty filter built up front, whose decay up to that point is a
+  // no-op.
   auto im = make_manager(/*df=*/1.0);
   im.absorb_genuine(0, im.make_genuine("a"), "a", 0);
-  im.clear_relay(0, util::from_minutes(5));
+  im.clear_relay(0);
   // Re-promote the same node much later; counters must start at full C.
   const util::Time later = util::from_minutes(500);
   im.absorb_genuine(0, im.make_genuine("b"), "b", later);
@@ -226,18 +227,18 @@ TEST(InterestManager, RecycledStateDecaysFromReacquisitionTime) {
 }
 
 TEST(InterestManager, EagerModeMatchesPooledObservables) {
-  InterestManager lazy(4, kPaper, kC, 1.0, /*eager_state=*/false);
-  InterestManager eager(4, kPaper, kC, 1.0, /*eager_state=*/true);
-  for (InterestManager* im : {&lazy, &eager}) {
-    im->set_node_df(1, 2.0);
-    im->absorb_genuine(1, im->make_genuine("key"), "key", 0);
-    im->clear_relay(1, util::kMinute);
-    im->absorb_genuine(1, im->make_genuine("key"), "key", util::kMinute);
-  }
-  EXPECT_DOUBLE_EQ(*lazy.relay(1, util::from_minutes(3)).min_counter("key"),
-                   *eager.relay(1, util::from_minutes(3)).min_counter("key"));
-  EXPECT_EQ(lazy.genuinely_contains(1, "key", util::from_minutes(3)),
-            eager.genuinely_contains(1, "key", util::from_minutes(3)));
+  // The historical eager layout built every relay up front and reset it in
+  // place. Its observables here are closed-form: the node's DF override
+  // (2 per minute) survives the reset, and the re-absorbed key decays from
+  // its re-absorption at 1 min, so at 3 min its counter is C - 2 * 2. The
+  // pooled layout must report exactly that.
+  auto im = make_manager();
+  im.set_node_df(1, 2.0);
+  im.absorb_genuine(1, im.make_genuine("key"), "key", 0);
+  im.clear_relay(1);
+  im.absorb_genuine(1, im.make_genuine("key"), "key", util::kMinute);
+  EXPECT_EQ(*im.relay(1, util::from_minutes(3)).min_counter("key"), kC - 4.0);
+  EXPECT_TRUE(im.genuinely_contains(1, "key", util::from_minutes(3)));
 }
 
 TEST(InterestManager, RelaySnapshotDoesNotAdvanceClock) {

@@ -78,7 +78,19 @@ TEST(ProtocolRegistry, MalformedAndOutOfDomainValuesAreRejected) {
   EXPECT_THROW(registry().make("bsub:merge=x"), util::ConfigError);
   EXPECT_THROW(registry().make("bsub:counter=0"), util::ConfigError);
   EXPECT_THROW(registry().make("bsub:bl=5,bu=3"), util::ConfigError);
-  EXPECT_THROW(registry().make("pull:reference=maybe"), util::ConfigError);
+  EXPECT_THROW(registry().make("bsub:gated=maybe"), util::ConfigError);
+}
+
+TEST(ProtocolRegistry, RetiredReferenceKeysAreUnknown) {
+  // The naive/eager reference paths live in tests now; their spec keys are
+  // gone and must be rejected like any other unknown key.
+  for (const char* spec :
+       {"bsub:reference=1", "bsub:reference_state=1", "push:reference=1",
+        "pull:reference=1", "spray:reference=1"}) {
+    EXPECT_THROW(registry().make(spec), util::ConfigError) << spec;
+  }
+  EXPECT_THROW(core::bsub_config_from_spec("bsub:reference=1"),
+               util::ConfigError);
 }
 
 TEST(ProtocolRegistry, SpecParsePrintRoundTrips) {
@@ -101,8 +113,6 @@ TEST(ProtocolRegistry, BsubSpecReproducesTheConfigExactly) {
   cfg.relay_gated_delivery = false;
   cfg.adaptive_df = true;
   cfg.df_window = 7 * util::kHour;
-  cfg.reference_contact_path = true;
-  cfg.reference_node_state = true;
 
   const std::string spec = core::bsub_spec(cfg);
   const core::BsubConfig back = core::bsub_config_from_spec(spec);
@@ -117,8 +127,6 @@ TEST(ProtocolRegistry, BsubSpecReproducesTheConfigExactly) {
   EXPECT_EQ(back.relay_gated_delivery, cfg.relay_gated_delivery);
   EXPECT_EQ(back.adaptive_df, cfg.adaptive_df);
   EXPECT_EQ(back.df_window, cfg.df_window);
-  EXPECT_EQ(back.reference_contact_path, cfg.reference_contact_path);
-  EXPECT_EQ(back.reference_node_state, cfg.reference_node_state);
 
   // Defaults render with no parameters at all.
   EXPECT_EQ(core::bsub_spec(core::BsubConfig{}), "B-SUB");

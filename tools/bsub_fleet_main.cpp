@@ -47,9 +47,11 @@ int usage(const char* argv0) {
       "  --base-port P          first UDP port (default 47000)\n"
       "  --protocol SPEC        B-SUB spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (default: DF tuned from the trace)\n"
-      "  --kernel NAME          TCBF kernel: scalar|blocked|avx2|neon|auto\n"
+      "  --kernel NAME          TCBF kernel: scalar|avx2|neon|auto\n"
       "  --differential         loopback only: also run the engine harness\n"
-      "                         and require bit-identical results\n"
+      "                         and require bit-identical, non-empty\n"
+      "                         results (a point that delivers nothing\n"
+      "                         compares nothing and fails)\n"
       "  --list-protocols       print the protocol registry and exit\n"
       "  --list-kernels         print the TCBF kernel backends and exit\n",
       argv0, static_cast<unsigned long long>(kDefaultSeed));
@@ -230,12 +232,21 @@ int main(int argc, char** argv) {
                       : std::to_string(opts.threads).c_str());
       net::FleetRuntime fleet(cfg);
       r = fleet.run_loopback(scenario.trace, scenario.workload);
-      if (opts.differential &&
-          !fleet_matches_engine(scenario, cfg, r.protocol)) {
-        std::printf("DIFFERENTIAL FAIL\n");
-        return 1;
+      if (opts.differential) {
+        if (!fleet_matches_engine(scenario, cfg, r.protocol)) {
+          std::printf("DIFFERENTIAL FAIL\n");
+          return 1;
+        }
+        // Matching results are equal, so zero fleet deliveries means the
+        // engine harness delivered nothing either: two empty delivery logs
+        // agree trivially and prove nothing.
+        if (r.protocol.deliveries == 0) {
+          std::printf("DIFFERENTIAL FAIL (the engine harness delivered "
+                      "nothing, so there is nothing to compare)\n");
+          return 1;
+        }
+        std::printf("DIFFERENTIAL PASS\n");
       }
-      if (opts.differential) std::printf("DIFFERENTIAL PASS\n");
     }
 
     std::printf("reactor threads: %zu\n", r.reactor_threads);

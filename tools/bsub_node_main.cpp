@@ -67,9 +67,9 @@ int usage(const char* argv0) {
       "  --ttl-ms N             published-message TTL (default 1h)\n"
       "  --duration-ms N        exit after N ms (default: run until SIGINT)\n"
       "  --decay-tick-ms N      TCBF decay tick period (default 1min)\n"
-      "  --kernel NAME          TCBF kernel backend: scalar | blocked | avx2\n"
-      "                         | neon | auto (default: auto dispatch; also\n"
-      "                         settable via the BSUB_KERNEL env variable)\n"
+      "  --kernel NAME          TCBF kernel backend: scalar | avx2 | neon |\n"
+      "                         auto (default: auto dispatch; also settable\n"
+      "                         via the BSUB_KERNEL env variable)\n"
       "  --protocol SPEC        protocol spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (a live node runs only B-SUB; parameters\n"
       "                         configure it — see core::bsub_config_from_"
@@ -186,15 +186,7 @@ int main(int argc, char** argv) {
     bsub::net::RuntimeConfig config;
     config.decay_tick = opts.decay_tick;
     if (!opts.protocol.empty()) {
-      const bsub::core::BsubConfig proto =
-          bsub::core::bsub_config_from_spec(opts.protocol);
-      if (proto.adaptive_df) {
-        std::fprintf(stderr,
-                     "bsub_node: adaptive DF is not supported by the live "
-                     "runtime\n");
-        return 1;
-      }
-      config.node = bsub::engine::node_config_from(proto);
+      config.node = bsub::engine::live_config_from_spec(opts.protocol).node;
     }
     bsub::net::NodeRuntime runtime(opts.id, config, counters);
     runtime.bind(transport, reactor);
