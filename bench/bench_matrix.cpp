@@ -1,47 +1,40 @@
-// Scenario x protocol x kernel x threads matrix: every registered protocol
-// replayed over every scenario class (two materialized paper traces plus a
-// streamed city) on every TCBF kernel backend this machine has, serial and
-// 4-threaded, each point fork-isolated so its peak RSS and kernel forcing
-// are its own. This is the harness that locks in the baseline-accounting
+// Scenario x protocol x threads matrix: every registered protocol replayed
+// over every scenario class (two materialized paper traces plus a streamed
+// city), serial and 4-threaded, each point fork-isolated so its peak RSS is
+// its own. This is the harness that locks in the baseline-accounting
 // fixes: the gates below re-assert the cross-cutting invariants on every
 // cell of the matrix, so a protocol that starts double-charging bytes (the
 // old SPRAY re-spray bug), charging control bytes it never sends, or
-// diverging between kernels or thread counts fails CI, not a reader of
+// diverging between thread counts fails CI, not a reader of
 // BENCH_matrix.json.
 //
 // Gates (exit 1 on violation):
 //   1. Deliveries never exceed the workload's expected deliveries.
-//   2. Serial == 4-thread: per (scenario, protocol, kernel), all semantic
-//      fields identical (node-disjoint conflict batches are order-free).
-//   3. Kernel identity: per (scenario, protocol, threads), results are
-//      identical across every available backend (the kernels contract:
-//      bit-identical filters => bit-identical routing). Skipped when the
-//      build has a single backend (-DBSUB_FORCE_SCALAR).
-//   4. Flooding dominates: PUSH's delivery ratio is an upper bound for
+//   2. Serial == 4-thread: per (scenario, protocol), all semantic fields
+//      identical (node-disjoint conflict batches are order-free).
+//   3. Flooding dominates: PUSH's delivery ratio is an upper bound for
 //      PULL and SPRAY on every scenario (they move strict subsets of the
 //      bodies PUSH moves at unconstrained bandwidth).
-//   5. SPRAY cost is monotone in its copy budget (haggle sub-sweep): a
+//   4. SPRAY cost is monotone in its copy budget (haggle sub-sweep): a
 //      bigger budget may never move fewer bytes — the delivered-guard fix
 //      keeps re-sprays out without deflating legitimate spraying.
-//   6. Control-plane class: PULL and B-SUB pay control bytes; PUSH and
+//   5. Control-plane class: PULL and B-SUB pay control bytes; PUSH and
 //      SPRAY must report exactly zero.
 //
-// `--smoke` runs the CI slice: haggle x {B-SUB, PUSH} x (<= 2 kernels) x
-// {1, 4} threads with gates 1, 2, 3 and 6.
+// `--smoke` runs the CI slice: haggle x {B-SUB, PUSH} x {1, 4} threads
+// with gates 1, 2 and 5.
 #include "scale_common.h"
 
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bloom/kernels.h"
 #include "trace/city.h"
 
 namespace {
 
 using namespace bsub;
 using namespace bsub::bench;
-namespace kernels = bsub::bloom::kernels;
 
 enum class Scene { kHaggle, kReality, kCity };
 
@@ -85,16 +78,13 @@ struct MatrixResult {
 struct MatrixPoint {
   Scene scene;
   std::string protocol;  ///< spec string or kTunedBsub
-  kernels::Kind kernel;
   std::size_t threads;
 };
 
-/// Everything below runs in the forked child: kernel forcing is process
-/// global and the scenario is rebuilt from its deterministic config, so
-/// the parent stays small and every point is independent.
+/// Everything below runs in the forked child: the scenario is rebuilt from
+/// its deterministic config, so the parent stays small and every point is
+/// independent.
 MatrixResult run_point(const MatrixPoint& p) {
-  kernels::force_kernel(p.kernel);
-
   sim::SimulatorConfig sim_cfg;
   sim_cfg.threads = p.threads;
   sim::Simulator simulator(sim_cfg);
@@ -144,8 +134,8 @@ MatrixResult run_point(const MatrixPoint& p) {
 }
 
 /// The fields two runs of the same (scenario, protocol) must agree on
-/// regardless of kernel backend or thread count. Delays are computed from
-/// deterministic integer timestamps, so even the doubles compare exactly.
+/// regardless of thread count. Delays are computed from deterministic
+/// integer timestamps, so even the doubles compare exactly.
 bool semantically_identical(const MatrixResult& a, const MatrixResult& b) {
   return a.interested_deliveries == b.interested_deliveries &&
          a.false_deliveries == b.false_deliveries &&
@@ -169,13 +159,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
 
-  std::vector<kernels::Kind> backends;
-  for (kernels::Kind k : {kernels::Kind::kScalar, kernels::Kind::kAvx2,
-                          kernels::Kind::kNeon}) {
-    if (kernels::available(k)) backends.push_back(k);
-  }
-  if (smoke && backends.size() > 2) backends.resize(2);
-
   const std::vector<Scene> scenes =
       smoke ? std::vector<Scene>{Scene::kHaggle}
             : std::vector<Scene>{Scene::kHaggle, Scene::kReality,
@@ -189,34 +172,30 @@ int main(int argc, char** argv) {
   std::vector<MatrixPoint> points;
   for (Scene scene : scenes) {
     for (const std::string& protocol : protocols) {
-      for (kernels::Kind kernel : backends) {
-        for (std::size_t threads : thread_counts) {
-          points.push_back({scene, protocol, kernel, threads});
-        }
+      for (std::size_t threads : thread_counts) {
+        points.push_back({scene, protocol, threads});
       }
     }
   }
   // SPRAY budget sub-sweep for the monotone-bytes gate; copies=3 is already
-  // in the main grid at (haggle, backends[0], 1 thread).
+  // in the main grid at (haggle, 1 thread).
   std::size_t first_extra = points.size();
   if (!smoke) {
     for (std::uint32_t copies : {1u, 8u}) {
-      points.push_back({Scene::kHaggle,
-                        "SPRAY:copies=" + std::to_string(copies), backends[0],
-                        1});
+      points.push_back(
+          {Scene::kHaggle, "SPRAY:copies=" + std::to_string(copies), 1});
     }
   }
 
   print_header(smoke ? "Scenario x protocol matrix (CI smoke slice)"
-                     : "Scenario x protocol x kernel x threads matrix");
-  std::printf("%zu points: %zu scenario(s) x %zu protocol(s) x %zu "
-              "kernel(s) x {1,4} threads\n\n",
-              points.size(), scenes.size(), protocols.size(),
-              backends.size());
+                     : "Scenario x protocol x threads matrix");
+  std::printf("%zu points: %zu scenario(s) x %zu protocol(s) x {1,4} "
+              "threads\n\n",
+              points.size(), scenes.size(), protocols.size());
   WallTimer wall;
 
-  std::printf("%-11s | %-26s | %-7s | %2s | %8s | %9s | %11s | %11s | %8s\n",
-              "scenario", "protocol", "kernel", "T", "delivery", "forwards",
+  std::printf("%-11s | %-26s | %2s | %8s | %9s | %11s | %11s | %8s\n",
+              "scenario", "protocol", "T", "delivery", "forwards",
               "msg bytes", "ctl bytes", "RSS MiB");
 
   std::vector<MatrixResult> results(points.size());
@@ -224,19 +203,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const MatrixPoint& p = points[i];
     if (!run_isolated([&] { return run_point(p); }, results[i])) {
-      std::fprintf(stderr, "point %s x %s x %s x %zu FAILED to run\n",
-                   scene_name(p.scene), p.protocol.c_str(),
-                   std::string(kernels::kind_name(p.kernel)).c_str(),
-                   p.threads);
+      std::fprintf(stderr, "point %s x %s x %zu FAILED to run\n",
+                   scene_name(p.scene), p.protocol.c_str(), p.threads);
       all_ok = false;
       continue;
     }
     const MatrixResult& r = results[i];
     std::printf(
-        "%-11s | %-26s | %-7s | %2llu | %8.3f | %9llu | %11llu | %11llu "
-        "| %8.1f\n",
+        "%-11s | %-26s | %2llu | %8.3f | %9llu | %11llu | %11llu | %8.1f\n",
         scene_name(p.scene), r.protocol,
-        std::string(kernels::kind_name(p.kernel)).c_str(),
         static_cast<unsigned long long>(r.threads_used), r.delivery_ratio,
         static_cast<unsigned long long>(r.forwardings),
         static_cast<unsigned long long>(r.message_bytes),
@@ -258,50 +233,41 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Gate 2: serial == parallel per (scenario, protocol, kernel).
-  // Gate 3: kernel-independent per (scenario, protocol, threads).
+  // Gate 2: serial == parallel per (scenario, protocol).
   for (std::size_t i = 0; i < first_extra; ++i) {
     for (std::size_t j = i + 1; j < first_extra; ++j) {
       if (points[i].scene != points[j].scene ||
-          points[i].protocol != points[j].protocol) {
+          points[i].protocol != points[j].protocol ||
+          points[i].threads == points[j].threads) {
         continue;
       }
       if (results[i].events == 0 || results[j].events == 0) continue;
-      const bool same_kernel = points[i].kernel == points[j].kernel;
-      const bool same_threads = points[i].threads == points[j].threads;
-      if (same_kernel == same_threads) continue;  // differs in both or none
       if (!semantically_identical(results[i], results[j])) {
-        std::fprintf(
-            stderr,
-            "gate %d violation: %s/%s diverges between %s/%zu-thread and "
-            "%s/%zu-thread\n",
-            same_kernel ? 2 : 3, scene_name(points[i].scene),
-            results[i].protocol,
-            std::string(kernels::kind_name(points[i].kernel)).c_str(),
-            points[i].threads,
-            std::string(kernels::kind_name(points[j].kernel)).c_str(),
-            points[j].threads);
+        std::fprintf(stderr,
+                     "gate 2 violation: %s/%s diverges between %zu-thread "
+                     "and %zu-thread\n",
+                     scene_name(points[i].scene), results[i].protocol,
+                     points[i].threads, points[j].threads);
         all_ok = false;
       }
     }
   }
-  std::printf("\ndeterminism: serial==parallel and %zu kernel backend(s) "
-              "cross-checked on every cell\n",
-              backends.size());
+  std::printf("\ndeterminism: serial==parallel cross-checked on every "
+              "cell\n");
 
-  // Gates 4 and 6 on the serial, first-backend column of each scenario.
+  // Gates 3 and 5 on the serial column of each scenario.
   for (Scene scene : scenes) {
     const MatrixResult* push = nullptr;
     for (std::size_t i = 0; i < first_extra; ++i) {
       if (points[i].scene != scene || points[i].threads != 1 ||
-          points[i].kernel != backends[0] || results[i].events == 0) {
+          results[i].events == 0) {
         continue;
       }
       if (is_protocol(results[i], "PUSH")) push = &results[i];
     }
     for (std::size_t i = 0; i < first_extra; ++i) {
       if (points[i].scene != scene || points[i].threads != 1 ||
-          points[i].kernel != backends[0] || results[i].events == 0) {
+          results[i].events == 0) {
         continue;
       }
       const MatrixResult& r = results[i];
@@ -309,7 +275,7 @@ int main(int argc, char** argv) {
           is_protocol(r, "B-SUB") || is_protocol(r, "PULL");
       if (has_control_plane ? r.control_bytes == 0 : r.control_bytes != 0) {
         std::fprintf(stderr,
-                     "gate 6 violation: %s/%s reports %llu control bytes\n",
+                     "gate 5 violation: %s/%s reports %llu control bytes\n",
                      scene_name(scene), r.protocol,
                      static_cast<unsigned long long>(r.control_bytes));
         all_ok = false;
@@ -319,7 +285,7 @@ int main(int argc, char** argv) {
       if (push != nullptr && push_bounded &&
           r.delivery_ratio > push->delivery_ratio) {
         std::fprintf(stderr,
-                     "gate 4 violation: %s/%s delivers %.4f > PUSH %.4f\n",
+                     "gate 3 violation: %s/%s delivers %.4f > PUSH %.4f\n",
                      scene_name(scene), r.protocol, r.delivery_ratio,
                      push->delivery_ratio);
         all_ok = false;
@@ -327,13 +293,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Gate 5: SPRAY bytes monotone in the copy budget (full matrix only).
+  // Gate 4: SPRAY bytes monotone in the copy budget (full matrix only).
   if (!smoke) {
     const MatrixResult* by_copies[3] = {};  // copies 1, 3, 8
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (points[i].scene != Scene::kHaggle || points[i].threads != 1 ||
-          points[i].kernel != backends[0] || results[i].events == 0 ||
-          !is_protocol(results[i], "SPRAY")) {
+          results[i].events == 0 || !is_protocol(results[i], "SPRAY")) {
         continue;
       }
       if (std::strcmp(results[i].protocol, "SPRAY:copies=1") == 0)
@@ -353,11 +318,11 @@ int main(int argc, char** argv) {
       if (by_copies[0]->message_bytes > by_copies[1]->message_bytes ||
           by_copies[1]->message_bytes > by_copies[2]->message_bytes) {
         std::fprintf(stderr,
-                     "gate 5 violation: SPRAY bytes not monotone in copies\n");
+                     "gate 4 violation: SPRAY bytes not monotone in copies\n");
         all_ok = false;
       }
     } else {
-      std::fprintf(stderr, "gate 5 violation: spray budget points missing\n");
+      std::fprintf(stderr, "gate 4 violation: spray budget points missing\n");
       all_ok = false;
     }
   }
@@ -370,8 +335,6 @@ int main(int argc, char** argv) {
         JsonObject()
             .field("scenario", std::string(scene_name(points[i].scene)))
             .field("protocol", std::string(r.protocol))
-            .field("kernel",
-                   std::string(kernels::kind_name(points[i].kernel)))
             .field("threads", r.threads_used)
             .field("delivery_ratio", r.delivery_ratio)
             .field("deliveries", r.interested_deliveries)

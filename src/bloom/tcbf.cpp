@@ -19,8 +19,8 @@ constexpr double kDecayBaseLimit = 1e9;
 Tcbf::Tcbf(BloomParams params, double initial_counter)
     : params_(params), initial_counter_(initial_counter),
       // Counters are padded to a whole number of occupancy words (64 slots =
-      // 8 cache lines per word) so kernels always stream full aligned blocks;
-      // the padding slots stay 0.0 and never gain occupancy bits.
+      // 8 cache lines per word) so dense sweeps always stream full aligned
+      // blocks; the padding slots stay 0.0 and never gain occupancy bits.
       raw_(((params.m + 63) / 64) * 64, 0.0),
       occupied_((params.m + 63) / 64, 0) {
   assert(params.m > 0 && params.k > 0);
@@ -29,7 +29,7 @@ Tcbf::Tcbf(BloomParams params, double initial_counter)
 
 void Tcbf::normalize() {
   if (decay_base_ == 0.0) return;  // occ bit <=> raw > 0 already holds
-  kernels::active().normalize(mut_view(), decay_base_);
+  kernels::normalize(mut_view(), decay_base_);
   decay_base_ = 0.0;
 }
 
@@ -57,9 +57,8 @@ void Tcbf::a_merge(const Tcbf& other) {
     throw std::invalid_argument("Tcbf::a_merge: parameter mismatch");
   }
   normalize();
-  // Self-merge is safe: every kernel reads a slot before writing it.
-  kernels::active().a_merge(mut_view(), other.const_view(),
-                            kCounterSaturation);
+  // Self-merge is safe: every merge reads a slot before writing it.
+  kernels::a_merge(mut_view(), other.const_view(), kCounterSaturation);
   merged_ = true;
   touch();
 }
@@ -69,8 +68,7 @@ void Tcbf::m_merge(const Tcbf& other) {
     throw std::invalid_argument("Tcbf::m_merge: parameter mismatch");
   }
   normalize();
-  kernels::active().m_merge(mut_view(), other.const_view(),
-                            kCounterSaturation);
+  kernels::m_merge(mut_view(), other.const_view(), kCounterSaturation);
   merged_ = true;
   touch();
 }
@@ -93,7 +91,7 @@ bool Tcbf::contains(const util::HashPair& hp) const {
   for (std::uint32_t i = 0; i < params_.k; ++i) {
     idx[i] = util::km_index(hp, i, params_.m);
   }
-  return kernels::active().contains(const_view(), idx.data(), params_.k);
+  return kernels::contains(const_view(), idx.data(), params_.k);
 }
 
 std::optional<double> Tcbf::min_counter(std::string_view key) const {
@@ -106,8 +104,7 @@ std::optional<double> Tcbf::min_counter(const util::HashPair& hp) const {
     idx[i] = util::km_index(hp, i, params_.m);
   }
   double out = 0.0;
-  if (!kernels::active().min_counter(const_view(), idx.data(), params_.k,
-                                     &out)) {
+  if (!kernels::min_counter(const_view(), idx.data(), params_.k, &out)) {
     return std::nullopt;
   }
   return out;
@@ -119,7 +116,7 @@ double Tcbf::counter(std::size_t i) const {
 }
 
 std::size_t Tcbf::popcount() const {
-  return kernels::active().popcount(const_view());
+  return kernels::popcount(const_view());
 }
 
 double Tcbf::fill_ratio() const {
@@ -137,7 +134,7 @@ std::vector<std::size_t> Tcbf::set_bits() const {
 }
 
 void Tcbf::set_bits_into(std::vector<std::size_t>& out) const {
-  kernels::active().set_bits_into(const_view(), out);
+  kernels::set_bits_into(const_view(), out);
 }
 
 BloomFilter Tcbf::to_bloom_filter() const {

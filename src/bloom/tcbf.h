@@ -36,18 +36,17 @@
 //     semantics. The base is folded back into the array (`normalize`) on
 //     merges and when it grows past a precision guard.
 //   - Counters live in 64-byte-aligned blocks of 8 doubles, padded to a
-//     whole number of occupancy words, so the kernel layer can stream them
-//     with aligned vector loads. A per-slot occupancy bitmap (`occupied_`,
-//     one 64-bit word per 64 counters = 8 cache lines) lets sweeps and
-//     merges skip dead regions at word and cache-line granularity. Decay
-//     can silently drain a counter without clearing its occupancy bit;
-//     stale bits are skipped on iteration and pruned on the next
-//     normalize().
+//     whole number of occupancy words, so dense sweeps stream whole
+//     aligned blocks. A per-slot occupancy bitmap (`occupied_`, one 64-bit
+//     word per 64 counters = 8 cache lines) lets sweeps and merges skip
+//     dead regions a word at a time. Decay can silently drain a counter
+//     without clearing its occupancy bit; stale bits are skipped on
+//     iteration and pruned on the next normalize().
 //   - The data-plane operations (merges, normalize, popcount/set-bit
-//     sweeps, point queries) run through the runtime-dispatched backend in
-//     bloom/kernels.h — scalar, AVX2, or NEON — all bit-identical; see
-//     that header for dispatch rules and the lazy-vs-dense merge
-//     crossover.
+//     sweeps, point queries) are the routines in bloom/kernels.h, called
+//     directly; see that header for the lazy-vs-dense merge crossover.
+//     They are bit-identical to the dense eager oracle in
+//     tests/testing/dense_tcbf.h.
 //   - All query entry points have overloads taking a precomputed
 //     util::HashPair so hot paths never re-hash key strings (see
 //     workload::KeySet::hash for the interned table).
@@ -119,8 +118,7 @@ class Tcbf {
   /// Existential query over precomputed bit positions (util::bloom_indices
   /// of the key for this filter's params). Bit-identical to contains().
   bool contains_at(const util::IndexArray& indices) const {
-    return kernels::active().contains(const_view(), indices.begin(),
-                                      indices.size());
+    return kernels::contains(const_view(), indices.begin(), indices.size());
   }
 
   /// Minimum counter value over the key's hashed bits, or nullopt when the
@@ -133,8 +131,8 @@ class Tcbf {
   /// contains_at). Bit-identical to min_counter().
   std::optional<double> min_counter_at(const util::IndexArray& indices) const {
     double out = 0.0;
-    if (!kernels::active().min_counter(const_view(), indices.begin(),
-                                       indices.size(), &out)) {
+    if (!kernels::min_counter(const_view(), indices.begin(), indices.size(),
+                              &out)) {
       return std::nullopt;
     }
     return out;
@@ -171,16 +169,10 @@ class Tcbf {
  private:
   /// Effective value of slot i under the current decay base.
   double effective(std::size_t i) const {
-    double v = raw_[i];
-    return v > decay_base_ ? v - decay_base_ : 0.0;
+    return kernels::effective(raw_[i], decay_base_);
   }
 
-  void mark_occupied(std::size_t i) {
-    std::uint64_t& word = occupied_[i >> 6];
-    const std::uint64_t bit = 1ULL << (i & 63);
-    occupied_bits_ += !(word & bit);
-    word |= bit;
-  }
+  void mark_occupied(std::size_t i) { kernels::mark_occupied(mut_view(), i); }
 
   /// Folds decay_base_ into raw_ and prunes stale occupancy bits. Exact:
   /// effective values are unchanged (single subtraction per live slot).
@@ -188,7 +180,7 @@ class Tcbf {
 
   void touch() { epoch_ = next_filter_epoch(); }
 
-  /// Kernel views over the hot arrays (see bloom/kernels.h).
+  /// Views over the hot arrays for the bloom/kernels.h routines.
   kernels::ConstView const_view() const {
     return {raw_.data(), occupied_.data(), occupied_.size(), occupied_bits_,
             decay_base_};
@@ -203,8 +195,9 @@ class Tcbf {
   double decay_base_ = 0.0;
   /// Stored counters: raw_[i] = effective + decay_base_ at write time;
   /// 0 means the slot was never set (or was cleared by a normalize).
-  /// 64-byte aligned and padded to occupied_.size() * 64 slots so kernels
-  /// stream whole cache-line blocks; slots at index >= params_.m stay 0.
+  /// 64-byte aligned and padded to occupied_.size() * 64 slots so dense
+  /// sweeps stream whole cache-line blocks; slots at index >= params_.m
+  /// stay 0.
   kernels::CounterVector raw_;
   /// Per-slot occupancy: bit i set => raw_[i] > 0 (superset of the live
   /// bits; decay can leave stale entries until the next normalize).

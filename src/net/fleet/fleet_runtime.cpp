@@ -505,6 +505,15 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
         "fleet UDP mtu smaller than the session datagram size",
         "fleet.udp.mtu", "raise udp.mtu or lower session.mtu");
   }
+  // Shard s binds base_port + s; past 65535 the port would wrap and the
+  // shard would land on an ephemeral port no peer routes to, and port 0
+  // asks for ephemeral ports outright.
+  if (config_.udp.base_port == 0 ||
+      config_.udp.base_port + config_.shards - 1 > 65535) {
+    throw util::ConfigError(
+        "fleet UDP shard ports out of range", "fleet.udp.base_port",
+        "base_port >= 1 and base_port + shards - 1 <= 65535");
+  }
   const std::size_t node_count = contacts.node_count();
   make_nodes(node_count, workload);
   workload_ = &workload;

@@ -131,7 +131,9 @@ class FleetRuntime {
   FleetRunResults run_loopback(trace::ContactStream& contacts,
                                const workload::Workload& workload);
 
-  /// Real-time replay over the fleet UDP plane.
+  /// Real-time replay over the fleet UDP plane. Shard s binds
+  /// udp.base_port + s; throws util::ConfigError, before any socket binds,
+  /// when base_port is 0 or the last shard's port would pass 65535.
   FleetRunResults run_udp(trace::ContactStream& contacts,
                           const workload::Workload& workload);
 

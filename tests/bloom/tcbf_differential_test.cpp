@@ -1,114 +1,41 @@
-// Randomized differential test: bloom::Tcbf (lazy decay base + occupancy
-// bitmap) against a dense eager reference that replicates the original
-// O(m)-per-op implementation verbatim. Thousands of interleaved
-// insert/decay/merge/query operations must observe identical state.
+// Randomized differential tests: bloom::Tcbf (lazy decay base + occupancy
+// bitmap + sparse-walk / dense-sweep merge kernels) against the dense eager
+// oracle in tests/testing/dense_tcbf.h. Thousands of interleaved
+// insert/decay/merge/query operations must observe identical state; the
+// mixed-schedule and dense-regime cases compare every counter by bit
+// pattern, so even a 0.0 / -0.0 discrepancy (which double== would forgive)
+// fails.
 //
-// Exactness note: the lazy representation folds a *sum* of decay amounts
-// into one subtraction, while the eager reference subtracts step by step.
-// To make EXPECT_EQ (not NEAR) valid, all decay amounts are multiples of
-// 0.25 and counters are dyadic rationals of modest magnitude, so every
-// intermediate value is exactly representable and (a - x) - y == a - (x + y)
-// holds bit-for-bit.
+// Every decay amount is dyadic (a multiple of 0.25), which is the oracle's
+// exactness condition (see dense_tcbf.h).
 #include "bloom/tcbf.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bloom/bloom_params.h"
+#include "testing/dense_tcbf.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
 namespace bsub::bloom {
 namespace {
 
-/// Verbatim port of the pre-optimization Tcbf: one dense counter array,
-/// every operation sweeps it eagerly.
-class DenseRefTcbf {
- public:
-  DenseRefTcbf(BloomParams params, double initial_counter)
-      : params_(params),
-        initial_counter_(initial_counter),
-        counters_(params.m, 0.0) {}
+using bsub::testing::DenseRefTcbf;
 
-  void insert(std::string_view key) {
-    const util::HashPair hp = util::hash_pair(key);
-    for (std::uint32_t i = 0; i < params_.k; ++i) {
-      double& c = counters_[util::km_index(hp, i, params_.m)];
-      if (c == 0.0) c = initial_counter_;
-    }
-  }
-
-  void a_merge(const DenseRefTcbf& other) {
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-      counters_[i] =
-          std::min(counters_[i] + other.counters_[i], kCounterSaturation);
-    }
-  }
-
-  void m_merge(const DenseRefTcbf& other) {
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-      counters_[i] = std::max(counters_[i], other.counters_[i]);
-    }
-  }
-
-  void decay(double amount) {
-    if (amount == 0.0) return;
-    for (double& c : counters_) {
-      if (c > 0.0) c = std::max(0.0, c - amount);
-    }
-  }
-
-  bool contains(std::string_view key) const {
-    const util::HashPair hp = util::hash_pair(key);
-    for (std::uint32_t i = 0; i < params_.k; ++i) {
-      if (counters_[util::km_index(hp, i, params_.m)] <= 0.0) return false;
-    }
-    return true;
-  }
-
-  std::optional<double> min_counter(std::string_view key) const {
-    const util::HashPair hp = util::hash_pair(key);
-    double min_c = 0.0;
-    bool first = true;
-    for (std::uint32_t i = 0; i < params_.k; ++i) {
-      const double c = counters_[util::km_index(hp, i, params_.m)];
-      if (c <= 0.0) return std::nullopt;
-      min_c = first ? c : std::min(min_c, c);
-      first = false;
-    }
-    return min_c;
-  }
-
-  std::size_t popcount() const {
-    std::size_t n = 0;
-    for (double c : counters_) n += (c > 0.0);
-    return n;
-  }
-
-  std::vector<std::size_t> set_bits() const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-      if (counters_[i] > 0.0) out.push_back(i);
-    }
-    return out;
-  }
-
-  const std::vector<double>& counters() const { return counters_; }
-
- private:
-  BloomParams params_;
-  double initial_counter_;
-  std::vector<double> counters_;
-};
-
-std::vector<std::string> key_pool(std::size_t n) {
+std::vector<std::string> key_pool(std::size_t n,
+                                  const std::string& prefix = "dk") {
   std::vector<std::string> keys;
   keys.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) keys.push_back("dk" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(prefix + std::to_string(i));
+  }
   return keys;
 }
 
@@ -272,6 +199,175 @@ TEST(TcbfDifferentialTest, PreferenceMatchesReferenceArithmetic) {
       EXPECT_EQ(preference(lb, lf, util::hash_pair(k)), expected) << k;
     }
   }
+}
+
+std::vector<std::uint64_t> counter_bits(const std::vector<double>& counters) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(counters.size());
+  for (double v : counters) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+/// Bit-exact full-state equivalence: every counter's bit pattern plus the
+/// population views.
+void expect_bit_identical(const Tcbf& lazy, const DenseRefTcbf& dense,
+                          const char* which) {
+  EXPECT_EQ(counter_bits(lazy.counters()), counter_bits(dense.counters()))
+      << which;
+  EXPECT_EQ(lazy.popcount(), dense.popcount()) << which;
+  EXPECT_EQ(lazy.set_bits(), dense.set_bits()) << which;
+}
+
+/// Bit-exact point queries for one key: contains, min_counter, and the
+/// preference of b against f through both entry points.
+void expect_same_queries(const Tcbf& b, const Tcbf& f, const DenseRefTcbf& db,
+                         const DenseRefTcbf& df, const std::string& key) {
+  EXPECT_EQ(b.contains(key), db.contains(key)) << key;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.min_counter(key).value_or(-1.0)),
+            std::bit_cast<std::uint64_t>(db.min_counter(key).value_or(-1.0)))
+      << key;
+  const std::uint64_t want =
+      std::bit_cast<std::uint64_t>(bsub::testing::preference(db, df, key));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(preference(b, f, key)), want) << key;
+  const util::IndexArray idx =
+      util::bloom_indices(key, b.params().k, b.params().m);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(preference_at(b, f, idx)), want)
+      << key;
+}
+
+/// One seed's schedule of interleaved A-merges into a broker-side filter b,
+/// M-merges and direct inserts into a peer filter f, b <- f M-merges,
+/// dyadic decays and queries, replayed on Tcbf and the oracle in lock step.
+/// m ranges over 64..512 and k over 2..5, so small fresh filters take the
+/// sparse walk and the accumulated b takes the dense sweep.
+void run_mixed_schedule(std::uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  util::Rng rng(seed);
+  const BloomParams params{
+      static_cast<std::size_t>(64u << rng.next_below(4)),  // m in 64..512
+      static_cast<std::uint32_t>(rng.next_int(2, 5))};
+  const double c0 = 50.0;
+  const auto keys = key_pool(48, "kd");
+
+  Tcbf b(params, c0);  // broker-side filter: receives A-merges
+  Tcbf f(params, c0);  // peer filter: receives M-merges and direct inserts
+  DenseRefTcbf db(params, c0);
+  DenseRefTcbf df(params, c0);
+
+  // f stays never-merged for the first stretch so insert() is exercised too.
+  bool f_insertable = true;
+
+  for (int op = 0; op < 600; ++op) {
+    switch (rng.next_below(6)) {
+      case 0: {  // A-merge a fresh filter of 1..5 keys into b
+        Tcbf fresh(params, c0);
+        DenseRefTcbf dfresh(params, c0);
+        const int nk = static_cast<int>(rng.next_int(1, 5));
+        for (int j = 0; j < nk; ++j) {
+          const std::string& k = keys[rng.next_below(keys.size())];
+          fresh.insert(k);
+          dfresh.insert(k);
+        }
+        b.a_merge(fresh);
+        db.a_merge(dfresh);
+        break;
+      }
+      case 1: {  // M-merge: either fresh->f, or b<-f (filters with history)
+        if (rng.next_bool(0.3) && !f.empty()) {
+          b.m_merge(f);
+          db.m_merge(df);
+        } else {
+          Tcbf fresh(params, c0);
+          DenseRefTcbf dfresh(params, c0);
+          const int nk = static_cast<int>(rng.next_int(1, 4));
+          for (int j = 0; j < nk; ++j) {
+            const std::string& k = keys[rng.next_below(keys.size())];
+            fresh.insert(k);
+            dfresh.insert(k);
+          }
+          f.m_merge(fresh);
+          df.m_merge(dfresh);
+          f_insertable = false;
+        }
+        break;
+      }
+      case 2: {  // decay one or both filters (dyadic amounts: exact floats)
+        const double amount = 0.25 * static_cast<double>(rng.next_int(1, 80));
+        b.decay(amount);
+        db.decay(amount);
+        if (rng.next_bool(0.5)) {
+          f.decay(amount);
+          df.decay(amount);
+        }
+        break;
+      }
+      case 3: {  // direct insert while still allowed
+        if (f_insertable) {
+          const std::string& k = keys[rng.next_below(keys.size())];
+          f.insert(k);
+          df.insert(k);
+        }
+        break;
+      }
+      case 4:  // point queries, checked mid-run
+        expect_same_queries(b, f, db, df, keys[rng.next_below(keys.size())]);
+        break;
+      case 5:  // derived views, checked mid-run
+        EXPECT_EQ(b.popcount(), db.popcount());
+        EXPECT_EQ(f.popcount(), df.popcount());
+        EXPECT_EQ(b.to_bloom_filter().set_bits(), db.set_bits());
+        break;
+    }
+  }
+
+  expect_bit_identical(b, db, "b");
+  expect_bit_identical(f, df, "f");
+  for (const std::string& k : keys) expect_same_queries(b, f, db, df, k);
+}
+
+TEST(TcbfDifferentialTest, MixedScheduleBitIdenticalAcrossSeeds) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    run_mixed_schedule(seed);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(TcbfDifferentialTest, LargeFilterDenseRegimeBitIdentical) {
+  // m=65536 with enough keys to cross the merge crossover (1/16 occupancy),
+  // so the dense sweeps run, with and without a pending decay base.
+  const BloomParams params{65536, 4};
+  const auto keys = key_pool(2048, "kd");
+
+  Tcbf src(params, 50.0);
+  DenseRefTcbf dsrc(params, 50.0);
+  for (const std::string& k : keys) {
+    src.insert(k);
+    dsrc.insert(k);
+  }
+  ASSERT_GE(src.popcount(), params.m / 16) << "source must be dense";
+
+  Tcbf b(params, 50.0);
+  DenseRefTcbf db(params, 50.0);
+  b.a_merge(src);
+  db.a_merge(dsrc);
+  b.decay(12.5);
+  db.decay(12.5);
+  b.m_merge(src);
+  db.m_merge(dsrc);
+  b.decay(40.0);  // drains the first-generation contribution in places
+  db.decay(40.0);
+  b.a_merge(src);
+  db.a_merge(dsrc);
+  src.decay(20.0);  // a decayed dense source: the sweeps' base != 0 branch
+  dsrc.decay(20.0);
+  b.m_merge(src);
+  db.m_merge(dsrc);
+  b.a_merge(src);
+  db.a_merge(dsrc);
+
+  expect_bit_identical(b, db, "b");
+  expect_bit_identical(src, dsrc, "src");
+  for (const std::string& k : keys) expect_same_queries(b, src, db, dsrc, k);
 }
 
 }  // namespace

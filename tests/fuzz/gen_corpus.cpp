@@ -205,7 +205,7 @@ void gen_session(const fs::path& dir) {
   write_file(dir, "corrupt_fragment.bin", ops);
 }
 
-/// Kernel-differential fuzz seeds use the fuzz_tcbf_kernels op encoding:
+/// TCBF-vs-oracle fuzz seeds use the fuzz_tcbf_kernels op encoding:
 /// byte 0 = geometry (bits 0-1: m, bits 2-3: k-2), then ops keyed on the
 /// low 3 bits (0/1 = merge fresh keys, 2 = decay, 3 = insert, 4 = cross
 /// merge, 5 = queries, 6 = views, 7 = wire encode).
@@ -225,8 +225,8 @@ void gen_kernels(const fs::path& dir) {
   ops.push_back(0x06);  // views
   write_file(dir, "sparse.bin", ops);
 
-  // Dense schedule on the largest geometry: fill past the scalar
-  // lazy-vs-dense crossover, cross-merge, decay-to-drain, re-encode.
+  // Dense schedule on the largest geometry: fill past the lazy-vs-dense
+  // merge crossover, cross-merge, decay-to-drain, re-encode.
   ops.clear();
   ops.push_back(0x0F);  // m=4096, k=5
   for (int round = 0; round < 64; ++round) {

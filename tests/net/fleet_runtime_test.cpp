@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/df_tuning.h"
@@ -150,6 +151,29 @@ TEST(FleetRuntimeLoopback, RejectsDecayTicksAndSecondRuns) {
   FleetRuntime fleet(good);
   fleet.run_loopback(s.trace, s.workload);
   EXPECT_THROW(fleet.run_loopback(s.trace, s.workload), std::logic_error);
+}
+
+TEST(FleetRuntimeUdp, RejectsShardPortsOutOfRange) {
+  // Shard s binds base_port + s. A sum past 65535 would wrap to an
+  // ephemeral port that no peer routes to (contacts then time out), and
+  // port 0 asks for ephemeral ports outright; both must be refused before
+  // any socket binds.
+  Scenario s(303, 6, 40);
+  for (const auto& [base_port, shards] :
+       {std::pair<std::uint16_t, std::size_t>{65535, 2},
+        std::pair<std::uint16_t, std::size_t>{65530, 7},
+        std::pair<std::uint16_t, std::size_t>{0, 1}}) {
+    FleetConfig cfg;
+    cfg.runtime.node = node_config_for(s);
+    cfg.runtime.decay_tick = 0;
+    cfg.shards = shards;
+    cfg.udp.base_port = base_port;
+    cfg.udp.batched_io = fleet_udp_batched_available();
+    cfg.contact_timeout = 200 * util::kMillisecond;
+    FleetRuntime fleet(cfg);
+    EXPECT_THROW(fleet.run_udp(s.trace, s.workload), util::ConfigError)
+        << "base_port " << base_port << ", " << shards << " shards";
+  }
 }
 
 TEST(FleetRuntimeUdp, MiniScenarioDeliversOverRealSockets) {

@@ -11,16 +11,14 @@
 //   bsub_fleet --mode udp --nodes 256 --contacts 2000 --shards 2
 //              --backend epoll --io batched
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "bloom/kernels.h"
 #include "fleet_common.h"
 #include "net/fleet/fleet_runtime.h"
 #include "net/reactor.h"
 #include "resource_stats.h"
-#include "tool_listing.h"
+#include "tool_cli.h"
 #include "util/errors.h"
 
 namespace {
@@ -44,16 +42,15 @@ int usage(const char* argv0) {
       "(default 2)\n"
       "  --backend auto|poll|epoll  readiness backend (udp mode)\n"
       "  --io batched|single    sendmmsg/recvmmsg vs sendto/recvfrom\n"
-      "  --base-port P          first UDP port (default 47000)\n"
+      "  --base-port P          first UDP port; shard s binds P + s\n"
+      "                         (default 47000)\n"
       "  --protocol SPEC        B-SUB spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (default: DF tuned from the trace)\n"
-      "  --kernel NAME          TCBF kernel: scalar|avx2|neon|auto\n"
       "  --differential         loopback only: also run the engine harness\n"
       "                         and require bit-identical, non-empty\n"
       "                         results (a point that delivers nothing\n"
       "                         compares nothing and fails)\n"
-      "  --list-protocols       print the protocol registry and exit\n"
-      "  --list-kernels         print the TCBF kernel backends and exit\n",
+      "  --list-protocols       print the protocol registry and exit\n",
       argv0, static_cast<unsigned long long>(kDefaultSeed));
   return 2;
 }
@@ -69,17 +66,8 @@ struct Options {
   bool batched_io = net::fleet_udp_batched_available();
   std::uint64_t base_port = 47000;
   std::string protocol;
-  std::string kernel;
   bool differential = false;
 };
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
 
 bool parse_options(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
@@ -89,7 +77,7 @@ bool parse_options(int argc, char** argv, Options& opts) {
     };
     auto next_u64 = [&](std::uint64_t& out) {
       const char* v = next();
-      return v != nullptr && parse_u64(v, out);
+      return v != nullptr && bsub::tools::parse_u64(v, out);
     };
     std::uint64_t v = 0;
     if (std::strcmp(arg, "--nodes") == 0) {
@@ -142,10 +130,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       const char* p = next();
       if (!p) return false;
       opts.protocol = p;
-    } else if (std::strcmp(arg, "--kernel") == 0) {
-      const char* k = next();
-      if (!k) return false;
-      opts.kernel = k;
     } else if (std::strcmp(arg, "--differential") == 0) {
       opts.differential = true;
     } else {
@@ -162,9 +146,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--list-protocols") == 0) {
       return bsub::tools::list_protocols();
     }
-    if (std::strcmp(argv[i], "--list-kernels") == 0) {
-      return bsub::tools::list_kernels();
-    }
   }
 
   using namespace bsub;
@@ -179,23 +160,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  namespace kernels = bsub::bloom::kernels;
-  if (!opts.kernel.empty() && opts.kernel != "auto") {
-    const auto kind = kernels::parse_kind(opts.kernel);
-    if (!kind) {
-      std::fprintf(stderr, "bsub_fleet: unknown --kernel %s\n",
-                   opts.kernel.c_str());
-      return usage(argv[0]);
-    }
-    if (!kernels::force_kernel(*kind)) {
-      std::fprintf(stderr,
-                   "bsub_fleet: --kernel %s is unavailable in this build/"
-                   "CPU\n",
-                   opts.kernel.c_str());
-      return 1;
-    }
-  }
-
   try {
     std::printf("fleet scenario: %zu nodes, %zu contacts, %zu messages, "
                 "seed %llu\n",
@@ -203,12 +167,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(opts.seed));
     const FleetScenario scenario(opts.point, opts.seed);
     net::FleetConfig cfg = make_fleet_config(scenario, opts.protocol);
-    std::printf("protocol:       %s (df=%.4g/min), kernel %s\n",
+    std::printf("protocol:       %s (df=%.4g/min)\n",
                 opts.protocol.empty() ? "B-SUB (trace-tuned)"
                                       : opts.protocol.c_str(),
-                cfg.runtime.node.df_per_minute,
-                std::string(kernels::kind_name(kernels::active_kind()))
-                    .c_str());
+                cfg.runtime.node.df_per_minute);
 
     net::FleetRunResults r;
     if (opts.udp) {

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "bloom/kernels.h"
 #include "core/protocol_registry.h"
 #include "engine/node.h"
 #include "metrics/collector.h"
@@ -31,7 +30,7 @@
 #include "net/reactor.h"
 #include "net/transport.h"
 #include "net/udp.h"
-#include "tool_listing.h"
+#include "tool_cli.h"
 #include "util/time.h"
 
 namespace {
@@ -50,9 +49,12 @@ struct Options {
   bsub::util::Time ttl = bsub::util::kHour;
   bsub::util::Time duration = 0;  ///< 0 = run until SIGINT
   bsub::util::Time decay_tick = bsub::util::kMinute;
-  std::string kernel;    ///< TCBF kernel backend override (empty = auto)
   std::string protocol;  ///< protocol spec (empty = default B-SUB config)
 };
+
+/// Longest accepted millisecond value (about 31 years), so deadlines and
+/// expiry times computed from it cannot overflow util::Time.
+constexpr std::uint64_t kMaxMs = 1'000'000'000'000;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -64,18 +66,15 @@ int usage(const char* argv0) {
       "  --subscribe KEY        subscribe to a content key (repeatable)\n"
       "  --publish KEY=TEXT     publish a message (repeatable)\n"
       "  --broker               start with the broker role\n"
-      "  --ttl-ms N             published-message TTL (default 1h)\n"
-      "  --duration-ms N        exit after N ms (default: run until SIGINT)\n"
-      "  --decay-tick-ms N      TCBF decay tick period (default 1min)\n"
-      "  --kernel NAME          TCBF kernel backend: scalar | avx2 | neon |\n"
-      "                         auto (default: auto dispatch; also settable\n"
-      "                         via the BSUB_KERNEL env variable)\n"
+      "  --ttl-ms N             published-message TTL, >= 1 (default 1h)\n"
+      "  --duration-ms N        exit after N ms (default 0: until SIGINT)\n"
+      "  --decay-tick-ms N      TCBF decay tick (default 1min; 0 = none)\n"
       "  --protocol SPEC        protocol spec, e.g. bsub:df=0.5,copies=5\n"
       "                         (a live node runs only B-SUB; parameters\n"
       "                         configure it — see core::bsub_config_from_"
       "spec)\n"
       "  --list-protocols       print the protocol registry and exit\n"
-      "  --list-kernels         print the TCBF kernel backends and exit\n",
+      "Numbers are plain decimal; milliseconds are at most 10^12.\n",
       argv0);
   return 2;
 }
@@ -85,12 +84,18 @@ bool parse_options(int argc, char** argv, Options& opts) {
     if (i + 1 >= argc) return nullptr;
     return argv[++i];
   };
+  auto need_ms = [&](int& i, bsub::util::Time& out) {
+    const char* v = need_value(i);
+    std::uint64_t ms = 0;
+    if (!v || !bsub::tools::parse_u64(v, ms) || ms > kMaxMs) return false;
+    out = static_cast<bsub::util::Time>(ms);
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--id") {
       const char* v = need_value(i);
-      if (!v) return false;
-      opts.id = std::strtoull(v, nullptr, 10);
+      if (!v || !bsub::tools::parse_u64(v, opts.id)) return false;
     } else if (flag == "--bind") {
       const char* v = need_value(i);
       if (!v || !bsub::net::parse_udp_endpoint(v, opts.bind)) return false;
@@ -113,21 +118,12 @@ bool parse_options(int argc, char** argv, Options& opts) {
     } else if (flag == "--broker") {
       opts.broker = true;
     } else if (flag == "--ttl-ms") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.ttl = std::strtoll(v, nullptr, 10);
+      // A zero TTL would publish messages that are born expired.
+      if (!need_ms(i, opts.ttl) || opts.ttl == 0) return false;
     } else if (flag == "--duration-ms") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.duration = std::strtoll(v, nullptr, 10);
+      if (!need_ms(i, opts.duration)) return false;
     } else if (flag == "--decay-tick-ms") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.decay_tick = std::strtoll(v, nullptr, 10);
-    } else if (flag == "--kernel") {
-      const char* v = need_value(i);
-      if (!v) return false;
-      opts.kernel = v;
+      if (!need_ms(i, opts.decay_tick)) return false;
     } else if (flag == "--protocol") {
       const char* v = need_value(i);
       if (!v) return false;
@@ -146,32 +142,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--list-protocols") == 0) {
       return bsub::tools::list_protocols();
     }
-    if (std::strcmp(argv[i], "--list-kernels") == 0) {
-      return bsub::tools::list_kernels();
-    }
   }
 
   Options opts;
   if (!parse_options(argc, argv, opts)) return usage(argv[0]);
-
-  namespace kernels = bsub::bloom::kernels;
-  if (!opts.kernel.empty() && opts.kernel != "auto") {
-    const auto kind = kernels::parse_kind(opts.kernel);
-    if (!kind) {
-      std::fprintf(stderr, "bsub_node: unknown --kernel %s\n",
-                   opts.kernel.c_str());
-      return usage(argv[0]);
-    }
-    if (!kernels::force_kernel(*kind)) {
-      std::fprintf(stderr,
-                   "bsub_node: --kernel %s is unavailable in this build/CPU\n",
-                   opts.kernel.c_str());
-      return 1;
-    }
-  }
-  std::fprintf(stderr, "bsub_node: TCBF kernel backend: %s\n",
-               std::string(kernels::kind_name(kernels::active_kind()))
-                   .c_str());
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "scale_common.h"
-#include "tool_listing.h"
+#include "tool_cli.h"
 
 namespace {
 
@@ -21,18 +21,10 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--nodes N] [--contacts C] [--messages M] "
                "[--seed S] [--threads T] [--isolate] [--protocol SPEC]\n"
-               "          [--list-protocols] [--list-kernels]\n"
+               "          [--list-protocols]\n"
                "  SPEC selects the routing protocol, e.g. PUSH, PULL,\n"
                "  spray:copies=8, bsub:df=0.25 (default %s)\n",
                argv0, bsub::bench::kScaleDefaultProtocol);
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 }  // namespace
@@ -45,9 +37,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--list-protocols") == 0) {
       return bsub::tools::list_protocols();
     }
-    if (std::strcmp(argv[i], "--list-kernels") == 0) {
-      return bsub::tools::list_kernels();
-    }
   }
 
   ScalePoint point{100000, 1000000};
@@ -59,7 +48,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto next_u64 = [&](std::uint64_t& out) {
-      if (i + 1 >= argc || !parse_u64(argv[++i], out)) {
+      if (i + 1 >= argc || !bsub::tools::parse_u64(argv[++i], out)) {
         usage(argv[0]);
         std::exit(2);
       }
