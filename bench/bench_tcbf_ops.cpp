@@ -6,8 +6,10 @@
 // of bloom::Tcbf against `DenseTcbf` — a seed-faithful reference with eager
 // O(m) decay, dense O(m) merges, and per-query string hashing — at m in
 // {256, 1024, 8192, 65536}, and records ns-per-op for decay/merge/query to
-// BENCH_tcbf_ops.json. It exits non-zero if a pinned performance floor
-// regresses (see check_regressions below).
+// BENCH_tcbf_ops.json. Each m runs in its own forked child, so no pass
+// times the heap another pass left behind. It exits non-zero if a pinned
+// performance floor regresses (see check_regressions below). Run only the
+// comparison and the floor with `--benchmark_filter=NOMATCH`.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,6 +24,7 @@
 #include "bloom/fpr.h"
 #include "bloom/tcbf.h"
 #include "bloom/tcbf_codec.h"
+#include "fork_util.h"
 #include "util/errors.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -291,93 +294,113 @@ struct OpTiming {
   }
 };
 
-/// One comparison pass against the dense reference. Covers the sparse
-/// contact regime (the paper's 38 keys) and, for merges, a dense regime
-/// (~8% occupancy) past the lazy-vs-dense crossover, where merges take
-/// their full-sweep path.
-void run_comparison(std::vector<OpTiming>& out) {
+/// The four timings of one filter width; crosses the fork pipe as bytes
+/// (`op` names string literals, which sit at the same address in the
+/// forked child).
+struct PassTimings {
+  OpTiming ops[4];
+};
+
+/// One comparison pass against the dense reference at filter width m.
+/// Covers the sparse contact regime (the paper's 38 keys) and, for merges,
+/// a dense regime (~8% occupancy) past the lazy-vs-dense crossover, where
+/// merges take their full-sweep path.
+PassTimings run_comparison_at(std::uint32_t m) {
   constexpr std::uint32_t kHashes = 4;
   constexpr std::size_t kKeys = 38;  // the paper's key-set size
   const auto keys = make_keys(kKeys);
   std::vector<util::HashPair> hps;
   for (const auto& k : keys) hps.push_back(util::hash_pair(k));
+  PassTimings out{};
 
-  for (std::uint32_t m : {256u, 1024u, 8192u, 65536u}) {
-    const bloom::BloomParams params{m, kHashes};
-    // Huge initial counter so sustained decay never drains the filters.
-    DenseTcbf dense(params, 1e12);
-    bloom::Tcbf lazy(params, 1e12);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      dense.insert(keys[i]);
-      lazy.insert(hps[i]);
-    }
-
-    const double dense_decay = ns_per_op([&] {
-      dense.decay(0.138);
-      benchmark::DoNotOptimize(dense);
-    });
-    const double lazy_decay = ns_per_op([&] {
-      lazy.decay(0.138);
-      benchmark::DoNotOptimize(lazy);
-    });
-    out.push_back({"decay", m, dense_decay, lazy_decay});
-
-    DenseTcbf dense_src(params, 50.0);
-    bloom::Tcbf lazy_src(params, 50.0);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      dense_src.insert(keys[i]);
-      lazy_src.insert(hps[i]);
-    }
-    DenseTcbf dense_dst(params, 50.0);
-    bloom::Tcbf lazy_dst(params, 50.0);
-    const double dense_merge = ns_per_op([&] {
-      dense_dst.a_merge(dense_src);
-      benchmark::DoNotOptimize(dense_dst);
-    });
-    const double lazy_merge = ns_per_op([&] {
-      lazy_dst.a_merge(lazy_src);
-      benchmark::DoNotOptimize(lazy_dst);
-    });
-    out.push_back({"a_merge", m, dense_merge, lazy_merge});
-
-    // Dense regime: m/48 keys * k=4 hashes fill ~8% of the table — past the
-    // lazy-vs-dense crossover (1/16 of slots occupied), so this times the
-    // dense sweeps. Much beyond this fill the paper's FPR budget is blown
-    // anyway, so higher densities are not the regime that matters.
-    {
-      const std::size_t n = m / 48;
-      const auto fill_keys = make_keys(n);
-      DenseTcbf dense_fsrc(params, 50.0);
-      bloom::Tcbf lazy_fsrc(params, 50.0);
-      for (const auto& k : fill_keys) {
-        dense_fsrc.insert(k);
-        lazy_fsrc.insert(util::hash_pair(k));
-      }
-      DenseTcbf dense_fdst(params, 50.0);
-      bloom::Tcbf lazy_fdst(params, 50.0);
-      const double dense_fmerge = ns_per_op([&] {
-        dense_fdst.a_merge(dense_fsrc);
-        benchmark::DoNotOptimize(dense_fdst);
-      });
-      const double lazy_fmerge = ns_per_op([&] {
-        lazy_fdst.a_merge(lazy_fsrc);
-        benchmark::DoNotOptimize(lazy_fdst);
-      });
-      out.push_back({"a_merge_dense", m, dense_fmerge, lazy_fmerge});
-    }
-
-    std::size_t qi = 0;
-    const double dense_query = ns_per_op([&] {
-      auto c = dense.min_counter(keys[qi++ % kKeys]);
-      benchmark::DoNotOptimize(c);
-    });
-    qi = 0;
-    const double lazy_query = ns_per_op([&] {
-      auto c = lazy.min_counter(hps[qi++ % kKeys]);
-      benchmark::DoNotOptimize(c);
-    });
-    out.push_back({"min_counter", m, dense_query, lazy_query});
+  const bloom::BloomParams params{m, kHashes};
+  // Huge initial counter so sustained decay never drains the filters.
+  DenseTcbf dense(params, 1e12);
+  bloom::Tcbf lazy(params, 1e12);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    dense.insert(keys[i]);
+    lazy.insert(hps[i]);
   }
+
+  const double dense_decay = ns_per_op([&] {
+    dense.decay(0.138);
+    benchmark::DoNotOptimize(dense);
+  });
+  const double lazy_decay = ns_per_op([&] {
+    lazy.decay(0.138);
+    benchmark::DoNotOptimize(lazy);
+  });
+  out.ops[0] = {"decay", m, dense_decay, lazy_decay};
+
+  DenseTcbf dense_src(params, 50.0);
+  bloom::Tcbf lazy_src(params, 50.0);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    dense_src.insert(keys[i]);
+    lazy_src.insert(hps[i]);
+  }
+  DenseTcbf dense_dst(params, 50.0);
+  bloom::Tcbf lazy_dst(params, 50.0);
+  const double dense_merge = ns_per_op([&] {
+    dense_dst.a_merge(dense_src);
+    benchmark::DoNotOptimize(dense_dst);
+  });
+  const double lazy_merge = ns_per_op([&] {
+    lazy_dst.a_merge(lazy_src);
+    benchmark::DoNotOptimize(lazy_dst);
+  });
+  out.ops[1] = {"a_merge", m, dense_merge, lazy_merge};
+
+  // Dense regime: m/48 keys * k=4 hashes fill ~8% of the table — past the
+  // lazy-vs-dense crossover (1/16 of slots occupied), so this times the
+  // dense sweeps. Much beyond this fill the paper's FPR budget is blown
+  // anyway, so higher densities are not the regime that matters.
+  {
+    const std::size_t n = m / 48;
+    const auto fill_keys = make_keys(n);
+    DenseTcbf dense_fsrc(params, 50.0);
+    bloom::Tcbf lazy_fsrc(params, 50.0);
+    for (const auto& k : fill_keys) {
+      dense_fsrc.insert(k);
+      lazy_fsrc.insert(util::hash_pair(k));
+    }
+    DenseTcbf dense_fdst(params, 50.0);
+    bloom::Tcbf lazy_fdst(params, 50.0);
+    const double dense_fmerge = ns_per_op([&] {
+      dense_fdst.a_merge(dense_fsrc);
+      benchmark::DoNotOptimize(dense_fdst);
+    });
+    const double lazy_fmerge = ns_per_op([&] {
+      lazy_fdst.a_merge(lazy_fsrc);
+      benchmark::DoNotOptimize(lazy_fdst);
+    });
+    out.ops[2] = {"a_merge_dense", m, dense_fmerge, lazy_fmerge};
+  }
+
+  std::size_t qi = 0;
+  const double dense_query = ns_per_op([&] {
+    auto c = dense.min_counter(keys[qi++ % kKeys]);
+    benchmark::DoNotOptimize(c);
+  });
+  qi = 0;
+  const double lazy_query = ns_per_op([&] {
+    auto c = lazy.min_counter(hps[qi++ % kKeys]);
+    benchmark::DoNotOptimize(c);
+  });
+  out.ops[3] = {"min_counter", m, dense_query, lazy_query};
+  return out;
+}
+
+/// Runs every width's pass in a fresh child; false if a child failed.
+bool run_comparison(std::vector<OpTiming>& out) {
+  for (std::uint32_t m : {256u, 1024u, 8192u, 65536u}) {
+    PassTimings pass;
+    if (!bench::run_isolated([m] { return run_comparison_at(m); }, pass)) {
+      std::fprintf(stderr, "bench_tcbf_ops: the m=%u pass failed\n", m);
+      return false;
+    }
+    out.insert(out.end(), std::begin(pass.ops), std::end(pass.ops));
+  }
+  return true;
 }
 
 void report_comparison(const std::vector<OpTiming>& timings,
@@ -436,7 +459,7 @@ int check_regressions(const std::vector<OpTiming>& timings) {
 int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<OpTiming> timings;
-  run_comparison(timings);
+  if (!run_comparison(timings)) return 1;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

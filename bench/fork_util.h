@@ -2,8 +2,9 @@
 // RSS is a process-lifetime high-water mark, so measuring several sweep
 // points in one process would report every point's peak as the max of all
 // points run so far. Forking one child per point gives each point its own
-// high-water mark (and its own TCBF kernel forcing, which is process
-// global). Used by bench_scale_sweep, bench_matrix, and the bsub_scale CLI.
+// high-water mark, and a microbenchmark pass a heap no earlier pass has
+// touched. Used by bench_scale_sweep, bench_matrix, bench_tcbf_ops, and the
+// bsub_scale CLI.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "core/bsub_protocol.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 
 #include "bloom/tcbf_codec.h"
@@ -8,6 +9,18 @@
 #include "util/binomial.h"
 
 namespace bsub::core {
+
+namespace {
+
+/// lower_bound comparators: buckets by key, entries by id.
+constexpr auto kKeyBefore = [](const auto& bucket, workload::KeyId key) {
+  return bucket.key < key;
+};
+constexpr auto kIdBefore = [](const auto& entry, workload::MessageId id) {
+  return entry.id < id;
+};
+
+}  // namespace
 
 BsubProtocol::BsubProtocol(BsubConfig config) : config_(config) {}
 
@@ -41,8 +54,8 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
   interests_ = std::make_unique<InterestManager>(
       nodes, config_.filter_params, config_.initial_counter,
       config_.df_per_minute);
-  producer_.clear();
-  producer_.resize(nodes);
+  produced_.clear();
+  produced_.resize(nodes);
   carrier_.clear();
   carrier_.resize(nodes);
   interest_offsets_.assign(nodes + 1, 0);
@@ -79,46 +92,102 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
   fpr_hits_.store(0, std::memory_order_relaxed);
 }
 
+void BsubProtocol::KeyedBuffer::add(const workload::Message& msg,
+                                    std::uint32_t copies_left) {
+  auto bucket =
+      std::lower_bound(buckets.begin(), buckets.end(), msg.key, kKeyBefore);
+  if (bucket == buckets.end() || bucket->key != msg.key) {
+    bucket = buckets.insert(bucket, Bucket{msg.key, {}});
+  }
+  std::vector<Entry>& entries = bucket->entries;
+  const Entry entry{msg.id, &msg, copies_left};
+  if (entries.empty() || entries.back().id < msg.id) {
+    entries.push_back(entry);  // publications and most pickups arrive in order
+  } else {
+    auto at =
+        std::lower_bound(entries.begin(), entries.end(), msg.id, kIdBefore);
+    assert(at->id != msg.id);
+    entries.insert(at, entry);
+  }
+  expiry.add(msg.expiry(), msg.id);
+  ++size;
+}
+
+bool BsubProtocol::KeyedBuffer::erase(workload::KeyId key,
+                                      workload::MessageId id) {
+  Bucket* bucket = find(key);
+  if (bucket == nullptr) return false;
+  std::vector<Entry>& entries = bucket->entries;
+  auto at = std::lower_bound(entries.begin(), entries.end(), id, kIdBefore);
+  if (at == entries.end() || at->id != id) return false;
+  entries.erase(at);
+  --size;
+  return true;
+}
+
+BsubProtocol::KeyedBuffer::Bucket* BsubProtocol::KeyedBuffer::find(
+    workload::KeyId key) {
+  auto bucket =
+      std::lower_bound(buckets.begin(), buckets.end(), key, kKeyBefore);
+  return bucket != buckets.end() && bucket->key == key ? &*bucket : nullptr;
+}
+
+template <class Visit>
+bool BsubProtocol::visit_in_id_order(std::vector<Run>& runs,
+                                     std::uint64_t& visited, Visit&& visit) {
+  // A linear scan for the smallest head: a contact selects a handful of
+  // buckets (one per matching key), and with one run this is a plain loop.
+  std::size_t live = runs.size();
+  while (live > 0) {
+    std::size_t min = 0;
+    for (std::size_t r = 1; r < live; ++r) {
+      if (runs[r].front().id < runs[min].front().id) min = r;
+    }
+    ++visited;
+    if (!visit(runs[min].front())) return false;
+    runs[min] = runs[min].subspan(1);
+    if (runs[min].empty()) runs[min] = runs[--live];
+  }
+  return true;
+}
+
 void BsubProtocol::on_message_created(const workload::Message& msg,
                                       util::Time /*now*/) {
   // The simulator hands a reference into the workload's stable message
   // table, so the producer buffer borrows the payload instead of copying.
-  ProducerState& ps = producer_state(msg.producer);
-  ps.produced.emplace(
-      msg.id, OwnedMessage{sim::borrow_message(msg), config_.copy_limit});
+  produced_state(msg.producer).add(msg, config_.copy_limit);
   ++collector_->hot_path().payload_copies_avoided;
-  ps.expiry.add(msg.expiry(), msg.id);
 }
 
 void BsubProtocol::purge(trace::NodeId node, util::Time now) {
   // Null producer/carrier state reads as empty buffers: nothing to purge.
-  ProducerState* ps = producer_[node].get();
-  CarrierState* cs = carrier_[node].get();
-  // The expiry index proves in O(1) that nothing in produced expired since
-  // the last purge; otherwise only the due ids are visited (entries for
-  // messages that already left via copy exhaustion are stale and skipped). falsely_injected only ever names carried ids, so its
-  // rescan is needed only when the carried purge actually dropped copies.
+  if (KeyedBuffer* p = produced_[node].get()) purge_buffer(*p, now, nullptr);
+  if (CarrierState* cs = carrier_[node].get()) {
+    purge_buffer(cs->carried, now, &cs->falsely_injected);
+  }
+}
+
+void BsubProtocol::purge_buffer(
+    KeyedBuffer& buffer, util::Time now,
+    std::unordered_set<workload::MessageId>* falsely_injected) {
+  // The expiry index proves in O(1) that nothing expired since the last
+  // purge; otherwise it yields exactly the due ids. A due id that already
+  // left the buffer (copy budget spent, custody moved) is not found and
+  // skipped. Workload ids index the workload's message table, which names
+  // the id's bucket.
   auto& hp = collector_->hot_path();
-  if (ps != nullptr) {
-    sim::ExpiryIndex& idx = ps->expiry;
-    if (!idx.due(now)) {
-      ++hp.purge_scans_skipped;
-    } else {
-      ++hp.purge_scans_run;
-      auto& buffer = ps->produced;
-      idx.pop_due(now, [&](workload::MessageId id) {
-        auto it = buffer.find(id);
-        if (it != buffer.end() && it->second.msg->expired_at(now)) {
-          buffer.erase(it);
-        }
-      });
+  if (!buffer.expiry.due(now)) {
+    ++hp.purge_scans_skipped;
+    return;
+  }
+  ++hp.purge_scans_run;
+  const std::vector<workload::Message>& messages = workload_->messages();
+  buffer.expiry.pop_due(now, [&](workload::MessageId id) {
+    assert(messages[id].id == id);
+    if (buffer.erase(messages[id].key, id) && falsely_injected != nullptr) {
+      falsely_injected->erase(id);
     }
-  }
-  if (cs != nullptr && cs->carried.purge_expired(now) > 0) {
-    std::erase_if(cs->falsely_injected, [&](workload::MessageId id) {
-      return !cs->carried.contains(id);
-    });
-  }
+  });
 }
 
 void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
@@ -130,6 +199,9 @@ void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
   fc.genuine = interests_->make_genuine(interest_hashes(node));
   fc.genuine_bytes = bloom::encoded_tcbf_wire_size(
       fc.genuine, bloom::CounterEncoding::kUniform);
+  for (workload::KeyId k = 0; k < key_indices_.size(); ++k) {
+    if (fc.report.contains_at(key_indices(k))) fc.report_keys.push_back(k);
+  }
 }
 
 const BsubProtocol::NodeFilterCache& BsubProtocol::node_filters(
@@ -263,104 +335,129 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
                                            const bloom::Tcbf& filter_to,
                                            sim::Link& link) {
   // Rank carried messages by the peer's preference over ours; only positive
-  // preferences move (the peer is a strictly better custodian).
+  // preferences move (the peer is a strictly better custodian). The
+  // preference depends on the key alone: one preferential query per
+  // bucket, and only buckets the peer prefers are walked.
   struct Candidate {
     double pref;
     workload::MessageId id;
+    const workload::Message* msg;
   };
   CarrierState* cs_from = carrier_[from].get();
-  if (cs_from == nullptr) return;  // never carried anything: nothing to move
-  std::vector<Candidate> ranked;
-  for (const auto& [id, msg] : cs_from->carried) {
-    if (msg->producer == to) continue;
-    if (carries_or_carried(to, id)) continue;
+  if (cs_from == nullptr || cs_from->carried.size == 0) return;
+  thread_local std::vector<Candidate> ranked;
+  ranked.clear();
+  std::uint64_t visited = 0;
+  for (const KeyedBuffer::Bucket& bucket : cs_from->carried.buckets) {
+    if (bucket.entries.empty()) continue;
     // Preferential query over the interned bit positions (no re-deriving k
     // indices per filter); bit-identical to the hash-pair overload.
     const double pref = bloom::preference_at(filter_to, filter_from,
-                                             key_indices(msg->key));
-    if (pref > 0.0) ranked.push_back({pref, id});
+                                             key_indices(bucket.key));
+    if (pref <= 0.0) continue;
+    visited += bucket.entries.size();
+    for (const KeyedBuffer::Entry& e : bucket.entries) {
+      if (e.msg->producer == to || ever_carried(to, e.id)) continue;
+      ranked.push_back({pref, e.id, e.msg});
+    }
   }
+  if (visited == 0) return;  // the peer is no better custodian for any key
+  collector_->hot_path().buffer_entries_visited += visited;
   std::sort(ranked.begin(), ranked.end(), [](const Candidate& x,
                                              const Candidate& y) {
     return std::tie(y.pref, x.id) < std::tie(x.pref, y.id);  // pref desc
   });
 
+  std::uint64_t moved = 0;
   for (const Candidate& c : ranked) {
-    sim::MessageRef msg = cs_from->carried.find_ref(c.id);
-    if (!link.try_send(msg->size_bytes)) break;
-    collector_->record_forwarding(*msg);
-    traffic_broker_transfers_.fetch_add(1, std::memory_order_relaxed);
+    if (!link.try_send(c.msg->size_bytes)) break;
+    collector_->record_forwarding(*c.msg);
+    ++moved;
     CarrierState& cs_to = carrier_state(to);
-    cs_to.carried.add(msg);  // custody moves by sharing the payload
+    cs_to.carried.add(*c.msg, 0);  // custody moves by sharing the payload
     cs_to.carried_ever.insert(c.id);
-    if (cs_from->falsely_injected.contains(c.id)) {
+    if (cs_from->falsely_injected.erase(c.id) > 0) {
       cs_to.falsely_injected.insert(c.id);
     }
     // Single custody between brokers: the sender drops its copy.
-    cs_from->carried.remove(c.id);
-    cs_from->falsely_injected.erase(c.id);
+    cs_from->carried.erase(c.msg->key, c.id);
+  }
+  if (moved > 0) {
+    traffic_broker_transfers_.fetch_add(moved, std::memory_order_relaxed);
+    collector_->hot_path().payload_copies_avoided += moved;
   }
 }
 
 void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
                                    util::Time now, sim::Link& link) {
   // The consumer side reports a counter-less BF of its interests. Interests
-  // are static per run, so the cached report and its exact wire size are
-  // reused.
+  // are static per run, so the cached report, its exact wire size and the
+  // keys it matches are reused.
   const NodeFilterCache& fc = node_filters(to);
-  const bloom::BloomFilter& report = fc.report;
   if (!link.try_send(fc.report_bytes)) return;
   collector_->record_control_bytes(fc.report_bytes);
 
-  // Returns false when the link budget is exhausted; sets `accepted` when
-  // the consumer's true interest matches (it keeps the message and acks).
-  // `falsely_fn` defers the false-injection lookup to the (rare) moment a
-  // delivery actually happens; probes that miss pay nothing for it.
-  auto try_deliver = [&](const workload::Message& msg, auto&& falsely_fn,
-                         bool& accepted) -> bool {
-    accepted = false;
+  // Returns false when the link budget is exhausted. The consumer keeps the
+  // message (and acks) when its true interest matches. `falsely_fn` defers
+  // the false-injection lookup to the (rare) moment a delivery actually
+  // happens; probes that miss pay nothing for it.
+  auto try_deliver = [&](const workload::Message& msg, auto&& falsely_fn) {
     if (msg.producer == to) return true;
-    // Interned per-key bit positions: no per-probe index derivation.
-    if (!report.contains_at(key_indices(msg.key))) return true;
     if (collector_->delivered(msg.id, to)) return true;
     if (!link.try_send(msg.size_bytes)) return false;
     collector_->record_forwarding(msg);
     traffic_deliveries_.fetch_add(1, std::memory_order_relaxed);
-    accepted = workload_->is_interested(to, msg.key);
-    collector_->record_delivery(msg, to, now, accepted, falsely_fn());
+    collector_->record_delivery(msg, to, now,
+                                workload_->is_interested(to, msg.key),
+                                falsely_fn());
     return true;
   };
 
-  bool accepted = false;
-  auto not_falsely = [] { return false; };
-  if (const ProducerState* ps = producer_[from].get()) {
-    for (const auto& [id, owned] : ps->produced) {
-      if (!try_deliver(*owned.msg, not_falsely, accepted)) return;
+  // Only the buckets of keys in the report (and, if `relay` is set, still
+  // routed by it) are offered; merged by id, they go out in the order an
+  // id-sorted buffer filtered the same way would.
+  thread_local std::vector<Run> runs;
+  auto select = [&](KeyedBuffer& buffer, const bloom::Tcbf* relay) {
+    runs.clear();
+    for (workload::KeyId k : fc.report_keys) {
+      KeyedBuffer::Bucket* bucket = buffer.find(k);
+      if (bucket == nullptr || bucket->entries.empty()) continue;
+      if (relay != nullptr && !relay->contains_at(key_indices(k))) continue;
+      runs.emplace_back(bucket->entries);
     }
+  };
+  std::uint64_t visited = 0;
+  bool link_open = true;
+  KeyedBuffer* produced = produced_[from].get();
+  if (produced != nullptr && produced->size > 0) {
+    select(*produced, nullptr);
+    link_open = visit_in_id_order(runs, visited, [&](KeyedBuffer::Entry& e) {
+      return try_deliver(*e.msg, [] { return false; });
+    });
   }
   // Carried copies stay in custody after a delivery so one replica can
   // serve several subscribers of the same key; the per-broker carried_ever
   // memory already bounds how far a copy can wander between brokers.
-  // Reverse-path gating: a broker offers a copy only while its relay filter
-  // still routes the key (section V-C's delivery tree). Demoted ex-brokers
-  // have no relay authority anymore; they serve their leftover copies
-  // ungated until TTL (they cannot acquire new ones).
+  // Reverse-path gating: a broker offers a key's copies only while its
+  // relay filter still routes the key (section V-C's delivery tree).
+  // Demoted ex-brokers have no relay authority anymore; they serve their
+  // leftover copies ungated until TTL (they cannot acquire new ones).
   CarrierState* cs = carrier_[from].get();
-  if (cs == nullptr) return;  // never carried: nothing more to offer
-  const bloom::Tcbf* relay = nullptr;
-  if (config_.relay_gated_delivery && !cs->carried.empty() &&
-      election_->is_broker(from)) {
-    relay = &interests_->relay(from, now);
-  }
-  for (const auto& [id, msg] : cs->carried) {
-    if (relay != nullptr && !relay->contains_at(key_indices(msg->key))) {
-      continue;
+  if (link_open && cs != nullptr && cs->carried.size > 0) {
+    const bloom::Tcbf* relay = nullptr;
+    if (config_.relay_gated_delivery && election_->is_broker(from)) {
+      relay = &interests_->relay(from, now);
     }
-    auto falsely = [&, &id = id] {
-      return cs->falsely_injected.contains(id);
-    };
-    if (!try_deliver(*msg, falsely, accepted)) return;
+    select(cs->carried, relay);
+    visit_in_id_order(runs, visited, [&](KeyedBuffer::Entry& e) {
+      return try_deliver(*e.msg, [&] {
+        return cs->falsely_injected.contains(e.id);
+      });
+    });
   }
+  // Shared counters are bumped only with something to add: most contacts
+  // of a sparse city walk nothing, and concurrent workers would contend.
+  if (visited > 0) collector_->hot_path().buffer_entries_visited += visited;
 }
 
 void BsubProtocol::propagate_interest(trace::NodeId consumer,
@@ -415,48 +512,59 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   fpr_probes_.fetch_add(8, std::memory_order_relaxed);
   fpr_hits_.fetch_add(local_hits, std::memory_order_relaxed);
 
-  ProducerState* ps = producer_[producer].get();
-  if (ps == nullptr) return;  // never produced: nothing to pick up
-  for (auto it = ps->produced.begin(); it != ps->produced.end();) {
-    OwnedMessage& owned = it->second;
-    const workload::Message& msg = *owned.msg;
-    const std::string& key = key_name(msg.key);
-    if (owned.copies_left == 0 || carries_or_carried(broker, msg.id) ||
-        !relay.contains_at(key_indices(msg.key))) {
-      ++it;
-      continue;
+  KeyedBuffer* produced = produced_[producer].get();
+  if (produced == nullptr || produced->size == 0) return;  // nothing to pick
+  // The relay match is per key: only the buckets it passes are walked,
+  // merged by id. The ground-truth lookup is per key too, made at a key's
+  // first pickup (-1: not asked yet).
+  thread_local std::vector<Run> runs;
+  thread_local std::vector<signed char> genuine;
+  runs.clear();
+  genuine.resize(key_indices_.size());
+  for (KeyedBuffer::Bucket& bucket : produced->buckets) {
+    if (!bucket.entries.empty() &&
+        relay.contains_at(key_indices(bucket.key))) {
+      runs.emplace_back(bucket.entries);
+      genuine[bucket.key] = -1;
     }
-    if (!link.try_send(msg.size_bytes)) break;
+  }
+  // A message whose copy budget runs out leaves the producer (V-D); erased
+  // after the walk, which holds spans into the buckets.
+  thread_local std::vector<const workload::Message*> exhausted;
+  exhausted.clear();
+  std::uint64_t visited = 0;
+  std::uint64_t picked = 0;
+  visit_in_id_order(runs, visited, [&](KeyedBuffer::Entry& e) {
+    if (e.copies_left == 0 || ever_carried(broker, e.id)) return true;
+    const workload::Message& msg = *e.msg;
+    if (!link.try_send(msg.size_bytes)) return false;
     collector_->record_forwarding(msg);
-    traffic_pickups_.fetch_add(1, std::memory_order_relaxed);
+    ++picked;
     CarrierState& cs = carrier_state(broker);
-    cs.carried.add(owned.msg);  // share the producer's payload
+    cs.carried.add(msg, 0);  // share the producer's payload
     cs.carried_ever.insert(msg.id);
     // Ground truth: a pickup whose key the relay never genuinely absorbed is
     // a false injection (Bloom false positive of the relay filter).
-    if (!interests_->genuinely_contains(broker, key, now)) {
+    if (genuine[msg.key] < 0) {
+      genuine[msg.key] =
+          interests_->genuinely_contains(broker, key_name(msg.key), now);
+    }
+    if (genuine[msg.key] == 0) {
       cs.falsely_injected.insert(msg.id);
       false_injections_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (--owned.copies_left == 0) {
-      // Copy budget exhausted: the producer forgets the message (V-D).
-      it = ps->produced.erase(it);
-    } else {
-      ++it;
-    }
+    if (--e.copies_left == 0) exhausted.push_back(&msg);
+    return true;
+  });
+  if (visited == 0) return;
+  for (const workload::Message* msg : exhausted) {
+    produced->erase(msg->key, msg->id);
   }
-}
-
-void BsubProtocol::on_end(util::Time /*now*/) {
-  // Fold per-store hot-path accounting into the run's metrics so benches
-  // and differential tests can read it off RunResults.
   auto& hp = collector_->hot_path();
-  for (const auto& cs : carrier_) {
-    if (cs == nullptr) continue;  // never carried: zero stats by definition
-    const sim::MessageStore::Stats& s = cs->carried.stats();
-    hp.purge_scans_skipped += s.purges_skipped;
-    hp.purge_scans_run += s.purges_scanned;
-    hp.payload_copies_avoided += s.shared_adds;
+  hp.buffer_entries_visited += visited;
+  if (picked > 0) {
+    traffic_pickups_.fetch_add(picked, std::memory_order_relaxed);
+    hp.payload_copies_avoided += picked;
   }
 }
 

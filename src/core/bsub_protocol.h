@@ -32,7 +32,6 @@
 #include "core/config.h"
 #include "core/interest_manager.h"
 #include "sim/expiry_index.h"
-#include "sim/message_store.h"
 #include "sim/protocol.h"
 
 namespace bsub::core {
@@ -50,7 +49,6 @@ class BsubProtocol final : public sim::Protocol {
                           util::Time now) override;
   void on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
                   util::Time duration, sim::Link& link) override;
-  void on_end(util::Time now) override;
   const char* name() const override { return "B-SUB"; }
 
   /// All mutable run state is per-node (buffers, filters, caches keyed by
@@ -97,45 +95,79 @@ class BsubProtocol final : public sim::Protocol {
   double measured_relay_fpr() const;
 
  private:
-  struct OwnedMessage {
-    sim::MessageRef msg;  ///< borrowed from the workload's message table
-    std::uint32_t copies_left;
+  /// A node's produced or carried messages, bucketed by key: one bucket per
+  /// key the buffer has held, in key order, each bucket's entries in id
+  /// order. Every forwarding question B-SUB asks of a buffered message (is
+  /// its key in the peer's report, does my relay still route it, what is
+  /// its preference) has a per-key answer, so a contact asks it once per
+  /// bucket and walks only the buckets that pass. Merging those by id
+  /// (visit_in_id_order) yields the messages in the order one id-sorted
+  /// buffer would, so the send order under the byte budget is id order.
+  /// A bucket stays when it empties, so a key that comes back reuses its
+  /// capacity; there are at most as many buckets as keys.
+  struct KeyedBuffer {
+    struct Entry {
+      workload::MessageId id;
+      const workload::Message* msg;  ///< borrowed from the workload's table
+      std::uint32_t copies_left;     ///< produced: broker copies left
+    };
+    struct Bucket {
+      workload::KeyId key;
+      std::vector<Entry> entries;  ///< id order
+    };
+
+    std::vector<Bucket> buckets;  ///< key order
+    std::size_t size = 0;         ///< entries over all buckets
+    /// Every entry's (expiry, id); purge pops only the due ones. An entry
+    /// that leaves early (copy budget spent, custody moved) goes stale in
+    /// here and is skipped when it comes due.
+    sim::ExpiryIndex expiry;
+
+    /// Adds a message (its id must not be buffered already).
+    void add(const workload::Message& msg, std::uint32_t copies_left);
+    /// Erases (key, id); false if it is not buffered.
+    bool erase(workload::KeyId key, workload::MessageId id);
+    /// The key's bucket, or null if the buffer never held the key.
+    Bucket* find(workload::KeyId key);
   };
 
-  /// Per-node producer state, materialized on first publication. Only nodes
-  /// that actually produce pay for the buffer + expiry index; everyone else
-  /// costs one null pointer. A null entry reads as an empty buffer.
-  struct ProducerState {
-    /// Messages this node produced, with remaining broker-copy budget.
-    std::map<workload::MessageId, OwnedMessage> produced;
-    /// Expiry index over `produced`: purge pops only due entries instead
-    /// of scanning the whole buffer. Entries go stale when a message leaves
-    /// early (copy budget exhausted), skipped lazily.
-    sim::ExpiryIndex expiry;
-  };
+  /// The not-yet-visited entries of one selected bucket.
+  using Run = std::span<KeyedBuffer::Entry>;
+  /// Calls visit(entry) on the entries of `runs` in ascending id order until
+  /// it returns false; counts each entry visited. Returns false iff visit
+  /// stopped the walk. Consumes `runs`.
+  template <class Visit>
+  static bool visit_in_id_order(std::vector<Run>& runs,
+                                std::uint64_t& visited, Visit&& visit);
 
   /// Per-node broker-custody state, materialized on the first copy taken
-  /// into custody. Only nodes that ever carried pay for the store and the
-  /// two id sets; a null entry reads as an empty store.
+  /// into custody. Only nodes that ever carried pay for the buffer and the
+  /// two id sets; a null entry reads as an empty buffer.
   struct CarrierState {
     /// Messages this node carries for others.
-    sim::MessageStore carried;
-    /// Copies whose pickup was a relay false positive.
+    KeyedBuffer carried;
+    /// Copies whose pickup was a relay false positive (a subset of carried).
     std::unordered_set<workload::MessageId> falsely_injected;
-    /// Loop prevention: ids ever held — refused again, so a copy's
-    /// broker-to-broker walk visits each broker at most once.
+    /// Loop prevention: ids ever held, including every id in carried —
+    /// refused again, so a copy's broker-to-broker walk visits each broker
+    /// at most once.
     std::unordered_set<workload::MessageId> carried_ever;
   };
 
   /// Per-node wire artifacts that are static for a run (a node's interest
   /// set never changes after on_start): the counter-less interest report,
-  /// the genuine filter, and their exact encoded sizes. Built on first use;
-  /// every later contact reuses them (an encode-cache hit).
+  /// the genuine filter, their exact encoded sizes, and the keys the report
+  /// matches. Built on first use; every later contact reuses them (an
+  /// encode-cache hit).
   struct NodeFilterCache {
     bloom::BloomFilter report;
     std::size_t report_bytes = 0;
     bloom::Tcbf genuine;
     std::size_t genuine_bytes = 0;
+    /// Every key of the universe the report contains, ascending: the
+    /// node's interests plus the report's Bloom false positives. Direct
+    /// delivery offers exactly these keys' buckets.
+    std::vector<workload::KeyId> report_keys;
   };
 
   const std::string& key_name(workload::KeyId key) const;
@@ -166,9 +198,9 @@ class BsubProtocol final : public sim::Protocol {
   /// Materializing accessors (only the contact's own endpoints are ever
   /// touched, so writes to the pointer slots are race-free under
   /// node-disjoint batches, same as every other per-node vector here).
-  ProducerState& producer_state(trace::NodeId node) {
-    auto& p = producer_[node];
-    if (p == nullptr) p = std::make_unique<ProducerState>();
+  KeyedBuffer& produced_state(trace::NodeId node) {
+    auto& p = produced_[node];
+    if (p == nullptr) p = std::make_unique<KeyedBuffer>();
     return *p;
   }
   CarrierState& carrier_state(trace::NodeId node) {
@@ -176,15 +208,20 @@ class BsubProtocol final : public sim::Protocol {
     if (c == nullptr) c = std::make_unique<CarrierState>();
     return *c;
   }
-  /// Read-only view of a node's carried set; null-safe (null = never
-  /// carried = empty).
-  bool carries_or_carried(trace::NodeId node, workload::MessageId id) const {
+  /// Custody check: has `node` ever held `id`? Covers what it holds now,
+  /// since every carried id enters carried_ever. Null-safe (null = never
+  /// carried).
+  bool ever_carried(trace::NodeId node, workload::MessageId id) const {
     const CarrierState* c = carrier_[node].get();
-    return c != nullptr &&
-           (c->carried.contains(id) || c->carried_ever.contains(id));
+    return c != nullptr && c->carried_ever.contains(id);
   }
 
   void purge(trace::NodeId node, util::Time now);
+  /// Erases exactly the entries `buffer`'s expiry index reports due at
+  /// `now`, and drops the erased ids from `falsely_injected` (null for a
+  /// producer buffer).
+  void purge_buffer(KeyedBuffer& buffer, util::Time now,
+                    std::unordered_set<workload::MessageId>* falsely_injected);
   void broker_exchange(trace::NodeId a, trace::NodeId b, util::Time now,
                        sim::Link& link);
   void forward_between_brokers(trace::NodeId from, trace::NodeId to,
@@ -207,8 +244,9 @@ class BsubProtocol final : public sim::Protocol {
   /// Lazy per-node producer/custody state: one pointer per node, null until
   /// the node first publishes / first takes custody. The overwhelming
   /// majority of nodes at city scale never do either, so they cost 16 bytes
-  /// here instead of ~260 bytes of empty container headers.
-  std::vector<std::unique_ptr<ProducerState>> producer_;
+  /// here instead of ~260 bytes of empty container headers. Produced
+  /// entries carry the message's remaining broker-copy budget.
+  std::vector<std::unique_ptr<KeyedBuffer>> produced_;
   std::vector<std::unique_ptr<CarrierState>> carrier_;
 
   /// Interest name/hash caches, CSR-indexed by node (built at on_start).

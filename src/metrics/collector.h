@@ -69,6 +69,10 @@ struct HotPathStats {
   std::uint64_t encode_cache_misses = 0;  ///< wire encodings recomputed
   std::uint64_t payload_copies_avoided = 0;  ///< buffered via shared payload
   std::uint64_t payload_copies_made = 0;     ///< buffered via deep copy
+  /// Buffered messages B-SUB's contact steps examined: direct delivery,
+  /// pickup and broker forwarding, each counting the entries of the key
+  /// buckets it walked (purge pops only due ids and is not counted).
+  std::uint64_t buffer_entries_visited = 0;
 
   void merge(const HotPathStats& o) {
     purge_scans_skipped += o.purge_scans_skipped;
@@ -77,6 +81,7 @@ struct HotPathStats {
     encode_cache_misses += o.encode_cache_misses;
     payload_copies_avoided += o.payload_copies_avoided;
     payload_copies_made += o.payload_copies_made;
+    buffer_entries_visited += o.buffer_entries_visited;
   }
 };
 
@@ -143,12 +148,16 @@ struct HotPathCounters {
   RelaxedCounter encode_cache_misses;
   RelaxedCounter payload_copies_avoided;
   RelaxedCounter payload_copies_made;
+  /// Bumped once per protocol step with that step's local count, so
+  /// concurrent workers never contend per entry.
+  RelaxedCounter buffer_entries_visited;
 
   HotPathStats snapshot() const {
     return HotPathStats{purge_scans_skipped.load(), purge_scans_run.load(),
                         encode_cache_hits.load(),   encode_cache_misses.load(),
                         payload_copies_avoided.load(),
-                        payload_copies_made.load()};
+                        payload_copies_made.load(),
+                        buffer_entries_visited.load()};
   }
 };
 
