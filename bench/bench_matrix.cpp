@@ -21,8 +21,8 @@
 //   5. Control-plane class: PULL and B-SUB pay control bytes; PUSH and
 //      SPRAY must report exactly zero.
 //
-// `--smoke` runs the CI slice: haggle x {B-SUB, PUSH} x {1, 4} threads
-// with gates 1, 2 and 5.
+// `--smoke` runs the CI slice: haggle x {B-SUB, PUSH, PULL,
+// SPRAY:copies=3} x {1, 4} threads with gates 1, 2, 3 and 5.
 #include "scale_common.h"
 
 #include <cstring>
@@ -163,10 +163,8 @@ int main(int argc, char** argv) {
       smoke ? std::vector<Scene>{Scene::kHaggle}
             : std::vector<Scene>{Scene::kHaggle, Scene::kReality,
                                  Scene::kCity};
-  const std::vector<std::string> protocols =
-      smoke ? std::vector<std::string>{kTunedBsub, "PUSH"}
-            : std::vector<std::string>{kTunedBsub, "PUSH", "PULL",
-                                       "SPRAY:copies=3"};
+  const std::vector<std::string> protocols = {kTunedBsub, "PUSH", "PULL",
+                                              "SPRAY:copies=3"};
   const std::vector<std::size_t> thread_counts = {1, 4};
 
   std::vector<MatrixPoint> points;

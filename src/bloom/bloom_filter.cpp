@@ -53,6 +53,14 @@ void BloomFilter::set_bit(std::size_t i) {
   touch();
 }
 
+void BloomFilter::set_bits_at(std::span<const std::size_t> positions) {
+  for (const std::size_t i : positions) {
+    assert(i < params_.m);
+    words_[i / 64] |= 1ULL << (i % 64);
+  }
+  touch();
+}
+
 std::size_t BloomFilter::popcount() const {
   std::size_t n = 0;
   for (std::uint64_t w : words_) n += static_cast<std::size_t>(std::popcount(w));

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -55,6 +56,11 @@ class BloomFilter {
   /// Direct bit access (used by the TCBF and the codec).
   bool test_bit(std::size_t i) const;
   void set_bit(std::size_t i);
+
+  /// Sets every bit in `positions` as one mutation: the epoch advances once,
+  /// however many bits are set (decoders and projections build whole
+  /// filters this way).
+  void set_bits_at(std::span<const std::size_t> positions);
 
   /// Number of set bits.
   std::size_t popcount() const;

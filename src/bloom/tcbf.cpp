@@ -141,7 +141,7 @@ BloomFilter Tcbf::to_bloom_filter() const {
   BloomFilter bf(params_);
   std::vector<std::size_t> bits;
   set_bits_into(bits);
-  for (const std::size_t i : bits) bf.set_bit(i);
+  bf.set_bits_at(bits);
   return bf;
 }
 

@@ -380,9 +380,7 @@ BloomFilter decode_bloom(std::span<const std::uint8_t> data) {
                            std::to_string(r.remaining()));
   }
   BloomFilter bf(params);
-  for (std::size_t b : read_positions(r, params.m, count, layout)) {
-    bf.set_bit(b);
-  }
+  bf.set_bits_at(read_positions(r, params.m, count, layout));
   r.expect_end("BF encoding");
   return bf;
 }

@@ -167,9 +167,8 @@ void BsubProtocol::purge(trace::NodeId node, util::Time now) {
   }
 }
 
-void BsubProtocol::purge_buffer(
-    KeyedBuffer& buffer, util::Time now,
-    std::unordered_set<workload::MessageId>* falsely_injected) {
+void BsubProtocol::purge_buffer(KeyedBuffer& buffer, util::Time now,
+                                util::DenseIdSet* falsely_injected) {
   // The expiry index proves in O(1) that nothing expired since the last
   // purge; otherwise it yields exactly the due ids. A due id that already
   // left the buffer (copy budget spent, custody moved) is not found and
@@ -376,7 +375,7 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
     CarrierState& cs_to = carrier_state(to);
     cs_to.carried.add(*c.msg, 0);  // custody moves by sharing the payload
     cs_to.carried_ever.insert(c.id);
-    if (cs_from->falsely_injected.erase(c.id) > 0) {
+    if (cs_from->falsely_injected.erase(c.id)) {
       cs_to.falsely_injected.insert(c.id);
     }
     // Single custody between brokers: the sender drops its copy.

@@ -32,7 +32,7 @@ void Collector::record_delivery(const workload::Message& msg,
                                 trace::NodeId node, util::Time now,
                                 bool interested, bool falsely_injected) {
   NodeLog& log = node_log(node);
-  if (!log.delivered.insert(msg.id).second) return;
+  if (!log.delivered.insert(msg.id)) return;
   if (interested) {
     ++log.interested;
     log.delay_minutes.push_back(util::to_minutes(now - msg.created));

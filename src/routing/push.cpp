@@ -1,7 +1,5 @@
 #include "routing/push.h"
 
-#include <algorithm>
-
 namespace bsub::routing {
 
 void PushProtocol::on_start(const sim::ScenarioInfo& scenario,
@@ -10,25 +8,14 @@ void PushProtocol::on_start(const sim::ScenarioInfo& scenario,
   workload_ = &workload;
   collector_ = &collector;
   buffers_.assign(scenario.node_count, {});
-  seen_.assign(scenario.node_count, nullptr);
-  seen_words_ = (workload.messages().size() + 63) / 64;
+  seen_.assign(scenario.node_count, {});
   expiry_.assign(scenario.node_count, {});
-}
-
-void PushProtocol::mark_seen(trace::NodeId node, workload::MessageId id) {
-  std::uint64_t* bits = seen_[node];
-  if (bits == nullptr) {
-    bits = seen_pool_.acquire_array<std::uint64_t>(seen_words_);
-    std::fill(bits, bits + seen_words_, 0);
-    seen_[node] = bits;
-  }
-  bits[id >> 6] |= std::uint64_t{1} << (id & 63);
 }
 
 void PushProtocol::on_message_created(const workload::Message& msg,
                                       util::Time /*now*/) {
   buffers_[msg.producer].push_back(msg.id);
-  mark_seen(msg.producer, msg.id);
+  seen_[msg.producer].insert(msg.id);
   expiry_[msg.producer].add(msg.expiry(), msg.id);
 }
 
@@ -43,12 +30,13 @@ void PushProtocol::on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
 void PushProtocol::transfer(trace::NodeId from, trace::NodeId to,
                             util::Time now, sim::Link& link) {
   const auto& messages = workload_->messages();
+  util::DenseIdSet& seen = seen_[to];
   for (workload::MessageId id : buffers_[from]) {
-    if (seen(to, id)) continue;
+    if (seen.contains(id)) continue;
     const workload::Message& msg = messages[id];
     if (!link.try_send(msg.size_bytes)) break;
     collector_->record_forwarding(msg);
-    mark_seen(to, id);
+    seen.insert(id);
     buffers_[to].push_back(id);
     expiry_[to].add(msg.expiry(), id);
     if (workload_->is_interested(to, msg.key)) {

@@ -10,7 +10,7 @@
 
 #include "sim/expiry_index.h"
 #include "sim/protocol.h"
-#include "util/pool.h"
+#include "util/id_set.h"
 
 namespace bsub::routing {
 
@@ -33,24 +33,14 @@ class PushProtocol final : public sim::Protocol {
                 sim::Link& link);
   void purge(trace::NodeId node, util::Time now);
 
-  // seen(n, id): n already has (or had) a copy; prevents re-replication.
-  // Bitmaps are lazy and pooled: a node that never receives a copy costs
-  // one null pointer instead of an O(messages) bit vector — the eager
-  // layout was O(nodes x messages) up front, the dominant PUSH footprint
-  // at city scale.
-  bool seen(trace::NodeId node, workload::MessageId id) const {
-    const std::uint64_t* bits = seen_[node];
-    return bits != nullptr && (bits[id >> 6] >> (id & 63) & 1) != 0;
-  }
-  void mark_seen(trace::NodeId node, workload::MessageId id);
-
   const workload::Workload* workload_ = nullptr;
   metrics::Collector* collector_ = nullptr;
   // buffers_[n]: ids of live messages held by n, in acquisition order.
   std::vector<std::vector<workload::MessageId>> buffers_;
-  std::vector<std::uint64_t*> seen_;
-  std::size_t seen_words_ = 0;  ///< bitmap words per node (fixed per run)
-  util::BlockPool seen_pool_;
+  // seen_[n]: ids n has (or had) a copy of; prevents re-replication. A node
+  // that never receives a copy allocates nothing; one that does holds bits
+  // up to the highest id it has seen.
+  std::vector<util::DenseIdSet> seen_;
   // expiry_[n]: earliest-expiry gate over buffers_[n]; a purge scans only
   // when some held copy could actually have expired, so contacts with
   // nothing expired cost O(1).

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/tcbf.h"
@@ -179,6 +181,39 @@ TEST(EncodeCache, EpochsAreProcessUnique) {
   EXPECT_NE(t1.epoch(), t2.epoch());
   EXPECT_NE(t1.epoch(), 0u);  // 0 is the empty-cache sentinel
   EXPECT_NE(t2.epoch(), 0u);
+}
+
+/// Epochs `build` takes from the process-wide counter (the second probe
+/// takes one more).
+template <class Build>
+std::uint64_t epochs_taken(Build&& build) {
+  const std::uint64_t before = next_filter_epoch();
+  build();
+  return next_filter_epoch() - before - 1;
+}
+
+TEST(EncodeCache, WholeFilterBuildsTakeEpochsIndependentOfFill) {
+  // Decoding a Bloom filter and projecting a TCBF onto one each build a
+  // whole filter: one mutation, however many bits it sets.
+  std::vector<std::uint64_t> decode_epochs;
+  std::vector<std::uint64_t> project_epochs;
+  std::vector<std::size_t> fills;
+  for (const int keys : {1, 8, 30, 120}) {
+    Tcbf t({256, 4}, 50.0);
+    for (int i = 0; i < keys; ++i) t.insert("key-" + std::to_string(i));
+    const BloomFilter projected = t.to_bloom_filter();
+    const std::vector<std::uint8_t> bytes = encode_bloom(projected);
+    fills.push_back(projected.popcount());
+    project_epochs.push_back(epochs_taken([&] { (void)t.to_bloom_filter(); }));
+    decode_epochs.push_back(epochs_taken([&] {
+      EXPECT_EQ(decode_bloom(bytes), projected);
+    }));
+  }
+  ASSERT_LT(fills.front(), fills.back());  // the fills really differ
+  for (std::size_t i = 1; i < fills.size(); ++i) {
+    EXPECT_EQ(decode_epochs[i], decode_epochs[0]) << fills[i] << " bits";
+    EXPECT_EQ(project_epochs[i], project_epochs[0]) << fills[i] << " bits";
+  }
 }
 
 TEST(EncodeCache, ContainsAtMatchesContains) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "bloom/tcbf_codec.h"
 #include "sim/simulator.h"
@@ -195,6 +197,78 @@ TEST(BsubProtocol, NoBackwardForwardingBetweenBrokers) {
   auto before = h.collector.results().forwardings;
   h.meet(1, 2, 21.0);  // must not move again
   EXPECT_EQ(h.collector.results().forwardings, before);
+}
+
+TEST(BsubProtocol, FalselyInjectedCopyKeepsItsMarkAcrossCustody) {
+  // Broker 1's relay holds "target"'s bits only because other keys'
+  // genuine filters set them, so its pickup of a "target" message is a
+  // false injection. Custody then moves the copy to broker 2, which a real
+  // "target" subscriber primed, and broker 2 hands it to that subscriber:
+  // an interested delivery that still counts as a false one.
+  const bloom::BloomParams params = pinned_roles_config().filter_params;
+  std::vector<workload::KeyInfo> universe = {{"target", 0}, {"filler", 0}};
+  int n = 0;
+  for (const std::size_t bit : util::bloom_indices(util::hash_pair("target"),
+                                                   params.k, params.m)) {
+    for (;; ++n) {  // the next "cover-<n>" that sets this bit of "target"
+      const std::string name = "cover-" + std::to_string(n);
+      const util::IndexArray bits =
+          util::bloom_indices(util::hash_pair(name), params.k, params.m);
+      if (std::find(bits.begin(), bits.end(), bit) != bits.end()) {
+        universe.push_back({name, 0});
+        ++n;
+        break;
+      }
+    }
+  }
+  for (workload::KeyInfo& key : universe) {
+    key.weight = 1.0 / static_cast<double>(universe.size());
+  }
+  const workload::KeySet keys(universe);
+  constexpr workload::KeyId kTarget = 0;
+  constexpr workload::KeyId kFiller = 1;
+  std::vector<workload::KeyId> covers;
+  for (workload::KeyId k = 2; k < keys.size(); ++k) covers.push_back(k);
+  bloom::BloomFilter filler_report(params);
+  filler_report.insert("filler");
+  ASSERT_FALSE(filler_report.contains("target"));
+
+  // 0 produces; 1 and 2 are brokers; 3 subscribes to the cover keys, 4 to
+  // "target".
+  const trace::ContactTrace trace(5, {contact(0, 1, 0)});
+  const workload::Workload workload(
+      keys, 5, {{kFiller}, {kFiller}, {kFiller}, covers, {kTarget}},
+      {make_message(0, kTarget, 0)});
+  metrics::Collector collector;
+  BsubProtocol proto(pinned_roles_config());
+  proto.on_start(trace, workload, collector);
+  proto.election_mutable().set_broker(1, true);
+  proto.election_mutable().set_broker(2, true);
+  proto.on_message_created(workload.messages()[0], 0);
+  auto meet = [&](trace::NodeId a, trace::NodeId b, double minute) {
+    sim::Link link = big_link();
+    proto.on_contact(a, b, from_minutes(minute), util::kHour, link);
+  };
+
+  meet(3, 1, 1.0);  // the cover keys set every bit of "target" in relay 1
+  ASSERT_TRUE(proto.interests().relay_snapshot(1).contains("target"));
+  meet(4, 2, 2.0);  // the subscriber primes broker 2 twice
+  meet(4, 2, 3.0);
+  meet(0, 1, 4.0);  // pickup on the relay false positive
+  ASSERT_EQ(proto.traffic().pickups, 1u);
+  ASSERT_EQ(proto.false_injections(), 1u);
+  ASSERT_GT(bloom::preference(proto.interests().relay_snapshot(2),
+                              proto.interests().relay_snapshot(1), "target"),
+            0.0);
+  meet(1, 2, 5.0);  // custody moves to the better broker
+  ASSERT_EQ(proto.traffic().broker_transfers, 1u);
+  ASSERT_EQ(collector.results().interested_deliveries, 0u);
+  meet(2, 4, 6.0);
+  const metrics::RunResults r = collector.results();
+  EXPECT_EQ(proto.traffic().deliveries, 1u);
+  EXPECT_EQ(r.interested_deliveries, 1u);
+  EXPECT_EQ(r.false_deliveries, 1u);
+  EXPECT_DOUBLE_EQ(r.false_positive_rate, 1.0);
 }
 
 TEST(BsubProtocol, DecayErasesStaleInterests) {

@@ -158,5 +158,36 @@ TEST(Collector, FalseDeliveryAlsoDedupes) {
   EXPECT_EQ(r.false_deliveries, 1u);
 }
 
+TEST(Collector, OutOfOrderFarApartIdsKeepDedupAndTotals) {
+  // A node's delivered set is a bitmap grown to the highest id it holds: a
+  // far id first, then low ids across word boundaries, then every id again.
+  Collector c;
+  c.set_expected(200000, 10);
+  const workload::MessageId ids[] = {150000, 3, 64, 63, 65, 0, 100001};
+  for (workload::MessageId id : ids) {
+    c.record_delivery(msg(id), 1, util::kMinute, true);
+  }
+  c.record_delivery(msg(7), 1, util::kMinute, false);
+  for (workload::MessageId id : ids) {
+    c.record_delivery(msg(id), 1, 2 * util::kMinute, true);  // ignored
+  }
+  c.record_delivery(msg(7), 1, 2 * util::kMinute, true);  // ignored
+  for (workload::MessageId id : ids) EXPECT_TRUE(c.delivered(id, 1)) << id;
+  EXPECT_TRUE(c.delivered(7, 1));
+  for (workload::MessageId id : {1u, 62u, 66u, 149999u, 150001u, 999999u}) {
+    EXPECT_FALSE(c.delivered(id, 1)) << id;
+  }
+  EXPECT_FALSE(c.delivered(150000, 2));  // another node's set
+  for (int i = 0; i < 4; ++i) c.record_forwarding(msg(0));
+  const RunResults r = c.results();
+  EXPECT_DOUBLE_EQ(r.forwardings_per_delivery, 4.0 / 8.0);
+  EXPECT_EQ(r.interested_deliveries, 7u);
+  EXPECT_EQ(r.false_deliveries, 1u);
+  EXPECT_DOUBLE_EQ(r.false_positive_rate, 1.0 / 8.0);
+  EXPECT_DOUBLE_EQ(r.delivery_ratio, 0.7);
+  EXPECT_DOUBLE_EQ(r.mean_delay_minutes, 1.0);  // first deliveries only
+  EXPECT_DOUBLE_EQ(r.max_delay_minutes, 1.0);
+}
+
 }  // namespace
 }  // namespace bsub::metrics
