@@ -6,9 +6,9 @@
 // harness) — the same protocol ran, just on live sessions over real
 // reactors — and the real-UDP engine completes every contact.
 //
-// Full points: a 10k-node loopback differential, the poll vs epoll
-// readiness backends over batched shard sockets at 10k nodes, and a dense
-// 10k-node epoll point for throughput + delivery-latency percentiles.
+// Full points: a 10k-node loopback differential, a 10k-node real-UDP point
+// over the shard sockets, and a dense 10k-node real-UDP point for
+// throughput + delivery-latency percentiles.
 // `--smoke` runs the CI subset: a 256-node loopback differential and a
 // 64-node real-UDP run, same gates.
 //
@@ -40,8 +40,6 @@ struct PointSpec {
   const char* label;
   FleetPoint point;
   bool udp = false;
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
-  bool batched = false;
   std::uint16_t base_port = 0;
   bool differential = false;  ///< loopback only
 };
@@ -85,35 +83,20 @@ struct PointResult {
 };
 
 std::vector<PointSpec> full_points() {
-  constexpr FleetPoint kCompare{10000, 8000, 100};
+  constexpr FleetPoint kSparse{10000, 8000, 100};
   constexpr FleetPoint kDense{10000, 80000, 500};
   return {
-      {"loopback-10k", kDense, false, net::ReactorBackend::kAuto, false, 0,
-       /*differential=*/true},
-      {"udp-10k-poll", kCompare, true, net::ReactorBackend::kPoll,
-       true, 47600},
-      {"udp-10k-epoll", kCompare, true, net::ReactorBackend::kEpoll,
-       true, 47600},
-      {"udp-10k-dense", kDense, true, net::ReactorBackend::kEpoll, true,
-       47700},
+      {"loopback-10k", kDense, false, 0, /*differential=*/true},
+      {"udp-10k", kSparse, true, 47600},
+      {"udp-10k-dense", kDense, true, 47700},
   };
 }
 
 std::vector<PointSpec> smoke_points() {
   return {
-      {"loopback-256", {256, 2048, 64}, false, net::ReactorBackend::kAuto,
-       false, 0, /*differential=*/true},
-      {"udp-64", {64, 1000, 50}, true, net::ReactorBackend::kAuto,
-       net::fleet_udp_batched_available(), 47800},
+      {"loopback-256", {256, 2048, 64}, false, 0, /*differential=*/true},
+      {"udp-64", {64, 1000, 50}, true, 47800},
   };
-}
-
-/// True when this platform can run the point as specified.
-bool point_available(const PointSpec& spec) {
-  if (!spec.udp) return true;
-  if (!net::reactor_backend_available(spec.backend)) return false;
-  if (spec.batched && !net::fleet_udp_batched_available()) return false;
-  return true;
 }
 
 PointResult run_point(const PointSpec& spec) {
@@ -121,10 +104,8 @@ PointResult run_point(const PointSpec& spec) {
   net::FleetConfig cfg = make_fleet_config(scenario, "");
   PointResult out;
   if (spec.udp) {
-    cfg.backend = spec.backend;
     cfg.shards = 2;
     cfg.udp.base_port = spec.base_port;
-    cfg.udp.batched_io = spec.batched;
     net::FleetRuntime fleet(cfg);
     out.take(fleet.run_udp(scenario.trace, scenario.workload));
   } else {
@@ -162,11 +143,6 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointSpec& spec = points[i];
-    if (!point_available(spec)) {
-      std::printf("%-22s | skipped (backend/batched io unavailable here)\n",
-                  spec.label);
-      continue;
-    }
     if (!run_isolated([&] { return run_point(spec); }, results[i])) {
       std::fprintf(stderr, "point %s FAILED to run\n", spec.label);
       all_ok = false;
@@ -185,13 +161,6 @@ int main(int argc, char** argv) {
         JsonObject()
             .field("label", std::string(spec.label))
             .field("mode", std::string(spec.udp ? "udp" : "loopback"))
-            .field("backend",
-                   spec.udp ? std::string(net::reactor_backend_name(
-                                  spec.backend))
-                            : std::string("n/a"))
-            .field("io", std::string(!spec.udp      ? "n/a"
-                                     : spec.batched ? "batched"
-                                                    : "single"))
             .field("nodes", static_cast<std::uint64_t>(spec.point.nodes))
             .field("contacts", static_cast<std::uint64_t>(spec.point.contacts))
             .field("messages", static_cast<std::uint64_t>(spec.point.messages))

@@ -59,10 +59,7 @@ struct FleetRuntime::Lane {
   std::unordered_map<std::uint32_t, LoopbackTransport*> ports;
 
   explicit Lane(std::size_t mtu)
-      : clock(0),
-        // Lanes never register fds; poll avoids burning an epoll fd each.
-        reactor(clock, ReactorBackend::kPoll),
-        hub(LoopbackHub::Config{.mtu = mtu}) {}
+      : clock(0), reactor(clock), hub(LoopbackHub::Config{.mtu = mtu}) {}
 
   LoopbackTransport& port(std::uint32_t node) {
     auto it = ports.find(node);
@@ -114,8 +111,8 @@ struct FleetRuntime::Shard {
   std::vector<std::int64_t> latency_ms;
 
   Shard(std::size_t idx, std::size_t count, Clock& clock,
-        ReactorBackend backend, const FleetUdpConfig& udp)
-      : index(idx), reactor(clock, backend), io(reactor, idx, count, udp) {
+        const FleetUdpConfig& udp)
+      : index(idx), reactor(clock), io(reactor, idx, count, udp) {
     int fds[2];
     if (::pipe(fds) != 0) {
       throw std::runtime_error("FleetRuntime: pipe() failed: " +
@@ -534,8 +531,8 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
   SteadyClock clock;
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(s, config_.shards, clock,
-                                              config_.backend, config_.udp));
+    shards_.push_back(
+        std::make_unique<Shard>(s, config_.shards, clock, config_.udp));
   }
 
   // Attach every node to its home shard and wire the real-time hooks. All

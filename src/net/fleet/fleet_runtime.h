@@ -20,7 +20,7 @@
 //                   (net/fleet/fleet_udp.h): nodes are sharded
 //                   node-disjoint across reactor threads (home shard =
 //                   node % shards), each shard multiplexes its nodes over
-//                   one socket with optional sendmmsg/recvmmsg batching.
+//                   one socket and batches its sends and receives.
 //                   A driver thread replays the scenario as fast as an
 //                   in-flight window allows, posting contact/role/publish
 //                   commands to the owning shard over a wake pipe; each
@@ -68,8 +68,7 @@ struct FleetConfig {
   std::size_t min_batch_fanout = 4;
 
   // --- run_udp() knobs ---
-  ReactorBackend backend = ReactorBackend::kAuto;
-  /// Reactor threads / sockets-in-shard-mode. Nodes home at node % shards.
+  /// Reactor threads, one socket each. Nodes home at node % shards.
   std::size_t shards = 1;
   FleetUdpConfig udp;
   /// Driver-side throttle: contacts issued but not yet completed.

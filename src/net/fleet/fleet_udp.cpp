@@ -43,19 +43,7 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 
 }  // namespace
 
-bool fleet_udp_batched_available() {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 void FleetUdpConfig::validate() const {
-  if (batched_io && !fleet_udp_batched_available()) {
-    throw util::ConfigError("sendmmsg/recvmmsg unavailable on this platform",
-                            "fleet.batched_io", "use io mode 'single'");
-  }
   if (batch_burst == 0 || batch_burst > 1024) {
     throw util::ConfigError("batch_burst must be in [1, 1024]",
                             "fleet.batch_burst", "use the default (64)");
@@ -79,15 +67,15 @@ FleetUdpShard::FleetUdpShard(Reactor& reactor, std::size_t shard_index,
     : reactor_(reactor), config_(config), shard_index_(shard_index),
       shard_count_(shard_count) {
   config_.validate();
-  recv_buf_.resize(config_.mtu + kFleetHeaderBytes + 1);
+  // One spare byte per buffer so an oversize datagram reads as oversize
+  // (and is dropped) rather than arriving truncated.
+  const std::size_t buffer_bytes = config_.mtu + kFleetHeaderBytes + 1;
+  scatter_.assign(config_.batch_burst,
+                  std::vector<std::uint8_t>(buffer_bytes));
+  sendq_.reserve(config_.batch_burst);
   fd_ = make_socket(
       static_cast<std::uint16_t>(config_.base_port + shard_index_));
   reactor_.add_fd(fd_, [this] { on_readable(); });
-  if (config_.batched_io) {
-    scatter_.assign(config_.batch_burst,
-                    std::vector<std::uint8_t>(recv_buf_.size()));
-    sendq_.reserve(config_.batch_burst);
-  }
 }
 
 FleetUdpShard::~FleetUdpShard() {
@@ -160,20 +148,6 @@ bool FleetUdpShard::submit(FleetPort& port, Endpoint to,
                            std::span<const std::uint8_t> payload) {
   if (payload.size() > config_.mtu) return false;
   const auto dst = static_cast<std::uint32_t>(to);
-
-  if (!config_.batched_io) {
-    std::uint8_t wire[65536 + kFleetHeaderBytes];
-    wire[0] = kFleetMagic;
-    wire[1] = kFleetVersion;
-    put_u32(wire + 2, port.node_);
-    put_u32(wire + 6, dst);
-    std::memcpy(wire + kFleetHeaderBytes, payload.data(), payload.size());
-    // A refused sendto surfaces as false so the session counts the drop,
-    // exactly like UdpTransport.
-    return send_now(dst, std::span<const std::uint8_t>(
-                             wire, payload.size() + kFleetHeaderBytes));
-  }
-
   if (sendq_.size() >= kMaxSendQueue) {
     flush();
     if (sendq_.size() >= kMaxSendQueue) {
@@ -193,21 +167,6 @@ bool FleetUdpShard::submit(FleetPort& port, Endpoint to,
   sendq_.push_back(std::move(p));
   if (sendq_.size() >= config_.batch_burst) flush();
   return true;
-}
-
-bool FleetUdpShard::send_now(std::uint32_t dst,
-                             std::span<const std::uint8_t> wire) {
-  sockaddr_in addr;
-  fill_addr(dst, addr);
-  ++send_syscalls_;
-  const ssize_t n =
-      ::sendto(fd_, wire.data(), wire.size(), 0,
-               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  if (n == static_cast<ssize_t>(wire.size())) {
-    ++datagrams_out_;
-    return true;
-  }
-  return false;
 }
 
 void FleetUdpShard::flush() {
@@ -252,39 +211,26 @@ void FleetUdpShard::flush() {
   sendq_.erase(sendq_.begin(),
                sendq_.begin() + static_cast<std::ptrdiff_t>(done));
 #else
-  // No sendmmsg on this platform (validate() rejects batched_io, so this
-  // path only runs if a caller bypassed validation): fall back to sendto.
+  // No sendmmsg on this platform: one sendto per queued datagram. A refused
+  // datagram is shed like a lost one (the session already counted it sent).
   for (PendingSend& p : sendq_) {
-    if (!send_now(p.dst_node, p.bytes)) ++sendq_drops_;
+    sockaddr_in addr;
+    fill_addr(p.dst_node, addr);
+    ++send_syscalls_;
+    const ssize_t n =
+        ::sendto(fd_, p.bytes.data(), p.bytes.size(), 0,
+                 reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    if (n == static_cast<ssize_t>(p.bytes.size())) {
+      ++datagrams_out_;
+    } else {
+      ++sendq_drops_;
+    }
   }
   sendq_.clear();
 #endif
 }
 
 void FleetUdpShard::on_readable() {
-  if (config_.batched_io) {
-    drain_batched();
-  } else {
-    drain_single();
-  }
-}
-
-void FleetUdpShard::drain_single() {
-  for (;;) {
-    ++recv_syscalls_;
-    const ssize_t n = ::recv(fd_, recv_buf_.data(), recv_buf_.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN or transient error; the next readiness retries
-    }
-    if (n == 0) continue;
-    ++datagrams_in_;
-    dispatch(std::span<const std::uint8_t>(recv_buf_.data(),
-                                           static_cast<std::size_t>(n)));
-  }
-}
-
-void FleetUdpShard::drain_batched() {
 #if defined(__linux__)
   const std::size_t burst = scatter_.size();
   std::vector<iovec> iovs(burst);
@@ -312,7 +258,21 @@ void FleetUdpShard::drain_batched() {
     if (static_cast<std::size_t>(n) < burst) return;  // socket drained
   }
 #else
-  drain_single();
+  // No recvmmsg on this platform: one recv per datagram into the first
+  // scatter buffer.
+  std::vector<std::uint8_t>& buf = scatter_.front();
+  for (;;) {
+    ++recv_syscalls_;
+    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN or transient error; the next readiness retries
+    }
+    if (n == 0) continue;
+    ++datagrams_in_;
+    dispatch(std::span<const std::uint8_t>(buf.data(),
+                                           static_cast<std::size_t>(n)));
+  }
 #endif
 }
 

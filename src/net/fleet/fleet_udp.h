@@ -12,16 +12,17 @@
 //             node % shard_count, so any sender can compute any
 //             destination's socket address.
 //
-//   syscalls  In `batched` mode sends are queued per shard and flushed
-//             with sendmmsg() in bursts, and the readable upcall drains
-//             the socket with recvmmsg() into a reusable scatter array —
-//             one syscall moves up to `batch_burst` datagrams. `single`
-//             mode uses sendto()/recvfrom() loops (and is the only mode on
-//             non-Linux builds; see fleet_udp_batched_available()).
+//   syscalls  Sends are queued per shard and flushed once per reactor loop
+//             iteration (sooner when `batch_burst` datagrams are queued)
+//             with sendmmsg(); the readable upcall drains the socket with
+//             recvmmsg() into a reusable scatter array. One syscall moves
+//             up to `batch_burst` datagrams. Builds without those calls
+//             (non-Linux) flush and drain the same queue and scatter array
+//             with per-datagram sendto()/recv() loops.
 //
 // Each node sees the plane through a FleetPort — a Transport whose
 // endpoints are node ids — so Session/NodeRuntime code is identical over
-// loopback, a daemon's UdpTransport, and the batched mux. Delivery is
+// loopback, a daemon's UdpTransport, and the fleet mux. Delivery is
 // best-effort exactly like UDP: a full send queue or socket buffer drops
 // the datagram (counted), and the session RTO ladder recovers.
 //
@@ -52,22 +53,18 @@ inline constexpr std::uint8_t kFleetVersion = 1;
 /// magic + version + u32 src node + u32 dst node (little-endian).
 inline constexpr std::size_t kFleetHeaderBytes = 10;
 
-/// True when this build can use sendmmsg/recvmmsg (Linux).
-bool fleet_udp_batched_available();
-
 struct FleetUdpConfig {
   std::uint16_t base_port = 45000;
   std::uint32_t ipv4 = 0x7F000001;  ///< host order; default 127.0.0.1
   /// Max inner (session) datagram; the wire adds kFleetHeaderBytes.
   std::size_t mtu = 1400;
-  /// sendmmsg/recvmmsg bursts instead of sendto/recvfrom loops. Requires a
-  /// Linux build; validate() rejects it elsewhere.
-  bool batched_io = true;
+  /// Datagrams per sendmmsg/recvmmsg call, and the send-queue depth that
+  /// triggers a flush before the loop iteration ends.
   std::size_t batch_burst = 64;
   /// SO_SNDBUF / SO_RCVBUF request per socket; 0 leaves the kernel default.
   int socket_buffer_bytes = 1 << 20;
 
-  /// Throws util::ConfigError on unsupported combinations.
+  /// Throws util::ConfigError when batch_burst or mtu is out of range.
   void validate() const;
 };
 
@@ -94,8 +91,7 @@ class FleetPort final : public Transport {
 };
 
 /// The per-reactor-thread slice of the fleet plane: the shard's socket, its
-/// local nodes' ports, the batched send queue and receive scatter
-/// array.
+/// local nodes' ports, the send queue and the receive scatter array.
 class FleetUdpShard {
  public:
   FleetUdpShard(Reactor& reactor, std::size_t shard_index,
@@ -111,8 +107,8 @@ class FleetUdpShard {
 
   FleetPort* port(std::uint32_t node);
 
-  /// Drains the batched send queue (no-op in single mode or when empty).
-  /// Call once per reactor loop iteration, after dispatch.
+  /// Drains the send queue (no-op when empty). Call once per reactor loop
+  /// iteration, after dispatch.
   void flush();
 
   std::size_t local_nodes() const { return ports_.size(); }
@@ -135,14 +131,12 @@ class FleetUdpShard {
 
   bool submit(FleetPort& port, Endpoint to,
               std::span<const std::uint8_t> payload);
+  /// Drains the socket in bursts of up to batch_burst datagrams.
   void on_readable();
-  void drain_single();
-  void drain_batched();
   /// Routes one wire datagram (header included) to its local port.
   void dispatch(std::span<const std::uint8_t> wire);
   int make_socket(std::uint16_t port) const;
   void fill_addr(std::uint32_t node, sockaddr_in& out) const;
-  bool send_now(std::uint32_t dst, std::span<const std::uint8_t> wire);
 
   Reactor& reactor_;
   FleetUdpConfig config_;
@@ -151,8 +145,8 @@ class FleetUdpShard {
   int fd_ = -1;  ///< the shard's socket
   std::unordered_map<std::uint32_t, std::unique_ptr<FleetPort>> ports_;
   std::vector<PendingSend> sendq_;
-  std::vector<std::uint8_t> recv_buf_;  ///< single-mode receive scratch
-  std::vector<std::vector<std::uint8_t>> scatter_;  ///< batched receive
+  /// batch_burst receive buffers of mtu + header + 1 bytes each.
+  std::vector<std::vector<std::uint8_t>> scatter_;
 
   std::uint64_t send_syscalls_ = 0;
   std::uint64_t recv_syscalls_ = 0;

@@ -14,30 +14,20 @@
 //               blocking. Used by the loopback tests and the fleet's
 //               loopback lanes; fds are not polled (loopback has none).
 //
-// Readiness backends, selected at construction (like the TCBF kernels are
-// selected at dispatch):
-//
-//   kPoll   poll(2) over a dense pollfd array — portable, O(registered fds)
-//           per wait. The right choice for a handful of sockets.
-//   kEpoll  epoll(7) — Linux only, O(ready fds) per wait, which is what
-//           lets one reactor thread multiplex thousands of fleet node
-//           sockets without rescanning the registration table every tick.
-//
-// kAuto resolves to epoll where available (overridable with the
-// BSUB_REACTOR environment variable: poll | epoll | auto). Registration is
-// O(1) for both backends (poll keeps an fd -> slot index map over a
-// swap-erased array; epoll delegates to epoll_ctl), and waits are
-// EINTR-safe: a signal landing mid-wait is treated as a zero-ready wakeup,
-// never surfaced as an error.
+// Readiness is poll(2) over a dense pollfd array. A production reactor
+// watches at most two fds (a daemon's socket; a fleet shard's socket and
+// its wake pipe), so the O(registered fds) wait costs nothing next to the
+// syscall itself (DESIGN.md §12). Registration is O(1): an fd -> slot index
+// over a swap-erased array. Waits are EINTR-safe: a signal landing
+// mid-wait is treated as a zero-ready wakeup, never surfaced as an error.
 //
 // The reactor is single-threaded by design: every callback runs on the
 // loop, so sessions and nodes need no locks.
 #pragma once
 
+#include <poll.h>
+
 #include <functional>
-#include <memory>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,62 +37,17 @@
 
 namespace bsub::net {
 
-enum class ReactorBackend : std::uint8_t {
-  kAuto = 0,
-  kPoll = 1,
-  kEpoll = 2,
-};
-
-/// True when `backend` can be constructed on this platform (kPoll always;
-/// kEpoll on Linux; kAuto always — it resolves to something available).
-bool reactor_backend_available(ReactorBackend backend);
-
-std::string_view reactor_backend_name(ReactorBackend backend);
-
-/// Parses "poll" | "epoll" | "auto" (case-sensitive, like kernel names);
-/// nullopt otherwise.
-std::optional<ReactorBackend> parse_reactor_backend(std::string_view name);
-
-/// What kAuto resolves to on this platform/environment: the BSUB_REACTOR
-/// environment variable if set to a valid, available backend, else epoll
-/// where available, else poll.
-ReactorBackend default_reactor_backend();
-
-namespace detail {
-
-/// One readiness backend: the fd set and the wait primitive. Registration
-/// must be O(1); wait() must treat EINTR as "zero fds ready" and report the
-/// ready fds through `ready` (cleared first).
-class FdBackend {
- public:
-  virtual ~FdBackend() = default;
-  virtual void add(int fd) = 0;
-  virtual void remove(int fd) = 0;
-  virtual std::size_t size() const = 0;
-  virtual void wait(int timeout_ms, std::vector<int>& ready) = 0;
-};
-
-}  // namespace detail
-
 class Reactor {
  public:
   using TimerId = TimerWheel::TimerId;
 
-  /// `backend` kAuto defers to default_reactor_backend(). Throws
-  /// std::runtime_error when an explicitly requested backend cannot be
-  /// constructed (epoll on a non-Linux platform).
-  explicit Reactor(Clock& clock,
-                   ReactorBackend backend = ReactorBackend::kAuto);
-  ~Reactor();
+  explicit Reactor(Clock& clock);
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   Clock& clock() { return clock_; }
   util::Time now() const { return clock_.now(); }
-
-  /// The resolved backend (never kAuto).
-  ReactorBackend backend() const { return backend_; }
 
   /// Schedules `cb` at an absolute instant / after a delay from now.
   TimerId schedule_at(util::Time deadline, TimerWheel::Callback cb);
@@ -118,7 +63,7 @@ class Reactor {
   void add_fd(int fd, std::function<void()> on_readable);
   /// Unregisters `fd`; no-op when it was never registered. O(1).
   void remove_fd(int fd);
-  std::size_t fd_count() const { return handlers_.size(); }
+  std::size_t fd_count() const { return pfds_.size(); }
 
   /// Fires every timer due at the clock's current instant. Returns count.
   std::size_t fire_due() { return wheel_.advance(clock_.now()); }
@@ -149,16 +94,16 @@ class Reactor {
   bool stopped() const { return stopped_; }
 
  private:
-  struct FdHandler {
+  struct Slot {
+    std::size_t index;  ///< position in pfds_
     std::function<void()> on_readable;
   };
 
   Clock& clock_;
   TimerWheel wheel_;
-  ReactorBackend backend_;
-  std::unique_ptr<detail::FdBackend> fds_;
-  /// fd -> callback; the backend only tracks readiness membership.
-  std::unordered_map<int, FdHandler> handlers_;
+  /// The poll set: pfds_[slots_[fd].index].fd == fd for every registered fd.
+  std::vector<pollfd> pfds_;
+  std::unordered_map<int, Slot> slots_;
   std::vector<int> ready_scratch_;
   bool stopped_ = false;
 };

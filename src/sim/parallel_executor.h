@@ -78,10 +78,9 @@ struct ParallelRunStats {
 ///     invocation for events touching disjoint nodes; windows themselves
 ///     are strictly sequential, so `fill` may reuse its staging buffers.
 ///
-/// Determinism matches run_conflict_parallel: per-node order is preserved
-/// inside each window by the conflict schedule and across windows by
-/// sequencing, so a streamed run is bit-identical to a serial run over the
-/// same event sequence.
+/// Determinism: per-node order is preserved inside each window by the
+/// conflict schedule and across windows by sequencing, so a streamed run is
+/// bit-identical to a serial run over the same event sequence.
 template <class Fill, class Exec>
 ParallelRunStats run_windowed_parallel(std::size_t node_count, Fill&& fill,
                                        Exec&& exec,
@@ -95,8 +94,7 @@ ParallelRunStats run_windowed_parallel(std::size_t node_count, Fill&& fill,
 
   if (threads <= 1) {
     // Serial degenerates to fill-then-run, window by window: same order,
-    // no scheduling overhead, and no windows counted (matching the serial
-    // path of run_conflict_parallel).
+    // no scheduling overhead, and no windows counted.
     stats.threads_used = 1;
     for (;;) {
       const std::size_t count = fill(std::span<EventNodes>(endpoints));
@@ -142,51 +140,6 @@ ParallelRunStats run_windowed_parallel(std::size_t node_count, Fill&& fill,
     }
   }
   return stats;
-}
-
-/// Runs `exec(event_index)` for every index in [0, event_count), respecting
-/// per-node trace order as derived from `endpoints` (one EventNodes per
-/// event, same indexing). `exec` must be invocable concurrently for events
-/// in the same batch — i.e. events touching disjoint nodes.
-///
-/// Materialized front-end to run_windowed_parallel: windows are carved out
-/// of the pre-built endpoints span and window-local indices mapped back to
-/// global ones. One ThreadPool lives for the whole run; batches are chunked
-/// contiguously so each worker gets one job per batch, keeping the
-/// per-batch overhead at one handoff + one barrier.
-template <class Exec>
-ParallelRunStats run_conflict_parallel(std::size_t event_count,
-                                       std::size_t node_count,
-                                       std::span<const EventNodes> endpoints,
-                                       Exec&& exec,
-                                       const ParallelRunConfig& cfg = {}) {
-  const std::size_t threads =
-      cfg.threads != 0 ? cfg.threads : util::default_thread_count();
-
-  if (threads <= 1 || event_count == 0) {
-    // Serial degenerates to the plain loop: same order, zero overhead.
-    ParallelRunStats stats;
-    stats.events = event_count;
-    stats.threads_used = 1;
-    for (std::size_t i = 0; i < event_count; ++i) exec(i);
-    return stats;
-  }
-
-  // `base` is the global index of the current window's first event. fill
-  // runs strictly before that window's execs and windows are sequential,
-  // so the mapping is race-free.
-  std::size_t base = 0;
-  std::size_t next = 0;
-  auto fill = [&](std::span<EventNodes> slots) {
-    base = next;
-    const std::size_t n = std::min(slots.size(), event_count - next);
-    std::copy_n(endpoints.begin() + static_cast<std::ptrdiff_t>(next), n,
-                slots.begin());
-    next += n;
-    return n;
-  };
-  return run_windowed_parallel(
-      node_count, fill, [&](std::size_t local) { exec(base + local); }, cfg);
 }
 
 }  // namespace bsub::sim

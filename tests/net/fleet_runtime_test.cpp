@@ -168,7 +168,6 @@ TEST(FleetRuntimeUdp, RejectsShardPortsOutOfRange) {
     cfg.runtime.decay_tick = 0;
     cfg.shards = shards;
     cfg.udp.base_port = base_port;
-    cfg.udp.batched_io = fleet_udp_batched_available();
     cfg.contact_timeout = 200 * util::kMillisecond;
     FleetRuntime fleet(cfg);
     EXPECT_THROW(fleet.run_udp(s.trace, s.workload), util::ConfigError)
@@ -209,7 +208,6 @@ TEST(FleetRuntimeUdp, MiniScenarioDeliversOverRealSockets) {
   cfg.runtime.decay_tick = 0;
   cfg.shards = 2;
   cfg.udp.base_port = 46210;
-  cfg.udp.batched_io = fleet_udp_batched_available();
   cfg.contact_timeout = 5 * util::kSecond;
   FleetRuntime fleet(cfg);
   FleetRunResults results;

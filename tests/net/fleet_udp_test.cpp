@@ -1,7 +1,7 @@
 // Fleet UDP plane: config validation, the node-id mux header over shard
-// sockets, batched (sendmmsg/recvmmsg) and single-syscall paths — all over
-// real loopback sockets. Environments without loopback
-// make the shard constructor throw; those tests skip rather than fail.
+// sockets, the queued send path and the burst drain, one fd per shard —
+// all over real loopback sockets. Environments without loopback make the
+// shard constructor throw; those tests skip rather than fail.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -24,15 +24,8 @@ namespace {
 constexpr util::Time kDeadline = 10 * util::kSecond;
 
 TEST(FleetUdpConfig, ValidateRejectsUnsupportedCombinations) {
-  FleetUdpConfig ok;
-  ok.batched_io = fleet_udp_batched_available();
+  const FleetUdpConfig ok;
   EXPECT_NO_THROW(ok.validate());
-
-  if (!fleet_udp_batched_available()) {
-    FleetUdpConfig batched = ok;
-    batched.batched_io = true;
-    EXPECT_THROW(batched.validate(), util::ConfigError);
-  }
 
   FleetUdpConfig burst = ok;
   burst.batch_burst = 0;
@@ -50,9 +43,7 @@ struct Plane {
   Reactor reactor;
   std::vector<std::unique_ptr<FleetUdpShard>> shards;
 
-  Plane(std::size_t shard_count, FleetUdpConfig config,
-        ReactorBackend backend = ReactorBackend::kAuto)
-      : reactor(clock, backend) {
+  Plane(std::size_t shard_count, FleetUdpConfig config) : reactor(clock) {
     for (std::size_t s = 0; s < shard_count; ++s) {
       shards.push_back(
           std::make_unique<FleetUdpShard>(reactor, s, shard_count, config));
@@ -108,34 +99,19 @@ void roundtrip_case(FleetUdpConfig config, std::size_t shard_count) {
   EXPECT_EQ(in, 1u);
 }
 
-TEST(FleetUdp, SingleSyscallShardSockets) {
-  FleetUdpConfig config;
-  config.base_port = 46110;
-  config.batched_io = false;
-  roundtrip_case(config, 2);
-}
-
 TEST(FleetUdp, BatchedShardSockets) {
-  if (!fleet_udp_batched_available()) {
-    GTEST_SKIP() << "sendmmsg/recvmmsg unavailable on this platform";
-  }
   FleetUdpConfig config;
   config.base_port = 46130;
-  config.batched_io = true;
   config.batch_burst = 8;
   roundtrip_case(config, 2);
 }
 
 TEST(FleetUdp, BatchedBurstCrossesShards) {
   // More datagrams than one burst, both directions at once, across two
-  // shard sockets: exercises the sendmmsg queue flush and the recvmmsg
-  // scatter loop rather than the one-datagram happy path.
-  if (!fleet_udp_batched_available()) {
-    GTEST_SKIP() << "sendmmsg/recvmmsg unavailable on this platform";
-  }
+  // shard sockets: exercises the send queue flush and the burst drain
+  // rather than the one-datagram happy path.
   FleetUdpConfig config;
   config.base_port = 46170;
-  config.batched_io = true;
   config.batch_burst = 4;
   std::unique_ptr<Plane> p;
   try {
@@ -168,10 +144,12 @@ TEST(FleetUdp, BatchedBurstCrossesShards) {
     EXPECT_EQ(at_b[i][1], 1);  // everything b saw came from a
     EXPECT_EQ(at_a[i][1], 2);
   }
-  // Batching actually batched: fewer send syscalls than datagrams.
+#if defined(__linux__)
+  // sendmmsg actually batched: fewer send syscalls than datagrams.
   const std::uint64_t syscalls =
       p->shards[0]->send_syscalls() + p->shards[1]->send_syscalls();
   EXPECT_LT(syscalls, 2 * kCount);
+#endif
   EXPECT_EQ(p->shards[0]->datagrams_out() + p->shards[1]->datagrams_out(),
             2 * kCount);
 }
@@ -179,7 +157,6 @@ TEST(FleetUdp, BatchedBurstCrossesShards) {
 TEST(FleetUdp, MalformedAndUnroutableDatagramsAreCounted) {
   FleetUdpConfig config;
   config.base_port = 46190;
-  config.batched_io = false;
   std::unique_ptr<Plane> p;
   try {
     p = std::make_unique<Plane>(1, config);
@@ -198,6 +175,27 @@ TEST(FleetUdp, MalformedAndUnroutableDatagramsAreCounted) {
   pump_until(*p, [&] { return p->shards[0]->unroutable_drops() >= 1; });
   EXPECT_EQ(p->shards[0]->unroutable_drops(), 1u);
   EXPECT_FALSE(delivered);
+}
+
+// The reactor's readiness path (poll(2), DESIGN.md §12) rests on a shard
+// registering one socket no matter how many nodes it hosts. If per-node
+// sockets ever come back, this fails and that choice must be revisited.
+TEST(FleetUdp, ShardWatchesOneFdForAllItsNodes) {
+  FleetUdpConfig config;
+  config.base_port = 46230;
+  SteadyClock clock;
+  Reactor reactor(clock);
+  std::unique_ptr<FleetUdpShard> shard;
+  try {
+    shard = std::make_unique<FleetUdpShard>(reactor, 0, 1, config);
+  } catch (const std::runtime_error& e) {
+    GTEST_SKIP() << "no loopback sockets here: " << e.what();
+  }
+  for (std::uint32_t n = 0; n < 1000; ++n) shard->add_node(n);
+  EXPECT_EQ(shard->local_nodes(), 1000u);
+  EXPECT_EQ(reactor.fd_count(), 1u);
+  shard.reset();
+  EXPECT_EQ(reactor.fd_count(), 0u);
 }
 
 }  // namespace

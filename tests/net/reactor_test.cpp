@@ -1,6 +1,5 @@
 // Reactor: virtual-time driving (advance_to), real-time dispatch over a
-// pipe on both readiness backends, EINTR hardening, O(1) fd churn, and
-// timer registration plumbing.
+// pipe, EINTR hardening, O(1) fd churn, and timer registration plumbing.
 #include <gtest/gtest.h>
 
 #include <pthread.h>
@@ -22,14 +21,6 @@
 
 namespace bsub::net {
 namespace {
-
-std::vector<ReactorBackend> available_backends() {
-  std::vector<ReactorBackend> out{ReactorBackend::kPoll};
-  if (reactor_backend_available(ReactorBackend::kEpoll)) {
-    out.push_back(ReactorBackend::kEpoll);
-  }
-  return out;
-}
 
 TEST(Reactor, AdvanceToFiresDeadlinesInOrderAndLandsOnTarget) {
   ManualClock clock;
@@ -106,156 +97,123 @@ TEST(Reactor, RunOnceFiresDueTimersWithoutFds) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(ReactorBackend_, ParseAndNamesRoundTrip) {
-  EXPECT_EQ(parse_reactor_backend("poll"), ReactorBackend::kPoll);
-  EXPECT_EQ(parse_reactor_backend("epoll"), ReactorBackend::kEpoll);
-  EXPECT_EQ(parse_reactor_backend("auto"), ReactorBackend::kAuto);
-  EXPECT_FALSE(parse_reactor_backend("EPOLL").has_value());
-  EXPECT_FALSE(parse_reactor_backend("").has_value());
-  EXPECT_FALSE(parse_reactor_backend("io_uring").has_value());
-  for (const ReactorBackend b : available_backends()) {
-    EXPECT_EQ(parse_reactor_backend(reactor_backend_name(b)), b);
-  }
-  EXPECT_TRUE(reactor_backend_available(ReactorBackend::kPoll));
-  EXPECT_TRUE(reactor_backend_available(ReactorBackend::kAuto));
-}
-
-TEST(ReactorBackend_, AutoResolvesToAnAvailableBackend) {
+// A readable pipe end dispatches once, and removing it empties the poll
+// set.
+TEST(Reactor, RemovingADispatchedFdEmptiesThePollSet) {
   SteadyClock clock;
   Reactor reactor(clock);
-  EXPECT_NE(reactor.backend(), ReactorBackend::kAuto);
-  EXPECT_TRUE(reactor_backend_available(reactor.backend()));
-#if defined(__linux__)
-  // On Linux with no BSUB_REACTOR override, auto means epoll.
-  if (::getenv("BSUB_REACTOR") == nullptr) {
-    EXPECT_EQ(reactor.backend(), ReactorBackend::kEpoll);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  int reads = 0;
+  reactor.add_fd(fds[0], [&] {
+    char buf[8];
+    (void)!::read(fds[0], buf, sizeof(buf));
+    ++reads;
+    reactor.stop();
+  });
+  EXPECT_EQ(reactor.fd_count(), 1u);
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  while (!reactor.stopped()) {
+    reactor.run_once(10 * util::kMillisecond);
   }
-#endif
-}
-
-// Each available backend must dispatch a readable pipe end the same way.
-TEST(ReactorBackend_, DispatchesReadableFdOnEveryBackend) {
-  for (const ReactorBackend b : available_backends()) {
-    SteadyClock clock;
-    Reactor reactor(clock, b);
-    ASSERT_EQ(reactor.backend(), b);
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    int reads = 0;
-    reactor.add_fd(fds[0], [&] {
-      char buf[8];
-      (void)!::read(fds[0], buf, sizeof(buf));
-      ++reads;
-      reactor.stop();
-    });
-    ASSERT_EQ(::write(fds[1], "x", 1), 1);
-    while (!reactor.stopped()) {
-      reactor.run_once(10 * util::kMillisecond);
-    }
-    EXPECT_EQ(reads, 1) << reactor_backend_name(b);
-    reactor.remove_fd(fds[0]);
-    ::close(fds[0]);
-    ::close(fds[1]);
-  }
+  EXPECT_EQ(reads, 1);
+  reactor.remove_fd(fds[0]);
+  EXPECT_EQ(reactor.fd_count(), 0u);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // Re-registering an fd replaces its callback; removing inside a callback is
 // safe; removing an unknown fd is a no-op.
-TEST(ReactorBackend_, ReRegisterReplacesAndSelfRemoveIsSafe) {
-  for (const ReactorBackend b : available_backends()) {
-    SteadyClock clock;
-    Reactor reactor(clock, b);
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    int first = 0;
-    int second = 0;
-    reactor.add_fd(fds[0], [&] { ++first; });
-    reactor.add_fd(fds[0], [&] {
-      char buf[8];
-      (void)!::read(fds[0], buf, sizeof(buf));
-      ++second;
-      reactor.remove_fd(fds[0]);  // self-remove mid-dispatch
-      reactor.stop();
-    });
-    EXPECT_EQ(reactor.fd_count(), 1u);
-    reactor.remove_fd(9999);  // never registered: no-op
-    ASSERT_EQ(::write(fds[1], "x", 1), 1);
-    while (!reactor.stopped()) {
-      reactor.run_once(10 * util::kMillisecond);
-    }
-    EXPECT_EQ(first, 0) << reactor_backend_name(b);
-    EXPECT_EQ(second, 1) << reactor_backend_name(b);
-    EXPECT_EQ(reactor.fd_count(), 0u);
-    ::close(fds[0]);
-    ::close(fds[1]);
+TEST(Reactor, ReRegisterReplacesAndSelfRemoveIsSafe) {
+  SteadyClock clock;
+  Reactor reactor(clock);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  int first = 0;
+  int second = 0;
+  reactor.add_fd(fds[0], [&] { ++first; });
+  reactor.add_fd(fds[0], [&] {
+    char buf[8];
+    (void)!::read(fds[0], buf, sizeof(buf));
+    ++second;
+    reactor.remove_fd(fds[0]);  // self-remove mid-dispatch
+    reactor.stop();
+  });
+  EXPECT_EQ(reactor.fd_count(), 1u);
+  reactor.remove_fd(9999);  // never registered: no-op
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  while (!reactor.stopped()) {
+    reactor.run_once(10 * util::kMillisecond);
   }
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(reactor.fd_count(), 0u);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
-// Satellite: fd registration must be O(1) on both backends. 10k fds
-// registered, half removed from the middle (the old erase_if walked the
-// whole vector per removal, i.e. O(n^2) for this loop), readiness still
-// lands on the surviving registrations. Kept brisk enough that a quadratic
-// regression shows up as a timeout-scale slowdown, not flakiness.
-TEST(ReactorBackend_, TenThousandFdChurn) {
-  for (const ReactorBackend b : available_backends()) {
-    SteadyClock clock;
-    Reactor reactor(clock, b);
-    constexpr int kFds = 10000;
-    std::vector<int> fds;
-    fds.reserve(kFds);
+// fd registration must be O(1). 10k fds registered, half removed from the
+// middle (an erase_if over the poll set would walk the whole vector per
+// removal, i.e. O(n^2) for this loop), readiness still lands on the
+// surviving registrations. Kept brisk enough that a quadratic regression
+// shows up as a timeout-scale slowdown, not flakiness.
+TEST(Reactor, TenThousandFdChurn) {
+  SteadyClock clock;
+  Reactor reactor(clock);
+  constexpr int kFds = 10000;
+  std::vector<int> fds;
+  fds.reserve(kFds);
 #if defined(__linux__)
-    for (int i = 0; i < kFds; ++i) {
-      const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-      ASSERT_GE(fd, 0) << "eventfd " << i;
-      fds.push_back(fd);
-    }
+  for (int i = 0; i < kFds; ++i) {
+    const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    ASSERT_GE(fd, 0) << "eventfd " << i;
+    fds.push_back(fd);
+  }
 #else
-    // Portable fallback: pipes cost two fds each, so halve the count.
-    for (int i = 0; i < kFds / 2; ++i) {
-      int p[2];
-      ASSERT_EQ(::pipe(p), 0);
-      fds.push_back(p[0]);
-      fds.push_back(p[1]);
-    }
+  // Portable fallback: pipes cost two fds each, so halve the count.
+  for (int i = 0; i < kFds / 2; ++i) {
+    int p[2];
+    ASSERT_EQ(::pipe(p), 0);
+    fds.push_back(p[0]);
+    fds.push_back(p[1]);
+  }
 #endif
-    std::atomic<int> hits{0};
-    for (const int fd : fds) {
-      reactor.add_fd(fd, [&hits] { ++hits; });
-    }
-    EXPECT_EQ(reactor.fd_count(), fds.size());
-    // Remove every even registration (middle-of-array removals exercise the
-    // swap-erase path), then re-add a quarter of them.
-    for (std::size_t i = 0; i < fds.size(); i += 2) {
-      reactor.remove_fd(fds[i]);
-    }
-    EXPECT_EQ(reactor.fd_count(), fds.size() / 2);
-    for (std::size_t i = 0; i < fds.size(); i += 4) {
-      reactor.add_fd(fds[i], [&hits] { ++hits; });
-    }
+  std::atomic<int> hits{0};
+  for (const int fd : fds) {
+    reactor.add_fd(fd, [&hits] { ++hits; });
+  }
+  EXPECT_EQ(reactor.fd_count(), fds.size());
+  // Remove every even registration (middle-of-array removals exercise the
+  // swap-erase path), then re-add a quarter of them.
+  for (std::size_t i = 0; i < fds.size(); i += 2) {
+    reactor.remove_fd(fds[i]);
+  }
+  EXPECT_EQ(reactor.fd_count(), fds.size() / 2);
+  for (std::size_t i = 0; i < fds.size(); i += 4) {
+    reactor.add_fd(fds[i], [&hits] { ++hits; });
+  }
 
 #if defined(__linux__)
-    // Make a few live and a few removed fds readable: only live ones fire.
-    const std::uint64_t one = 1;
-    ASSERT_EQ(::write(fds[1], &one, sizeof(one)), (ssize_t)sizeof(one));
-    ASSERT_EQ(::write(fds[4], &one, sizeof(one)), (ssize_t)sizeof(one));
-    ASSERT_EQ(::write(fds[2], &one, sizeof(one)), (ssize_t)sizeof(one));
-    reactor.run_once(0);
-    EXPECT_EQ(hits.load(), 2) << reactor_backend_name(b);
+  // Make a few live and a few removed fds readable: only live ones fire.
+  const std::uint64_t one = 1;
+  ASSERT_EQ(::write(fds[1], &one, sizeof(one)), (ssize_t)sizeof(one));
+  ASSERT_EQ(::write(fds[4], &one, sizeof(one)), (ssize_t)sizeof(one));
+  ASSERT_EQ(::write(fds[2], &one, sizeof(one)), (ssize_t)sizeof(one));
+  reactor.run_once(0);
+  EXPECT_EQ(hits.load(), 2);
 #endif
 
-    for (const int fd : fds) {
-      reactor.remove_fd(fd);
-      ::close(fd);
-    }
-    EXPECT_EQ(reactor.fd_count(), 0u);
+  for (const int fd : fds) {
+    reactor.remove_fd(fd);
+    ::close(fd);
   }
+  EXPECT_EQ(reactor.fd_count(), 0u);
 }
 
-// Satellite regression: a signal interrupting the wait must look like a
-// timeout (nothing ready, due timers still fire), never a spurious error or
-// a missed dispatch. Before the backend refactor a negative poll() return
-// skipped dispatch silently but still had no EINTR retry contract.
-TEST(ReactorBackend_, SignalDuringWaitIsHarmless) {
+// A signal interrupting the wait must look like a timeout (nothing ready,
+// due timers still fire), never a spurious error or a missed dispatch.
+TEST(Reactor, SignalDuringWaitIsHarmless) {
   // Install a no-op handler (no SA_RESTART, so the wait really returns
   // EINTR instead of being transparently restarted).
   struct sigaction sa{};
@@ -265,51 +223,49 @@ TEST(ReactorBackend_, SignalDuringWaitIsHarmless) {
   struct sigaction old{};
   ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
 
-  for (const ReactorBackend b : available_backends()) {
-    SteadyClock clock;
-    Reactor reactor(clock, b);
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    std::atomic<int> reads{0};
-    std::atomic<int> timer_fired{0};
-    reactor.add_fd(fds[0], [&] {
-      char buf[8];
-      (void)!::read(fds[0], buf, sizeof(buf));
-      ++reads;
-    });
-    reactor.schedule_after(40, [&] { ++timer_fired; });
+  SteadyClock clock;
+  Reactor reactor(clock);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::atomic<int> reads{0};
+  std::atomic<int> timer_fired{0};
+  reactor.add_fd(fds[0], [&] {
+    char buf[8];
+    (void)!::read(fds[0], buf, sizeof(buf));
+    ++reads;
+  });
+  reactor.schedule_after(40, [&] { ++timer_fired; });
 
-    std::atomic<bool> done{false};
-    std::thread loop([&] {
-      while (!done.load() && reads.load() == 0) {
-        reactor.run_once(500 * util::kMillisecond);
-      }
-      // Drain remaining deadlines.
-      while (!done.load() && timer_fired.load() == 0) {
-        reactor.run_once(50 * util::kMillisecond);
-      }
-    });
-
-    // Pepper the loop thread with signals while it blocks in the wait.
-    for (int i = 0; i < 20; ++i) {
-      pthread_kill(loop.native_handle(), SIGUSR1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::atomic<bool> done{false};
+  std::thread loop([&] {
+    while (!done.load() && reads.load() == 0) {
+      reactor.run_once(500 * util::kMillisecond);
     }
-    ASSERT_EQ(::write(fds[1], "x", 1), 1);
-    for (int i = 0; i < 500 && (reads.load() == 0 || timer_fired.load() == 0);
-         ++i) {
-      pthread_kill(loop.native_handle(), SIGUSR1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Drain remaining deadlines.
+    while (!done.load() && timer_fired.load() == 0) {
+      reactor.run_once(50 * util::kMillisecond);
     }
-    done = true;
-    loop.join();
+  });
 
-    EXPECT_EQ(reads.load(), 1) << reactor_backend_name(b);
-    EXPECT_EQ(timer_fired.load(), 1) << reactor_backend_name(b);
-    reactor.remove_fd(fds[0]);
-    ::close(fds[0]);
-    ::close(fds[1]);
+  // Pepper the loop thread with signals while it blocks in the wait.
+  for (int i = 0; i < 20; ++i) {
+    pthread_kill(loop.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  for (int i = 0; i < 500 && (reads.load() == 0 || timer_fired.load() == 0);
+       ++i) {
+    pthread_kill(loop.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  done = true;
+  loop.join();
+
+  EXPECT_EQ(reads.load(), 1);
+  EXPECT_EQ(timer_fired.load(), 1);
+  reactor.remove_fd(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
   ASSERT_EQ(::sigaction(SIGUSR1, &old, nullptr), 0);
 }
 

@@ -7,16 +7,14 @@
 //   # engine harness
 //   bsub_fleet --nodes 1000 --contacts 8000 --threads 2 --differential
 //
-//   # real time over batched shard sockets on the epoll backend
+//   # real time over one UDP socket per shard
 //   bsub_fleet --mode udp --nodes 256 --contacts 2000 --shards 2
-//              --backend epoll --io batched
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "fleet_common.h"
 #include "net/fleet/fleet_runtime.h"
-#include "net/reactor.h"
 #include "resource_stats.h"
 #include "tool_cli.h"
 #include "util/errors.h"
@@ -40,8 +38,6 @@ int usage(const char* argv0) {
       "  --threads T            loopback reactor threads (0 = auto)\n"
       "  --shards K             udp reactor threads / shard sockets "
       "(default 2)\n"
-      "  --backend auto|poll|epoll  readiness backend (udp mode)\n"
-      "  --io batched|single    sendmmsg/recvmmsg vs sendto/recvfrom\n"
       "  --base-port P          first UDP port; shard s binds P + s\n"
       "                         (default 47000)\n"
       "  --protocol SPEC        B-SUB spec, e.g. bsub:df=0.5,copies=5\n"
@@ -61,9 +57,6 @@ struct Options {
   bool udp = false;
   std::uint64_t threads = 0;
   std::uint64_t shards = 2;
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
-  /// Batch by default where the platform supports it.
-  bool batched_io = net::fleet_udp_batched_available();
   std::uint64_t base_port = 47000;
   std::string protocol;
   bool differential = false;
@@ -105,22 +98,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       if (!next_u64(opts.threads)) return false;
     } else if (std::strcmp(arg, "--shards") == 0) {
       if (!next_u64(opts.shards) || opts.shards == 0) return false;
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const char* b = next();
-      if (!b) return false;
-      const auto parsed = net::parse_reactor_backend(b);
-      if (!parsed) return false;
-      opts.backend = *parsed;
-    } else if (std::strcmp(arg, "--io") == 0) {
-      const char* m = next();
-      if (!m) return false;
-      if (std::strcmp(m, "batched") == 0) {
-        opts.batched_io = true;
-      } else if (std::strcmp(m, "single") == 0) {
-        opts.batched_io = false;
-      } else {
-        return false;
-      }
     } else if (std::strcmp(arg, "--base-port") == 0) {
       if (!next_u64(opts.base_port) || opts.base_port == 0 ||
           opts.base_port > 65535) {
@@ -174,16 +151,10 @@ int main(int argc, char** argv) {
 
     net::FleetRunResults r;
     if (opts.udp) {
-      cfg.backend = opts.backend;
       cfg.shards = static_cast<std::size_t>(opts.shards);
       cfg.udp.base_port = static_cast<std::uint16_t>(opts.base_port);
-      cfg.udp.batched_io = opts.batched_io;
-      cfg.udp.validate();
-      std::printf("engine:         udp real-time, %zu shard(s), backend %s, "
-                  "io %s\n",
-                  cfg.shards,
-                  std::string(net::reactor_backend_name(cfg.backend)).c_str(),
-                  cfg.udp.batched_io ? "batched" : "single");
+      std::printf("engine:         udp real-time, %zu shard(s)\n",
+                  cfg.shards);
       net::FleetRuntime fleet(cfg);
       r = fleet.run_udp(scenario.trace, scenario.workload);
     } else {
