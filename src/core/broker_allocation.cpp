@@ -33,11 +33,11 @@ void BrokerElection::ring_push(NodeState& s, const Meeting& m) {
 
 std::uint32_t BrokerElection::find_index(const NodeState& s,
                                          trace::NodeId peer) const {
-  if (s.table_cap == 0) return util::kNoPoolHandle;
+  if (s.table_cap == 0) return kNoIndex;
   const std::uint32_t mask = s.table_cap - 1;
   for (std::uint32_t i = hash_id(peer) & mask;; i = (i + 1) & mask) {
     const PeerEntry& e = s.table[i];
-    if (e.meetings == 0) return util::kNoPoolHandle;
+    if (e.meetings == 0) return kNoIndex;
     if (e.peer == peer) return i;
   }
 }
@@ -101,7 +101,7 @@ void BrokerElection::prune(NodeState& s, util::Time now) {
   while (s.ring_size != 0 && ring_at(s, 0).time < cutoff) {
     const Meeting m = ring_at(s, 0);
     const std::uint32_t idx = find_index(s, m.peer);
-    assert(idx != util::kNoPoolHandle);
+    assert(idx != kNoIndex);
     PeerEntry& e = s.table[idx];
     if ((m.degree_flag & kBrokerFlag) != 0) {
       if (--e.broker_meetings == 0) --s.distinct_brokers;

@@ -126,6 +126,9 @@ class BrokerElection {
     return s.ring[(s.ring_head + i) & (s.ring_cap - 1)];
   }
 
+  /// find_index's "peer not in the table".
+  static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
+
   void ring_push(NodeState& s, const Meeting& m);
   std::uint32_t find_index(const NodeState& s, trace::NodeId peer) const;
   PeerEntry& table_entry(NodeState& s, trace::NodeId peer);

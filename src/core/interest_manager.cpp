@@ -1,5 +1,6 @@
 #include "core/interest_manager.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bsub::core {
@@ -15,17 +16,20 @@ InterestManager::InterestManager(std::size_t node_count,
 
 InterestManager::RelayState& InterestManager::state_for(trace::NodeId node,
                                                         util::Time now) {
-  NodeSlot& slot = slots_[node];
-  if (slot.state == util::kNoPoolHandle) {
-    slot.state = pool_.acquire([&] {
-      return RelayState{bloom::Tcbf(params_, initial_counter_), {}, now};
-    });
-    // Recycled states keep their (cleared) buffers; only the clock needs
-    // re-arming. Starting it at `now` equals an empty state built up front
-    // and decayed to `now` — decaying an empty filter is a no-op.
-    pool_[slot.state].last_decay = now;
+  std::unique_ptr<RelayState>& state = slots_[node].state;
+  if (state == nullptr) {
+    // Starting the clock at `now` equals an empty state built up front and
+    // decayed to `now` — decaying an empty filter is a no-op.
+    state = std::make_unique<RelayState>(
+        RelayState{bloom::Tcbf(params_, initial_counter_), {}, now});
   }
-  return pool_[slot.state];
+  return *state;
+}
+
+std::size_t InterestManager::materialized_relays() const {
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const NodeSlot& s) { return s.state != nullptr; }));
 }
 
 bloom::Tcbf& InterestManager::relay(trace::NodeId node, util::Time now) {
@@ -92,7 +96,7 @@ void InterestManager::absorb_genuine(trace::NodeId broker,
   relay(broker, now).a_merge(genuine);
   // A-merge adds the genuine counters (all = C) onto the key's bits; the
   // key's minimum counter therefore grows by exactly C.
-  ShadowMap& shadow = pool_[slots_[broker].state].shadow;
+  ShadowMap& shadow = slots_[broker].state->shadow;
   if (auto it = shadow.find(key); it != shadow.end()) {
     it->second += genuine.initial_counter();
   } else {
@@ -105,7 +109,7 @@ void InterestManager::absorb_genuine(trace::NodeId broker,
                                      std::span<const std::string_view> keys,
                                      util::Time now) {
   relay(broker, now).a_merge(genuine);
-  ShadowMap& shadow = pool_[slots_[broker].state].shadow;
+  ShadowMap& shadow = slots_[broker].state->shadow;
   for (std::string_view key : keys) {
     if (auto it = shadow.find(key); it != shadow.end()) {
       it->second += genuine.initial_counter();
@@ -120,7 +124,7 @@ void InterestManager::merge_relay_from(trace::NodeId dst,
                                        const ShadowMap& src_shadow,
                                        BrokerMergeMode mode, util::Time now) {
   bloom::Tcbf& filter = relay(dst, now);
-  ShadowMap& shadow = pool_[slots_[dst].state].shadow;
+  ShadowMap& shadow = slots_[dst].state->shadow;
   if (mode == BrokerMergeMode::kMMerge) {
     filter.m_merge(src_filter);
     for (const auto& [key, value] : src_shadow) {
@@ -139,25 +143,11 @@ bool InterestManager::genuinely_contains(trace::NodeId node,
   // An unmaterialized relay never absorbed anything: answer without
   // materializing (decaying an empty state, then probing an empty shadow,
   // would observe the same `false`).
-  if (slots_[node].state == util::kNoPoolHandle) return false;
+  if (slots_[node].state == nullptr) return false;
   relay(node, now);  // bring the shadow up to date
-  const ShadowMap& shadow = pool_[slots_[node].state].shadow;
+  const ShadowMap& shadow = slots_[node].state->shadow;
   auto it = shadow.find(key);  // transparent: no temp string
   return it != shadow.end() && it->second > 0.0;
-}
-
-void InterestManager::clear_relay(trace::NodeId node) {
-  NodeSlot& slot = slots_[node];
-  if (slot.state == util::kNoPoolHandle) return;  // nothing to reset
-  // Return the state for reuse; the DF override lives in the slot and
-  // deliberately survives the reset (clear_relay resets the *filter*, not
-  // the node's tuning).
-  pool_.release(slot.state, [](RelayState& s) {
-    s.filter.clear();
-    s.shadow.clear();
-    s.last_decay = 0;
-  });
-  slot.state = util::kNoPoolHandle;
 }
 
 void InterestManager::set_node_df(trace::NodeId node, double df_per_minute) {

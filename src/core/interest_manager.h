@@ -12,19 +12,19 @@
 // identifies relay-filter false positives, which feed the paper's
 // false-delivery metric (Fig. 9(d)).
 //
-// Storage is lazy and pooled: B-SUB's own premise is that only brokers
-// carry relay filters, so a node costs 16 bytes of slot (pool handle + DF
-// override) until its relay is first touched. Relay state (a full TCBF +
-// shadow map) materializes from an ObjectPool on first use and returns to
-// the pool on clear_relay — a re-promoted broker reuses the heap capacity a
-// demoted one left behind. This is bit-identical in every protocol-
-// observable way to building every node's relay up front (an unmaterialized
-// relay behaves exactly like an eagerly-built empty one: decay of an empty
-// filter is a no-op, so the decay-clock origin is unobservable until the
-// first insert, which materializes).
+// Storage is lazy: B-SUB's own premise is that only brokers carry relay
+// filters, so a node costs 16 bytes of slot (state pointer + DF override)
+// until its relay is first touched. Relay state (a full TCBF + shadow map)
+// materializes on first use and stays for the rest of the run: a demoted
+// broker keeps its relay (BsubProtocol::on_contact). This is bit-identical
+// in every protocol-observable way to building every node's relay up front
+// (an unmaterialized relay behaves exactly like an eagerly-built empty one:
+// decay of an empty filter is a no-op, so the decay-clock origin is
+// unobservable until the first insert, which materializes).
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,7 +36,6 @@
 #include "core/config.h"
 #include "trace/contact.h"
 #include "util/hash.h"
-#include "util/pool.h"
 #include "util/time.h"
 
 namespace bsub::core {
@@ -67,7 +66,7 @@ class InterestManager {
   /// Unmaterialized nodes see a shared empty filter.
   const bloom::Tcbf& relay_snapshot(trace::NodeId node) const {
     const NodeSlot& s = slots_[node];
-    return s.state == util::kNoPoolHandle ? empty_relay_ : pool_[s.state].filter;
+    return s.state == nullptr ? empty_relay_ : s.state->filter;
   }
 
   /// Builds the genuine filter for a single interest key.
@@ -115,13 +114,8 @@ class InterestManager {
   /// Unmaterialized nodes see a shared empty map.
   const ShadowMap& shadow_snapshot(trace::NodeId node) const {
     const NodeSlot& s = slots_[node];
-    return s.state == util::kNoPoolHandle ? empty_shadow_
-                                          : pool_[s.state].shadow;
+    return s.state == nullptr ? empty_shadow_ : s.state->shadow;
   }
-
-  /// Resets a node's relay filter (e.g. on demotion from brokership): the
-  /// state returns to the free pool; the node's DF override survives.
-  void clear_relay(trace::NodeId node);
 
   /// Per-node DF override in counter units per minute (adaptive DF); pass a
   /// negative value to clear the override.
@@ -133,13 +127,13 @@ class InterestManager {
 
   /// Observability for tests and memory accounting.
   bool relay_materialized(trace::NodeId node) const {
-    return slots_[node].state != util::kNoPoolHandle;
+    return slots_[node].state != nullptr;
   }
-  std::size_t materialized_relays() const {
-    return pool_.size() - pool_.free_count();
-  }
-  std::size_t pooled_relays() const { return pool_.free_count(); }
-  std::uint64_t relays_recycled() const { return pool_.recycled(); }
+  /// Nodes whose relay state exists (O(nodes); read after a run).
+  std::size_t materialized_relays() const;
+  /// Always 0: relays are never released, so none is ever reused. Kept for
+  /// the end-to-end benchmark's `core.relays_recycled` column.
+  std::uint64_t relays_recycled() const { return 0; }
 
  private:
   struct RelayState {
@@ -147,22 +141,22 @@ class InterestManager {
     ShadowMap shadow;
     util::Time last_decay = 0;
   };
-  /// What every node pays, participant or not: a pool handle + DF override.
+  /// What every node pays, participant or not: a state pointer (null until
+  /// first touch) + DF override.
   struct NodeSlot {
-    std::uint32_t state = util::kNoPoolHandle;
+    std::unique_ptr<RelayState> state;
     double df_override = -1.0;
   };
 
-  /// Materializes (or fetches) the node's relay state; a fresh/recycled
-  /// state starts its decay clock at `now`, which is indistinguishable from
-  /// an empty state built up front and decayed to `now`.
+  /// Materializes (or fetches) the node's relay state; a fresh state starts
+  /// its decay clock at `now`, which is indistinguishable from an empty
+  /// state built up front and decayed to `now`.
   RelayState& state_for(trace::NodeId node, util::Time now);
 
   bloom::BloomParams params_;
   double initial_counter_;
   double df_per_minute_;
   std::vector<NodeSlot> slots_;
-  util::ObjectPool<RelayState> pool_;
   /// Shared snapshots for unmaterialized nodes.
   bloom::Tcbf empty_relay_;
   ShadowMap empty_shadow_;

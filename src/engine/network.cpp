@@ -12,30 +12,9 @@ BsubNode& Network::add_node(NodeId id) {
   BsubNode* node = it->second.get();
   node->set_delivery_handler(
       [this, id](const ContentMessage& msg, util::Time at) {
-        // In per-node-log mode this runs inside the node's own contact, so
-        // no other worker can touch per_node_deliveries_[id] concurrently.
-        if (per_node_log_) {
-          per_node_deliveries_[id].push_back(
-              DeliveryRecord{id, msg.id, msg.key, at});
-        } else {
-          deliveries_.push_back(DeliveryRecord{id, msg.id, msg.key, at});
-        }
+        deliveries_.push_back(DeliveryRecord{id, msg.id, msg.key, at});
       });
   return *node;
-}
-
-void Network::use_per_node_delivery_log(std::size_t node_count) {
-  per_node_log_ = true;
-  per_node_deliveries_.resize(node_count);
-}
-
-const std::vector<DeliveryRecord>& Network::deliveries() const {
-  if (!per_node_log_) return deliveries_;
-  flattened_.clear();
-  for (const auto& log : per_node_deliveries_) {
-    flattened_.insert(flattened_.end(), log.begin(), log.end());
-  }
-  return flattened_;
 }
 
 BsubNode& Network::node(NodeId id) {

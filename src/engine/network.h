@@ -13,18 +13,11 @@
 #include <vector>
 
 #include "engine/node.h"
+#include "engine/workload_binding.h"
 #include "sim/link.h"
 #include "util/time.h"
 
 namespace bsub::engine {
-
-/// One completed consumer delivery observed by the harness.
-struct DeliveryRecord {
-  NodeId consumer = 0;
-  std::uint64_t message_id = 0;
-  std::string key;
-  util::Time at = 0;
-};
 
 /// Outcome of one contact's frame exchange.
 struct ContactReport {
@@ -54,25 +47,17 @@ class Network {
                         double bandwidth_bytes_per_second =
                             sim::kDefaultBandwidthBytesPerSecond);
 
-  /// Switches delivery recording to per-node logs (ids must be dense in
-  /// [0, node_count)). Required before running contacts concurrently: each
-  /// node's log is only written during that node's own contacts, so
-  /// node-disjoint contacts never share a log. deliveries() then reports
-  /// node-major order — a canonical order identical for serial and parallel
-  /// runs — instead of global arrival order.
-  void use_per_node_delivery_log(std::size_t node_count);
-
-  /// All consumer deliveries seen so far: global arrival order by default,
-  /// node-major (then per-node arrival) order in per-node-log mode.
-  const std::vector<DeliveryRecord>& deliveries() const;
+  /// All consumer deliveries seen so far, in global arrival order. A
+  /// scenario replay that runs contacts concurrently records into a
+  /// DeliveryLog instead (DeliveryLog::attach replaces a node's handler).
+  const std::vector<DeliveryRecord>& deliveries() const {
+    return deliveries_;
+  }
 
  private:
   NodeConfig node_config_;
   std::map<NodeId, std::unique_ptr<BsubNode>> nodes_;
   std::vector<DeliveryRecord> deliveries_;
-  std::vector<std::vector<DeliveryRecord>> per_node_deliveries_;
-  bool per_node_log_ = false;
-  mutable std::vector<DeliveryRecord> flattened_;  ///< deliveries() cache
 };
 
 }  // namespace bsub::engine

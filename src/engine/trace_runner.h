@@ -12,18 +12,20 @@
 //     charges analytic sizes);
 //   - messages carry real bodies of the workload's size.
 //
-// Like the simulator, the runner can shard one trace across cores through
-// the windowed conflict-batch executor: a contact only touches its two
-// endpoint BsubNodes (and their election state), so node-disjoint contacts
-// commute. Delivery records go to per-node logs reduced node-major, and
-// frame tallies are relaxed atomics, so serial and parallel runs return
-// byte-identical TraceRunResults.
+// Like the simulator, the runner replays through the shared scenario replay
+// (sim/event_stream.h), which can shard one trace across cores: a contact
+// only touches its two endpoint BsubNodes (and their election state), so
+// node-disjoint contacts commute. Subscriptions, message bodies and the
+// node-major delivery log come from the workload binding
+// (engine/workload_binding.h), and frame tallies are relaxed atomics, so
+// serial and parallel runs return byte-identical TraceRunResults.
 #pragma once
 
 #include <string_view>
 
 #include "core/broker_allocation.h"
 #include "engine/network.h"
+#include "engine/workload_binding.h"
 #include "metrics/collector.h"
 #include "sim/parallel_executor.h"
 #include "trace/contact_stream.h"
@@ -31,17 +33,6 @@
 #include "workload/workload.h"
 
 namespace bsub::engine {
-
-struct TraceRunResults {
-  std::uint64_t deliveries = 0;          ///< unique (message, consumer)
-  std::uint64_t expected_deliveries = 0;
-  double delivery_ratio = 0.0;
-  double mean_delay_minutes = 0.0;
-  std::uint64_t contacts_processed = 0;
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t bytes_used = 0;
-};
 
 /// Execution knobs; semantics are identical for every setting (see the
 /// determinism contract above).
@@ -72,7 +63,8 @@ class TraceRunner {
   /// Runs a streamed scenario; deterministic across thread counts and
   /// bit-identical to running the stream's materialization. Peak memory is
   /// O(node state + one scheduling window). Consumes the stream from its
-  /// current position.
+  /// current position. Throws util::ConfigError, before any node exists,
+  /// when the workload's node count differs from the stream's.
   TraceRunResults run(trace::ContactStream& contacts,
                       const workload::Workload& workload);
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "net/loopback.h"
 #include "sim/event_stream.h"
@@ -101,8 +102,8 @@ struct FleetRuntime::Shard {
   std::thread thread;
 
   struct Live {
-    Reactor::TimerId idle = TimerWheel::kInvalidTimer;
-    Reactor::TimerId timeout = TimerWheel::kInvalidTimer;
+    Reactor::TimerId idle = TimerQueue::kInvalidTimer;
+    Reactor::TimerId timeout = TimerQueue::kInvalidTimer;
     bool closing = false;
   };
   /// Keyed by contact_key(initiator, peer); only initiator-side closes
@@ -158,24 +159,13 @@ const engine::BsubNode& FleetRuntime::node(trace::NodeId id) const {
   return nodes_[id]->node();
 }
 
-const std::vector<engine::DeliveryRecord>& FleetRuntime::deliveries() const {
-  flattened_.clear();
-  for (const auto& log : per_node_deliveries_) {
-    flattened_.insert(flattened_.end(), log.begin(), log.end());
-  }
-  return flattened_;
-}
-
 void FleetRuntime::make_nodes(std::size_t node_count,
                               const workload::Workload& workload) {
   nodes_.reserve(node_count);
   for (trace::NodeId n = 0; n < node_count; ++n) {
     nodes_.push_back(
         std::make_unique<NodeRuntime>(n, config_.runtime, counters_));
-    engine::BsubNode& node = nodes_.back()->node();
-    for (workload::KeyId k : workload.interests_of(n)) {
-      node.subscribe(workload.keys().name(k));
-    }
+    engine::subscribe_interests(nodes_.back()->node(), workload, n);
   }
   election_ =
       std::make_unique<core::BrokerElection>(node_count, config_.election);
@@ -271,13 +261,8 @@ void FleetRuntime::exec_loopback_event(const sim::ScenarioEvent& e,
                                        const workload::Workload& workload) {
   if (e.is_message) {
     const workload::Message& m = workload.messages()[e.message_index];
-    engine::ContentMessage cm;
-    cm.id = m.id;
-    cm.key = workload.keys().name(m.key);
-    cm.body.assign(m.size_bytes, 0x5A);
-    cm.created = m.created;
-    cm.ttl = m.ttl;
-    nodes_[m.producer]->node().publish(std::move(cm), m.created);
+    nodes_[m.producer]->node().publish(
+        engine::content_message(workload, m, m.created), m.created);
     return;
   }
   exec_loopback_contact(lane_for_thread(), e.contact);
@@ -292,50 +277,28 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
         "fleet.decay_tick",
         "lanes have no timeline between contacts; decay stays lazy");
   }
-  const std::size_t node_count = contacts.node_count();
+  sim::ScenarioEventStream events(contacts, workload);
+  const std::size_t node_count = events.node_count();
   make_nodes(node_count, workload);
-
-  per_node_deliveries_.assign(node_count, {});
+  deliveries_ = engine::DeliveryLog(node_count);
   for (trace::NodeId n = 0; n < node_count; ++n) {
-    nodes_[n]->node().set_delivery_handler(
-        [this, n](const engine::ContentMessage& msg, util::Time at) {
-          per_node_deliveries_[n].push_back(
-              engine::DeliveryRecord{n, msg.id, msg.key, at});
-        });
-  }
-
-  const auto& messages = workload.messages();
-  std::unordered_map<std::uint64_t, util::Time> created_at;
-  created_at.reserve(messages.size());
-  for (const workload::Message& m : messages) {
-    created_at.emplace(m.id, m.created);
+    deliveries_.attach(nodes_[n]->node(), n);
   }
 
   static std::atomic<std::uint64_t> run_sequence{0};
   run_token_ = run_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  sim::ScenarioEventStream events(contacts, workload);
-  std::vector<sim::ScenarioEvent> staged;
   sim::ParallelRunConfig pcfg;
   pcfg.threads = config_.threads;
   pcfg.window_events = config_.window_events;
   pcfg.min_batch_fanout = config_.min_batch_fanout;
 
   FleetRunResults results;
-  results.exec = sim::run_windowed_parallel(
-      node_count,
-      [&](std::span<sim::EventNodes> slots) {
-        staged.resize(slots.size());
-        std::size_t n = 0;
-        while (n < slots.size() && events.next(staged[n])) {
-          slots[n] = staged[n].nodes(messages);
-          ++n;
-        }
-        return n;
-      },
-      [&](std::size_t j) { exec_loopback_event(staged[j], workload); }, pcfg);
-  if (results.exec.events == 0) results.exec.threads_used = 1;
+  results.exec =
+      sim::replay_scenario(events, pcfg, [&](const sim::ScenarioEvent& e) {
+        exec_loopback_event(e, workload);
+      }).exec;
 
   results.wall_seconds = elapsed_seconds(wall_start);
   results.nodes = node_count;
@@ -347,22 +310,7 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
   results.protocol.frames_delivered = results.transport.frames_received;
   results.protocol.frames_dropped = results.transport.frames_dropped;
 
-  const auto& delivered = deliveries();
-  results.protocol.deliveries = delivered.size();
-  results.protocol.expected_deliveries = workload.expected_deliveries();
-  if (results.protocol.expected_deliveries > 0) {
-    results.protocol.delivery_ratio =
-        static_cast<double>(results.protocol.deliveries) /
-        static_cast<double>(results.protocol.expected_deliveries);
-  }
-  double delay_sum = 0.0;
-  for (const engine::DeliveryRecord& d : delivered) {
-    delay_sum += util::to_minutes(d.at - created_at.at(d.message_id));
-  }
-  if (results.protocol.deliveries > 0) {
-    results.protocol.mean_delay_minutes =
-        delay_sum / static_cast<double>(results.protocol.deliveries);
-  }
+  deliveries_.summarize(workload, results.protocol);
   if (results.wall_seconds > 0) {
     results.contacts_per_second =
         static_cast<double>(results.protocol.contacts_processed) /
@@ -423,7 +371,7 @@ void FleetRuntime::arm_idle_check(Shard& shard, std::uint32_t a,
                                                                a, b] {
         auto lit = shard.live.find(contact_key(a, b));
         if (lit == shard.live.end()) return;
-        lit->second.idle = TimerWheel::kInvalidTimer;
+        lit->second.idle = TimerQueue::kInvalidTimer;
         Session* sess = nodes_[a]->session(b);
         if (sess == nullptr) {
           // Session vanished without our close (peer-driven teardown);
@@ -447,17 +395,12 @@ void FleetRuntime::exec_command(Shard& shard, const Command& cmd,
       return;
     case Command::Kind::kPublish: {
       const workload::Message& m = workload.messages()[cmd.message_index];
-      engine::ContentMessage cm;
-      cm.id = m.id;
-      cm.key = workload.keys().name(m.key);
-      cm.body.assign(m.size_bytes, 0x5A);
       // Real-time runs live on the shared steady clock, not trace time;
       // workload TTLs (hours) comfortably outlast the run.
-      cm.created = shard.reactor.now();
-      cm.ttl = m.ttl;
-      publish_ms_[cmd.message_index].store(cm.created,
-                                           std::memory_order_relaxed);
-      nodes_[m.producer]->node().publish(std::move(cm), cm.created);
+      const util::Time now = shard.reactor.now();
+      publish_ms_[cmd.message_index].store(now, std::memory_order_relaxed);
+      nodes_[m.producer]->node().publish(
+          engine::content_message(workload, m, now), now);
       return;
     }
     case Command::Kind::kContact:
@@ -486,7 +429,7 @@ void FleetRuntime::exec_command(Shard& shard, const Command& cmd,
                                                              key, cmd] {
         auto lit = shard.live.find(key);
         if (lit == shard.live.end()) return;
-        lit->second.timeout = TimerWheel::kInvalidTimer;
+        lit->second.timeout = TimerQueue::kInvalidTimer;
         timed_out_.fetch_add(1, std::memory_order_relaxed);
         // abort() fires the closed handler, which completes the contact.
         nodes_[cmd.a]->abort(cmd.b);
@@ -511,15 +454,12 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
         "fleet UDP shard ports out of range", "fleet.udp.base_port",
         "base_port >= 1 and base_port + shards - 1 <= 65535");
   }
-  const std::size_t node_count = contacts.node_count();
+  sim::ScenarioEventStream events(contacts, workload);
+  const std::size_t node_count = events.node_count();
   make_nodes(node_count, workload);
   workload_ = &workload;
 
   const auto& messages = workload.messages();
-  message_index_of_.reserve(messages.size());
-  for (std::uint32_t i = 0; i < messages.size(); ++i) {
-    message_index_of_.emplace(messages[i].id, i);
-  }
   publish_ms_ = std::make_unique<std::atomic<std::int64_t>[]>(
       std::max<std::size_t>(messages.size(), 1));
   for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -549,10 +489,10 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
     nodes_[n]->node().set_delivery_handler(
         [this, &home](const engine::ContentMessage& msg, util::Time at) {
           live_deliveries_.fetch_add(1, std::memory_order_relaxed);
-          auto it = message_index_of_.find(msg.id);
-          if (it == message_index_of_.end()) return;
+          // Workload ids are dense, but this one arrived off the wire.
+          if (msg.id >= workload_->messages().size()) return;
           const std::int64_t sent =
-              publish_ms_[it->second].load(std::memory_order_relaxed);
+              publish_ms_[msg.id].load(std::memory_order_relaxed);
           if (sent >= 0) home.latency_ms.push_back(at - sent);
         });
   }
@@ -572,7 +512,6 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
   // allows. The scenario's virtual timestamps only order events; pacing is
   // real ("as fast as the fleet can absorb").
   const auto wall_start = std::chrono::steady_clock::now();
-  sim::ScenarioEventStream events(contacts, workload);
   sim::ScenarioEvent e;
   while (events.next(e)) {
     if (e.is_message) {

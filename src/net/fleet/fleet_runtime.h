@@ -4,9 +4,9 @@
 // trace::ContactStream on two engines:
 //
 //   run_loopback()  deterministic virtual time, sharded across reactor
-//                   threads. Contacts are scheduled with the windowed
-//                   conflict-batch executor (the same discipline the
-//                   parallel engine uses): node-disjoint contacts commute,
+//                   threads. Events run through the shared scenario replay
+//                   (sim/event_stream.h) that the simulator and
+//                   engine::TraceRunner use: node-disjoint contacts commute,
 //                   so each worker thread owns a *lane* — a ManualClock +
 //                   Reactor + LoopbackHub — and replays its contacts as
 //                   independent virtual-time episodes (clock reset +
@@ -30,6 +30,10 @@
 //                   bit-comparable to the virtual-time engines (real
 //                   clocks, best-effort datagrams, no byte budgets).
 //
+// Both engines take subscriptions and message bodies from the workload
+// binding (engine/workload_binding.h), and both reject, before any node or
+// socket exists, a workload whose node count differs from the stream's.
+//
 // A FleetRuntime instance is single-run: construct, call run_loopback() or
 // run_udp() once, then inspect node()/deliveries().
 #pragma once
@@ -39,11 +43,11 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/broker_allocation.h"
 #include "engine/trace_runner.h"
+#include "engine/workload_binding.h"
 #include "metrics/collector.h"
 #include "net/fleet/fleet_udp.h"
 #include "net/node_runtime.h"
@@ -125,14 +129,16 @@ class FleetRuntime {
   FleetRuntime& operator=(const FleetRuntime&) = delete;
 
   /// Deterministic multi-threaded loopback replay. Requires
-  /// runtime.decay_tick == 0 (lanes have no timeline between contacts);
-  /// throws util::ConfigError otherwise.
+  /// runtime.decay_tick == 0 (lanes have no timeline between contacts) and
+  /// a workload over the stream's nodes; throws util::ConfigError
+  /// otherwise.
   FleetRunResults run_loopback(trace::ContactStream& contacts,
                                const workload::Workload& workload);
 
   /// Real-time replay over the fleet UDP plane. Shard s binds
   /// udp.base_port + s; throws util::ConfigError, before any socket binds,
-  /// when base_port is 0 or the last shard's port would pass 65535.
+  /// when base_port is 0, the last shard's port would pass 65535, or the
+  /// workload's node count differs from the stream's.
   FleetRunResults run_udp(trace::ContactStream& contacts,
                           const workload::Workload& workload);
 
@@ -153,7 +159,9 @@ class FleetRuntime {
   /// All consumer deliveries, node-major — the canonical order shared with
   /// TraceRunner. Populated by run_loopback();
   /// empty after run_udp() (real-time runs only count and sample).
-  const std::vector<engine::DeliveryRecord>& deliveries() const;
+  std::vector<engine::DeliveryRecord> deliveries() const {
+    return deliveries_.records();
+  }
 
  private:
   struct Lane;
@@ -188,8 +196,7 @@ class FleetRuntime {
   metrics::TransportCounters counters_;
 
   std::unique_ptr<core::BrokerElection> election_;
-  std::vector<std::vector<engine::DeliveryRecord>> per_node_deliveries_;
-  mutable std::vector<engine::DeliveryRecord> flattened_;
+  engine::DeliveryLog deliveries_;  ///< run_loopback() only
   std::atomic<std::uint64_t> contacts_processed_{0};
   std::atomic<std::uint64_t> bytes_used_{0};
 
@@ -201,7 +208,7 @@ class FleetRuntime {
   // UDP shards and real-time bookkeeping.
   std::vector<std::unique_ptr<Shard>> shards_;
   const workload::Workload* workload_ = nullptr;
-  std::unordered_map<std::uint64_t, std::uint32_t> message_index_of_;
+  /// Publish instant per workload message id (-1 until published).
   std::unique_ptr<std::atomic<std::int64_t>[]> publish_ms_;
   std::atomic<std::uint64_t> issued_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -23,9 +23,9 @@ void NodeRuntime::bind(Transport& transport, Reactor& reactor) {
 
 void NodeRuntime::unbind() {
   if (transport_ == nullptr) return;
-  if (decay_timer_ != TimerWheel::kInvalidTimer) {
+  if (decay_timer_ != TimerQueue::kInvalidTimer) {
     reactor_->cancel(decay_timer_);
-    decay_timer_ = TimerWheel::kInvalidTimer;
+    decay_timer_ = TimerQueue::kInvalidTimer;
   }
   // Anything still alive is torn down locally; graceful closes are the
   // caller's job before it unbinds.

@@ -12,7 +12,7 @@
 //     goes through BsubNode::handle(), and the response frames go straight
 //     back out on the same session;
 //   - timers: a periodic decay tick drives TCBF decay and expiry purging
-//     through the reactor's timer wheel, so a daemon idling between
+//     through the reactor's timer queue, so a daemon idling between
 //     contacts keeps its filters honest.
 //
 // The node's persistent state (the BsubNode and its session-epoch counter)
@@ -129,7 +129,7 @@ class NodeRuntime {
   /// stack); drained at the next runtime entry point.
   std::vector<std::unique_ptr<Session>> graveyard_;
   SessionClosedHandler on_session_closed_;
-  Reactor::TimerId decay_timer_ = TimerWheel::kInvalidTimer;
+  Reactor::TimerId decay_timer_ = TimerQueue::kInvalidTimer;
   std::uint32_t next_epoch_ = 0;  ///< session incarnations, node-lifetime
 };
 

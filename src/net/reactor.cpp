@@ -5,20 +5,20 @@
 
 namespace bsub::net {
 
-Reactor::Reactor(Clock& clock) : clock_(clock), wheel_(clock.now()) {}
+Reactor::Reactor(Clock& clock) : clock_(clock), timers_(clock.now()) {}
 
 Reactor::TimerId Reactor::schedule_at(util::Time deadline,
-                                      TimerWheel::Callback cb) {
-  return wheel_.schedule(deadline, std::move(cb));
+                                      TimerQueue::Callback cb) {
+  return timers_.schedule(deadline, std::move(cb));
 }
 
 Reactor::TimerId Reactor::schedule_after(util::Time delay,
-                                         TimerWheel::Callback cb) {
-  return wheel_.schedule(clock_.now() + std::max<util::Time>(delay, 0),
+                                         TimerQueue::Callback cb) {
+  return timers_.schedule(clock_.now() + std::max<util::Time>(delay, 0),
                          std::move(cb));
 }
 
-bool Reactor::cancel(TimerId id) { return wheel_.cancel(id); }
+bool Reactor::cancel(TimerId id) { return timers_.cancel(id); }
 
 void Reactor::add_fd(int fd, std::function<void()> on_readable) {
   auto [it, inserted] = slots_.try_emplace(fd, Slot{pfds_.size(), {}});
@@ -45,25 +45,21 @@ void Reactor::advance_to(ManualClock& clock, util::Time t) {
   // exactly its own deadline — the property the deterministic differential
   // tests rely on.
   while (true) {
-    const util::Time d = wheel_.next_deadline();
+    const util::Time d = timers_.next_deadline();
     if (d > t) break;
     clock.set(d);
-    wheel_.advance(d);
+    timers_.advance(d);
   }
   clock.set(t);
-  wheel_.advance(t);
+  timers_.advance(t);
 }
 
-void Reactor::rebase(util::Time t) {
-  assert(wheel_.pending() == 0 &&
-         "rebase with pending timers would silently drop them");
-  wheel_ = TimerWheel(t);
-}
+void Reactor::rebase(util::Time t) { timers_.rebase(t); }
 
 bool Reactor::run_once(util::Time max_wait) {
   if (stopped_) return false;
   util::Time wait = max_wait;
-  const util::Time next = wheel_.next_deadline();
+  const util::Time next = timers_.next_deadline();
   if (next != util::kTimeMax) {
     // Round the sleep up by one tick: the ms clock floors, so sleeping
     // exactly (next - now) can wake with the clock still reading one ms
@@ -98,7 +94,7 @@ bool Reactor::run_once(util::Time max_wait) {
     auto cb = it->second.on_readable;
     cb();
   }
-  wheel_.advance(clock_.now());
+  timers_.advance(clock_.now());
   return !stopped_;
 }
 

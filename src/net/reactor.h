@@ -1,7 +1,7 @@
 // Event loop for the live runtime: fd readiness + deadlines.
 //
 // One reactor drives everything a node endpoint does: socket readiness
-// (over registered fds) and deadlines (a hierarchical TimerWheel —
+// (over registered fds) and deadlines (a TimerQueue min-heap —
 // retransmits, session teardown, TCBF decay ticks). Two driving modes share
 // the same registration API:
 //
@@ -32,14 +32,14 @@
 #include <vector>
 
 #include "net/clock.h"
-#include "net/timer_wheel.h"
+#include "net/timer_queue.h"
 #include "util/time.h"
 
 namespace bsub::net {
 
 class Reactor {
  public:
-  using TimerId = TimerWheel::TimerId;
+  using TimerId = TimerQueue::TimerId;
 
   explicit Reactor(Clock& clock);
 
@@ -50,12 +50,12 @@ class Reactor {
   util::Time now() const { return clock_.now(); }
 
   /// Schedules `cb` at an absolute instant / after a delay from now.
-  TimerId schedule_at(util::Time deadline, TimerWheel::Callback cb);
-  TimerId schedule_after(util::Time delay, TimerWheel::Callback cb);
+  TimerId schedule_at(util::Time deadline, TimerQueue::Callback cb);
+  TimerId schedule_after(util::Time delay, TimerQueue::Callback cb);
   bool cancel(TimerId id);
 
-  util::Time next_deadline() const { return wheel_.next_deadline(); }
-  std::size_t pending_timers() const { return wheel_.pending(); }
+  util::Time next_deadline() const { return timers_.next_deadline(); }
+  std::size_t pending_timers() const { return timers_.pending(); }
 
   /// Registers `fd` for readability callbacks (real-time mode). The fd must
   /// stay valid until remove_fd(). Registering an already-registered fd
@@ -66,7 +66,7 @@ class Reactor {
   std::size_t fd_count() const { return pfds_.size(); }
 
   /// Fires every timer due at the clock's current instant. Returns count.
-  std::size_t fire_due() { return wheel_.advance(clock_.now()); }
+  std::size_t fire_due() { return timers_.advance(clock_.now()); }
 
   /// Virtual-time driving (ManualClock): steps the clock through each due
   /// deadline in order up to `t`, firing timers as it goes, and leaves the
@@ -74,7 +74,7 @@ class Reactor {
   /// ManualClock.
   void advance_to(ManualClock& clock, util::Time t);
 
-  /// Rewinds the timer wheel to `t` for reuse by a new virtual-time episode
+  /// Rewinds the timer queue to `t` for reuse by a new virtual-time episode
   /// (the fleet's loopback lanes execute node-disjoint contacts out of
   /// global time order, one rebased episode per contact). Requires no
   /// pending timers — everything from the previous episode must have fired
@@ -100,7 +100,7 @@ class Reactor {
   };
 
   Clock& clock_;
-  TimerWheel wheel_;
+  TimerQueue timers_;
   /// The poll set: pfds_[slots_[fd].index].fd == fd for every registered fd.
   std::vector<pollfd> pfds_;
   std::unordered_map<int, Slot> slots_;

@@ -52,22 +52,22 @@ bool Session::offer(std::span<const std::uint8_t> frame) {
   ++counters_.frames_sent;
   send_fragments(entry, /*retransmit=*/false);
   unacked_.push_back(std::move(entry));
-  if (rto_timer_ == TimerWheel::kInvalidTimer) arm_rto();
+  if (rto_timer_ == TimerQueue::kInvalidTimer) arm_rto();
   return true;
 }
 
 void Session::arm_rto() {
   disarm_rto();
   rto_timer_ = reactor_.schedule_after(rto_current_, [this] {
-    rto_timer_ = TimerWheel::kInvalidTimer;
+    rto_timer_ = TimerQueue::kInvalidTimer;
     on_rto();
   });
 }
 
 void Session::disarm_rto() {
-  if (rto_timer_ != TimerWheel::kInvalidTimer) {
+  if (rto_timer_ != TimerQueue::kInvalidTimer) {
     reactor_.cancel(rto_timer_);
-    rto_timer_ = TimerWheel::kInvalidTimer;
+    rto_timer_ = TimerQueue::kInvalidTimer;
   }
 }
 

@@ -168,7 +168,7 @@ class Session {
   // Send side.
   std::uint64_t next_send_seq_ = 0;
   std::deque<SendEntry> unacked_;
-  Reactor::TimerId rto_timer_ = TimerWheel::kInvalidTimer;
+  Reactor::TimerId rto_timer_ = TimerQueue::kInvalidTimer;
   util::Time rto_current_;
   std::uint32_t retries_ = 0;
   std::uint64_t retransmits_ = 0;

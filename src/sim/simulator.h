@@ -10,11 +10,13 @@
 // Deterministic: same scenario + workload + protocol state gives identical
 // results — including across thread counts and across streamed vs.
 // materialized input (the stream ordering contract makes both spell out the
-// same event sequence). When the protocol opts in via
-// Protocol::parallel_contacts_safe(), events are executed by the windowed
-// conflict-batch executor (parallel_executor.h), which preserves every
-// node's serial event order; BSUB_THREADS=1 and N-thread runs produce
-// byte-identical RunResults.
+// same event sequence). Events run through the shared scenario replay
+// (event_stream.h). When the protocol opts in via
+// Protocol::parallel_contacts_safe(), the windowed conflict-batch executor
+// (parallel_executor.h) runs node-disjoint events concurrently while
+// preserving every node's serial event order, so BSUB_THREADS=1 and
+// N-thread runs produce byte-identical RunResults; otherwise the replay
+// runs on one thread.
 #pragma once
 
 #include "metrics/collector.h"
@@ -31,8 +33,8 @@ namespace bsub::sim {
 struct SimulatorConfig {
   double bandwidth_bytes_per_second = kDefaultBandwidthBytesPerSecond;
   /// Worker threads for the contact loop: 0 = util::default_thread_count()
-  /// (honors BSUB_THREADS), 1 = plain serial loop. Only takes effect when
-  /// the protocol reports parallel_contacts_safe().
+  /// (honors BSUB_THREADS), 1 = serial. Only takes effect when the protocol
+  /// reports parallel_contacts_safe().
   std::size_t threads = 0;
   /// Events per conflict-scheduling window (see ParallelRunConfig).
   std::size_t window_events = 4096;
@@ -47,7 +49,9 @@ class Simulator {
   /// Runs `protocol` over a streamed scenario and returns the collected
   /// metrics. Peak memory is O(node state + one scheduling window); the
   /// contact count never materializes. Consumes the stream from its
-  /// current position (callers reuse a stream by reset()).
+  /// current position (callers reuse a stream by reset()). Throws
+  /// util::ConfigError, before the protocol starts, when the workload's
+  /// node count differs from the stream's.
   metrics::RunResults run(trace::ContactStream& contacts,
                           const workload::Workload& workload,
                           Protocol& protocol);

@@ -1,147 +1,30 @@
-// Pooled storage for lazy per-node protocol state.
+// Pooled storage for small per-node arrays.
 //
 // The per-node memory floor at city scale is set by what every node pays
 // whether or not it ever participates: an idle node must cost a few bytes
-// of index, and the real state (relay filters, meeting rings, peer tables)
-// must be paid only by the nodes that actually use it — and recycled when
-// they stop (demotion, window drain). Two building blocks provide that:
+// of index, and the real state (meeting rings, peer tables) must be paid
+// only by the nodes that actually use it. BlockPool serves those arrays: a
+// power-of-two size-class slab allocator for small POD arrays (meeting
+// rings, open-addressing tables). Blocks are bump-cut from 64 KiB slabs and
+// recycled through intrusive free lists; nothing is returned to the system
+// until the pool dies, so steady-state churn (ring growth, table rehash)
+// allocates nothing.
 //
-//   - ObjectPool<T>: a free-list pool of heavyweight objects (e.g. a relay
-//     filter + shadow map) addressed by dense uint32 handles. Backing
-//     storage is a ladder of geometrically-growing chunks published through
-//     atomics, so dereferencing a handle takes no lock and stays valid
-//     while the pool grows. Objects are reset by the *releaser* (via a
-//     caller-supplied recycle hook), so acquire is O(1) and a recycled
-//     object keeps its heap capacity — re-promotion after demotion reuses
-//     the old buffers.
-//
-//   - BlockPool: a power-of-two size-class slab allocator for small POD
-//     arrays (meeting rings, open-addressing tables). Blocks are bump-cut
-//     from 64 KiB slabs and recycled through intrusive free lists; nothing
-//     is returned to the system until the pool dies, so steady-state churn
-//     (ring growth, table rehash) allocates nothing.
-//
-// Both pools serialize acquire/release behind a mutex: the conflict-batch
-// executor runs node-disjoint contacts concurrently, and while each node's
-// state is owned by one worker, the pools themselves are shared (exactly
-// like the global allocator they replace). Handle dereference takes no
-// lock, and a slot is only touched by the worker that owns the node
-// holding its handle.
+// Acquire/release serialize behind a mutex: the conflict-batch executor
+// runs node-disjoint contacts concurrently, and while each node's state is
+// owned by one worker, the pool itself is shared (exactly like the global
+// allocator it replaces).
 #pragma once
 
-#include <atomic>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace bsub::util {
-
-/// Sentinel handle: "no object".
-inline constexpr std::uint32_t kNoPoolHandle = 0xFFFFFFFFu;
-
-template <typename T>
-class ObjectPool {
-  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-
- public:
-  ObjectPool() = default;
-  ObjectPool(const ObjectPool&) = delete;
-  ObjectPool& operator=(const ObjectPool&) = delete;
-
-  ~ObjectPool() {
-    const std::uint32_t total = total_.load(std::memory_order_acquire);
-    for (std::uint32_t h = 0; h < total; ++h) slot(h)->~T();
-    for (auto& c : chunks_) {
-      delete[] c.load(std::memory_order_acquire);
-    }
-  }
-
-  /// Returns a handle to a live object: a recycled one when the free list
-  /// has a candidate (already reset by release's recycle hook), otherwise a
-  /// fresh one constructed from `make()`.
-  template <typename Make>
-  std::uint32_t acquire(Make&& make) {
-    std::uint32_t h;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        h = free_.back();
-        free_.pop_back();
-        ++recycled_;
-        return h;
-      }
-      h = total_.load(std::memory_order_relaxed);
-      const unsigned c = chunk_of(h);
-      if (chunks_[c].load(std::memory_order_relaxed) == nullptr) {
-        chunks_[c].store(new std::byte[chunk_elems(c) * sizeof(T)],
-                         std::memory_order_release);
-      }
-      total_.store(h + 1, std::memory_order_release);
-    }
-    // Constructed outside the lock: the handle is unpublished, so no other
-    // worker can touch the slot, and sibling slots have distinct addresses.
-    new (slot(h)) T(make());
-    return h;
-  }
-
-  /// Returns `handle`'s object to the free list. `recycle(obj)` runs first
-  /// (outside the lock — the object is still exclusively owned by the
-  /// caller) and must leave the object indistinguishable from a fresh one.
-  template <typename Recycle>
-  void release(std::uint32_t handle, Recycle&& recycle) {
-    recycle(*slot(handle));
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(handle);
-  }
-
-  T& operator[](std::uint32_t handle) { return *slot(handle); }
-  const T& operator[](std::uint32_t handle) const { return *slot(handle); }
-
-  /// Objects ever constructed (live + free).
-  std::size_t size() const { return total_.load(std::memory_order_acquire); }
-  /// Objects currently parked on the free list.
-  std::size_t free_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return free_.size();
-  }
-  /// Lifetime count of acquires served from the free list.
-  std::uint64_t recycled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return recycled_;
-  }
-
- private:
-  // Chunk c holds kFirstChunk << c slots; handles map to (chunk, offset)
-  // with pure bit math. 28 chunks cover > 2^30 slots.
-  static constexpr std::uint32_t kFirstChunk = 8;
-  static constexpr unsigned kChunks = 28;
-
-  static unsigned chunk_of(std::uint32_t h) {
-    return static_cast<unsigned>(std::bit_width(h + kFirstChunk)) - 4;
-  }
-  static std::uint32_t chunk_elems(unsigned c) { return kFirstChunk << c; }
-
-  T* slot(std::uint32_t h) const {
-    assert(h < total_.load(std::memory_order_acquire));
-    const unsigned c = chunk_of(h);
-    const std::uint32_t off = h + kFirstChunk - (kFirstChunk << c);
-    std::byte* base = chunks_[c].load(std::memory_order_acquire);
-    return reinterpret_cast<T*>(base) + off;
-  }
-
-  mutable std::mutex mu_;
-  std::atomic<std::uint32_t> total_{0};
-  std::atomic<std::byte*> chunks_[kChunks] = {};
-  std::vector<std::uint32_t> free_;
-  std::uint64_t recycled_ = 0;
-};
 
 /// Slab-backed size-class allocator for raw blocks of trivially-copyable
 /// state. Sizes round up to the next power of two (minimum 16 bytes, so

@@ -2,11 +2,49 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <tuple>
 
 #include "trace/centrality.h"
+#include "util/errors.h"
 
 namespace bsub::workload {
+
+namespace {
+
+[[noreturn]] void reject(const std::string& what, const char* field,
+                         const std::string& constraint) {
+  throw util::ConfigError("invalid workload: " + what, field, constraint);
+}
+
+void check_interest_count(std::size_t interests, std::size_t node_count) {
+  if (interests != node_count) {
+    reject(std::to_string(interests) + " interest entries for " +
+               std::to_string(node_count) + " nodes",
+           "interests", "one entry per node");
+  }
+}
+
+void check_key(KeyId key, const KeySet& keys, const char* field) {
+  if (key >= keys.size()) {
+    reject("key " + std::to_string(key) + " outside the key set", field,
+           "< " + std::to_string(keys.size()));
+  }
+}
+
+void check_messages(const std::vector<Message>& messages, const KeySet& keys,
+                    std::size_t node_count) {
+  for (const Message& m : messages) {
+    check_key(m.key, keys, "message.key");
+    if (m.producer >= node_count) {
+      reject("producer " + std::to_string(m.producer) + " outside the " +
+                 std::to_string(node_count) + " nodes",
+             "message.producer", "< " + std::to_string(node_count));
+    }
+  }
+}
+
+}  // namespace
 
 Workload::Workload(const trace::ContactTrace& trace, const KeySet& keys,
                    const WorkloadConfig& config)
@@ -80,7 +118,9 @@ Workload::Workload(const KeySet& keys, std::size_t node_count,
                    std::vector<Message> messages)
     : keys_(&keys), interest_flat_(std::move(interests)),
       messages_(std::move(messages)), centrality_(node_count, 0.0) {
-  assert(interest_flat_.size() == node_count);
+  check_interest_count(interest_flat_.size(), node_count);
+  for (KeyId k : interest_flat_) check_key(k, keys, "interests");
+  check_messages(messages_, keys, node_count);
   // One key per node: the CSR offsets are simply 0..n.
   interest_offsets_.resize(node_count + 1);
   for (std::size_t i = 0; i <= node_count; ++i) {
@@ -95,11 +135,13 @@ Workload::Workload(const KeySet& keys, std::size_t node_count,
                    std::vector<Message> messages)
     : keys_(&keys), messages_(std::move(messages)),
       centrality_(node_count, 0.0) {
-  assert(interests.size() == node_count);
+  check_interest_count(interests.size(), node_count);
+  check_messages(messages_, keys, node_count);
   interest_offsets_.reserve(node_count + 1);
   interest_offsets_.push_back(0);
   for (const auto& keys_of_node : interests) {
     assert(!keys_of_node.empty());
+    for (KeyId k : keys_of_node) check_key(k, keys, "interests");
     interest_flat_.insert(interest_flat_.end(), keys_of_node.begin(),
                           keys_of_node.end());
     interest_offsets_.push_back(
@@ -113,7 +155,6 @@ void Workload::index_subscribers() {
   subscribers_.assign(keys_->size(), {});
   for (std::size_t i = 0; i + 1 < interest_offsets_.size(); ++i) {
     for (KeyId k : interests_of(static_cast<trace::NodeId>(i))) {
-      assert(k < keys_->size());
       subscribers_[k].push_back(static_cast<trace::NodeId>(i));
     }
   }

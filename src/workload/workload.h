@@ -44,12 +44,14 @@ class Workload {
 
   /// Explicit construction for custom scenarios: `interests[n]` is node n's
   /// single key; `messages` need not be sorted (they will be, and
-  /// re-numbered with dense ids in time order).
+  /// re-numbered with dense ids in time order). Throws util::ConfigError
+  /// unless there is one interest per node, every interest and message key
+  /// is in `keys`, and every producer is below `node_count`.
   Workload(const KeySet& keys, std::size_t node_count,
            std::vector<KeyId> interests, std::vector<Message> messages);
 
   /// Explicit construction with multiple interests per node (each inner
-  /// vector must be non-empty).
+  /// vector must be non-empty); same checks as above.
   Workload(const KeySet& keys, std::size_t node_count,
            std::vector<std::vector<KeyId>> interests,
            std::vector<Message> messages);

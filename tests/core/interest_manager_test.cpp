@@ -118,14 +118,6 @@ TEST(InterestManager, ShadowTracksGroundTruthUnderDecay) {
   EXPECT_TRUE(im.genuinely_contains(0, "real", util::kMinute));
 }
 
-TEST(InterestManager, ClearRelayResetsFilterAndShadow) {
-  auto im = make_manager();
-  im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
-  im.clear_relay(0);
-  EXPECT_TRUE(im.relay(0, util::kMinute).empty());
-  EXPECT_FALSE(im.genuinely_contains(0, "key", util::kMinute));
-}
-
 TEST(InterestManager, PerNodeDfOverride) {
   auto im = make_manager(/*df=*/0.0);
   im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
@@ -144,19 +136,6 @@ TEST(InterestManager, ClearingDfOverrideRestoresGlobal) {
   EXPECT_DOUBLE_EQ(im.node_df(0), 7.0);
   im.set_node_df(0, -1.0);
   EXPECT_DOUBLE_EQ(im.node_df(0), 2.0);
-}
-
-TEST(InterestManager, DfOverrideSurvivesClearRelay) {
-  // Adaptive DF is a property of the node, not of one relay incarnation:
-  // demotion resets the filter but must keep the tuned decay factor.
-  auto im = make_manager(/*df=*/0.0);
-  im.set_node_df(0, 5.0);
-  im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
-  im.clear_relay(0);
-  EXPECT_DOUBLE_EQ(im.node_df(0), 5.0);
-  // The override keeps governing the next incarnation's decay.
-  im.absorb_genuine(0, im.make_genuine("key"), "key", 0);
-  EXPECT_FALSE(im.relay(0, util::from_minutes(20)).contains("key"));
 }
 
 TEST(InterestManager, SetNodeDfDoesNotMaterializeRelay) {
@@ -180,45 +159,13 @@ TEST(InterestManager, RelayStateIsLazyUntilFirstTouch) {
   EXPECT_EQ(im.materialized_relays(), 1u);
 }
 
-TEST(InterestManager, ClearRelayReturnsStateToPool) {
-  auto im = make_manager();
-  im.absorb_genuine(1, im.make_genuine("key"), "key", 0);
-  ASSERT_EQ(im.materialized_relays(), 1u);
-  EXPECT_EQ(im.pooled_relays(), 0u);
-  im.clear_relay(1);
-  EXPECT_FALSE(im.relay_materialized(1));
-  EXPECT_EQ(im.materialized_relays(), 0u);
-  EXPECT_EQ(im.pooled_relays(), 1u);
-}
-
-TEST(InterestManager, RePromotionReusesPooledState) {
-  // Demote node 1, then promote node 3: the new broker's state must come
-  // off the free list (recycled), not from a fresh allocation.
-  auto im = make_manager();
-  im.absorb_genuine(1, im.make_genuine("old"), "old", 0);
-  im.clear_relay(1);
-  ASSERT_EQ(im.pooled_relays(), 1u);
-  ASSERT_EQ(im.relays_recycled(), 0u);
-
-  im.absorb_genuine(3, im.make_genuine("new"), "new", util::kMinute);
-  EXPECT_EQ(im.relays_recycled(), 1u);
-  EXPECT_EQ(im.pooled_relays(), 0u);
-  EXPECT_EQ(im.materialized_relays(), 1u);
-  // The recycled state carries nothing over from its previous owner.
-  EXPECT_FALSE(im.genuinely_contains(3, "old", util::kMinute));
-  EXPECT_TRUE(im.genuinely_contains(3, "new", util::kMinute));
-  EXPECT_FALSE(im.relay(3, util::kMinute).contains("old"));
-}
-
 TEST(InterestManager, RecycledStateDecaysFromReacquisitionTime) {
-  // A recycled relay's decay clock starts at its new first touch — exactly
-  // like an empty filter built up front, whose decay up to that point is a
-  // no-op.
+  // A relay whose keys have all decayed away is reused in place: a key it
+  // re-acquires much later starts at full C and decays only from then on.
   auto im = make_manager(/*df=*/1.0);
   im.absorb_genuine(0, im.make_genuine("a"), "a", 0);
-  im.clear_relay(0);
-  // Re-promote the same node much later; counters must start at full C.
   const util::Time later = util::from_minutes(500);
+  ASSERT_TRUE(im.relay(0, later).empty());
   im.absorb_genuine(0, im.make_genuine("b"), "b", later);
   EXPECT_EQ(im.relay(0, later).min_counter("b"), kC);
   // And decay only from `later` on.
@@ -227,15 +174,14 @@ TEST(InterestManager, RecycledStateDecaysFromReacquisitionTime) {
 }
 
 TEST(InterestManager, EagerModeMatchesPooledObservables) {
-  // The historical eager layout built every relay up front and reset it in
-  // place. Its observables here are closed-form: the node's DF override
-  // (2 per minute) survives the reset, and the re-absorbed key decays from
-  // its re-absorption at 1 min, so at 3 min its counter is C - 2 * 2. The
-  // pooled layout must report exactly that.
+  // The historical eager layout built every relay up front. Its observables
+  // here are closed-form: the DF override (2 per minute) set before the
+  // relay exists governs it, and the key decays from its absorption at
+  // 1 min, so at 3 min its counter is C - 2 * 2. The lazy layout must
+  // report exactly that.
   auto im = make_manager();
   im.set_node_df(1, 2.0);
-  im.absorb_genuine(1, im.make_genuine("key"), "key", 0);
-  im.clear_relay(1);
+  EXPECT_FALSE(im.relay_materialized(1));
   im.absorb_genuine(1, im.make_genuine("key"), "key", util::kMinute);
   EXPECT_EQ(*im.relay(1, util::from_minutes(3)).min_counter("key"), kC - 4.0);
   EXPECT_TRUE(im.genuinely_contains(1, "key", util::from_minutes(3)));

@@ -148,7 +148,7 @@ void expect_logs_and_custody_match(const Family& f, std::uint64_t seed) {
   const FleetRunResults got = fleet.run_loopback(s.trace, s.workload);
   ASSERT_GT(got.protocol.deliveries, 0u);
 
-  EXPECT_EQ(tuples(fleet.deliveries()), tuples(replay.net().deliveries()));
+  EXPECT_EQ(tuples(fleet.deliveries()), tuples(replay.deliveries()));
 
   std::set<std::uint64_t> message_ids;
   for (const workload::Message& m : s.workload.messages()) {

@@ -1,15 +1,18 @@
 // Serial engine::Network replay of a (trace, workload) scenario that keeps
 // its Network for introspection — TraceRunner discards its Network at
-// return. Same event merge as TraceRunner (a message created at or before a
-// contact's start goes first), same election, per-node delivery log, so the
-// delivery order is the canonical node-major one every substrate reports.
+// return. Its merge loop is written out here on purpose: an independent
+// statement of the tie rule (a message created at or before a contact's
+// start goes first) next to sim::ScenarioEventStream. Subscriptions,
+// message bodies and the node-major delivery log come from the workload
+// binding every substrate shares.
 #pragma once
 
 #include <cstddef>
-#include <utility>
+#include <vector>
 
 #include "core/broker_allocation.h"
 #include "engine/network.h"
+#include "engine/workload_binding.h"
 #include "trace/trace.h"
 #include "workload/workload.h"
 
@@ -21,13 +24,12 @@ class EngineReplay {
                const workload::Workload& workload,
                engine::NodeConfig node_config,
                core::BrokerElection::Config election_config)
-      : net_(node_config), election_(trace.node_count(), election_config) {
-    net_.use_per_node_delivery_log(trace.node_count());
+      : net_(node_config), election_(trace.node_count(), election_config),
+        deliveries_(trace.node_count()) {
     for (trace::NodeId n = 0; n < trace.node_count(); ++n) {
       engine::BsubNode& node = net_.add_node(n);
-      for (workload::KeyId k : workload.interests_of(n)) {
-        node.subscribe(workload.keys().name(k));
-      }
+      engine::subscribe_interests(node, workload, n);
+      deliveries_.attach(node, n);
     }
     const auto& contacts = trace.contacts();
     const auto& messages = workload.messages();
@@ -39,13 +41,9 @@ class EngineReplay {
            messages[mi].created <= contacts[ci].start);
       if (take_message) {
         const workload::Message& m = messages[mi++];
-        engine::ContentMessage cm;
-        cm.id = m.id;
-        cm.key = workload.keys().name(m.key);
-        cm.body.assign(m.size_bytes, 0x5A);
-        cm.created = m.created;
-        cm.ttl = m.ttl;
-        net_.node(m.producer).publish(std::move(cm), m.created);
+        net_.node(m.producer)
+            .publish(engine::content_message(workload, m, m.created),
+                     m.created);
         continue;
       }
       const trace::Contact& c = contacts[ci++];
@@ -57,10 +55,15 @@ class EngineReplay {
   }
 
   engine::Network& net() { return net_; }
+  /// Every delivery in the canonical node-major order.
+  std::vector<engine::DeliveryRecord> deliveries() const {
+    return deliveries_.records();
+  }
 
  private:
   engine::Network net_;
   core::BrokerElection election_;
+  engine::DeliveryLog deliveries_;
 };
 
 }  // namespace bsub::testing

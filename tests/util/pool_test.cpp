@@ -10,88 +10,6 @@
 namespace bsub::util {
 namespace {
 
-struct Tracked {
-  int value = 0;
-  std::string payload;
-};
-
-TEST(ObjectPool, AcquireConstructsFromMake) {
-  ObjectPool<Tracked> pool;
-  const std::uint32_t h = pool.acquire([] { return Tracked{7, "seven"}; });
-  EXPECT_EQ(pool[h].value, 7);
-  EXPECT_EQ(pool[h].payload, "seven");
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_EQ(pool.recycled(), 0u);
-}
-
-TEST(ObjectPool, ReleaseThenAcquireRecycles) {
-  ObjectPool<Tracked> pool;
-  const std::uint32_t a = pool.acquire([] { return Tracked{1, "x"}; });
-  pool.release(a, [](Tracked& t) {
-    t.value = 0;
-    t.payload.clear();
-  });
-  EXPECT_EQ(pool.free_count(), 1u);
-
-  // The recycle hook already reset the object, so make() must not run.
-  const std::uint32_t b = pool.acquire([]() -> Tracked {
-    ADD_FAILURE() << "make() ran for a recycled object";
-    return {};
-  });
-  EXPECT_EQ(b, a);  // same slot comes back
-  EXPECT_EQ(pool[b].value, 0);
-  EXPECT_TRUE(pool[b].payload.empty());
-  EXPECT_EQ(pool.size(), 1u);  // no new construction
-  EXPECT_EQ(pool.free_count(), 0u);
-  EXPECT_EQ(pool.recycled(), 1u);
-}
-
-TEST(ObjectPool, RecycledObjectKeepsHeapCapacity) {
-  // The point of releaser-side reset: a demoted broker's buffers survive on
-  // the free list, so re-promotion reuses them instead of reallocating.
-  ObjectPool<std::vector<int>> pool;
-  const std::uint32_t h = pool.acquire([] { return std::vector<int>(); });
-  pool[h].resize(1000);
-  const std::size_t cap = pool[h].capacity();
-  pool.release(h, [](std::vector<int>& v) { v.clear(); });  // keeps capacity
-  const std::uint32_t h2 = pool.acquire([] { return std::vector<int>(); });
-  EXPECT_EQ(h2, h);
-  EXPECT_TRUE(pool[h2].empty());
-  EXPECT_GE(pool[h2].capacity(), cap);
-}
-
-TEST(ObjectPool, HandlesStayValidAcrossGrowth) {
-  // Chunked backing storage: growing the pool must never move live objects,
-  // because workers dereference handles without a lock while acquires run.
-  ObjectPool<std::uint64_t> pool;
-  std::vector<const std::uint64_t*> addrs;
-  constexpr std::uint32_t kCount = 5000;  // spans several chunk doublings
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    const std::uint32_t h = pool.acquire([i] { return std::uint64_t{i}; });
-    ASSERT_EQ(h, i);  // dense handles in acquisition order
-    addrs.push_back(&pool[h]);
-  }
-  for (std::uint32_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(&pool[i], addrs[i]);
-    EXPECT_EQ(pool[i], i);
-  }
-  EXPECT_EQ(pool.size(), kCount);
-}
-
-TEST(ObjectPool, FreeListIsLifo) {
-  ObjectPool<int> pool;
-  const std::uint32_t a = pool.acquire([] { return 1; });
-  const std::uint32_t b = pool.acquire([] { return 2; });
-  auto reset = [](int& v) { v = 0; };
-  pool.release(a, reset);
-  pool.release(b, reset);
-  EXPECT_EQ(pool.free_count(), 2u);
-  EXPECT_EQ(pool.acquire([] { return -1; }), b);
-  EXPECT_EQ(pool.acquire([] { return -1; }), a);
-  EXPECT_EQ(pool.recycled(), 2u);
-}
-
 TEST(BlockPool, RoundsUpToPowerOfTwoClasses) {
   BlockPool pool;
   // 10 bytes rounds to the 16-byte minimum class: releasing as 10 and

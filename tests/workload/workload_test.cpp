@@ -5,6 +5,7 @@
 #include <map>
 
 #include "trace/synthetic.h"
+#include "util/errors.h"
 
 namespace bsub::workload {
 namespace {
@@ -139,6 +140,61 @@ TEST(Workload, EmptyTraceYieldsNoMessages) {
   Workload w(empty, twitter_trend_keys(), {});
   EXPECT_TRUE(w.messages().empty());
   EXPECT_EQ(w.expected_deliveries(), 0u);
+}
+
+// The explicit constructors check what expected_deliveries() and every
+// replay index by: one interest entry per node, keys inside the key set,
+// producers inside the node range. Each case is checked on both
+// constructors.
+Message message(KeyId key, trace::NodeId producer) {
+  Message m;
+  m.key = key;
+  m.producer = producer;
+  m.size_bytes = 10;
+  m.ttl = util::kHour;
+  return m;
+}
+
+TEST(Workload, ExplicitConstructorsRejectAnInterestCountOtherThanNodeCount) {
+  const KeySet keys = twitter_trend_keys();
+  EXPECT_THROW(Workload(keys, 3, std::vector<KeyId>{0, 1}, {}),
+               util::ConfigError);
+  EXPECT_THROW(
+      Workload(keys, 1, std::vector<std::vector<KeyId>>{{0}, {1}}, {}),
+      util::ConfigError);
+}
+
+TEST(Workload, ExplicitConstructorsRejectAnInterestKeyOutsideTheKeySet) {
+  const KeySet keys = twitter_trend_keys();
+  const auto bad = static_cast<KeyId>(keys.size());
+  EXPECT_THROW(Workload(keys, 2, std::vector<KeyId>{0, bad}, {}),
+               util::ConfigError);
+  EXPECT_THROW(
+      Workload(keys, 2, std::vector<std::vector<KeyId>>{{0}, {1, bad}}, {}),
+      util::ConfigError);
+}
+
+TEST(Workload, ExplicitConstructorsRejectAMessageKeyOutsideTheKeySet) {
+  const KeySet keys = twitter_trend_keys();
+  const auto bad = static_cast<KeyId>(keys.size());
+  EXPECT_THROW(
+      Workload(keys, 2, std::vector<KeyId>{0, 1}, {message(bad, 0)}),
+      util::ConfigError);
+  EXPECT_THROW(Workload(keys, 2, std::vector<std::vector<KeyId>>{{0}, {1}},
+                        {message(bad, 0)}),
+               util::ConfigError);
+}
+
+TEST(Workload, ExplicitConstructorsRejectAProducerOutsideTheNodes) {
+  const KeySet keys = twitter_trend_keys();
+  EXPECT_THROW(Workload(keys, 2, std::vector<KeyId>{0, 1}, {message(0, 2)}),
+               util::ConfigError);
+  EXPECT_THROW(Workload(keys, 2, std::vector<std::vector<KeyId>>{{0}, {1}},
+                        {message(0, 2)}),
+               util::ConfigError);
+  // In range on both constructors.
+  EXPECT_NO_THROW(
+      Workload(keys, 2, std::vector<KeyId>{0, 1}, {message(0, 1)}));
 }
 
 }  // namespace
