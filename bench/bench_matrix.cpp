@@ -1,6 +1,7 @@
 // Scenario x protocol x threads matrix: every registered protocol replayed
 // over every scenario class (two materialized paper traces plus a streamed
-// city), serial and 4-threaded, each point fork-isolated so its peak RSS is
+// city), serial and 4-threaded (the city also at 2 and 8 threads, the
+// single-run scaling points), each point fork-isolated so its peak RSS is
 // its own. This is the harness that locks in the baseline-accounting
 // fixes: the gates below re-assert the cross-cutting invariants on every
 // cell of the matrix, so a protocol that starts double-charging bytes (the
@@ -10,8 +11,9 @@
 //
 // Gates (exit 1 on violation):
 //   1. Deliveries never exceed the workload's expected deliveries.
-//   2. Serial == 4-thread: per (scenario, protocol), all semantic fields
-//      identical (node-disjoint conflict batches are order-free).
+//   2. Serial == parallel: per (scenario, protocol), all semantic fields
+//      identical at every thread count (the dependency-count executor
+//      keeps each node's events in stream order).
 //   3. Flooding dominates: PUSH's delivery ratio is an upper bound for
 //      PULL and SPRAY on every scenario (they move strict subsets of the
 //      bodies PUSH moves at unconstrained bandwidth).
@@ -20,6 +22,9 @@
 //      keeps re-sprays out without deflating legitimate spraying.
 //   5. Control-plane class: PULL and B-SUB pay control bytes; PUSH and
 //      SPRAY must report exactly zero.
+//   6. Scaling (full matrix, hosts with >= 8 hardware threads only): the
+//      city B-SUB replay at 8 threads is at least 3x faster than serial.
+//      Smaller hosts run the points but cannot judge scaling.
 //
 // `--smoke` runs the CI slice: haggle x {B-SUB, PUSH, PULL,
 // SPRAY:copies=3} x {1, 4} threads with gates 1, 2, 3 and 5.
@@ -27,6 +32,7 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/city.h"
@@ -73,6 +79,10 @@ struct MatrixResult {
   double events_per_sec = 0.0;
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t threads_used = 0;
+  // Execution shape (sim::ParallelRunStats); 0 for serial points.
+  std::uint64_t windows = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t max_batch = 0;
 };
 
 struct MatrixPoint {
@@ -129,7 +139,11 @@ MatrixResult run_point(const MatrixPoint& p) {
   out.events_per_sec =
       out.seconds > 0.0 ? static_cast<double>(out.events) / out.seconds : 0.0;
   out.peak_rss_bytes = peak_rss_bytes();
-  out.threads_used = simulator.last_run_stats().threads_used;
+  const sim::ParallelRunStats& stats = simulator.last_run_stats();
+  out.threads_used = stats.threads_used;
+  out.windows = stats.windows;
+  out.batches = stats.batches;
+  out.max_batch = stats.max_batch;
   return out;
 }
 
@@ -165,12 +179,17 @@ int main(int argc, char** argv) {
                                  Scene::kCity};
   const std::vector<std::string> protocols = {kTunedBsub, "PUSH", "PULL",
                                               "SPRAY:copies=3"};
-  const std::vector<std::size_t> thread_counts = {1, 4};
+  // The streamed city is the one scenario wide enough to scale, so it
+  // carries the 2- and 8-thread points too.
+  const auto thread_counts = [](Scene scene) {
+    return scene == Scene::kCity ? std::vector<std::size_t>{1, 2, 4, 8}
+                                 : std::vector<std::size_t>{1, 4};
+  };
 
   std::vector<MatrixPoint> points;
   for (Scene scene : scenes) {
     for (const std::string& protocol : protocols) {
-      for (std::size_t threads : thread_counts) {
+      for (std::size_t threads : thread_counts(scene)) {
         points.push_back({scene, protocol, threads});
       }
     }
@@ -188,8 +207,9 @@ int main(int argc, char** argv) {
   print_header(smoke ? "Scenario x protocol matrix (CI smoke slice)"
                      : "Scenario x protocol x threads matrix");
   std::printf("%zu points: %zu scenario(s) x %zu protocol(s) x {1,4} "
-              "threads\n\n",
-              points.size(), scenes.size(), protocols.size());
+              "threads%s\n\n",
+              points.size(), scenes.size(), protocols.size(),
+              smoke ? "" : " (city: {1,2,4,8})");
   WallTimer wall;
 
   std::printf("%-11s | %-26s | %2s | %8s | %9s | %11s | %11s | %8s\n",
@@ -325,6 +345,51 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Gate 6: single-run scaling of the city B-SUB replay (full matrix only).
+  if (!smoke) {
+    const MatrixResult* serial = nullptr;
+    const MatrixResult* eight = nullptr;
+    std::printf("\ncity B-SUB, one run across threads:\n%8s %10s %14s %9s "
+                "%9s %9s %10s\n",
+                "threads", "secs", "events/s", "speedup", "windows",
+                "levels", "max_level");
+    for (std::size_t i = 0; i < first_extra; ++i) {
+      if (points[i].scene != Scene::kCity ||
+          points[i].protocol != kTunedBsub || results[i].events == 0) {
+        continue;
+      }
+      const MatrixResult& r = results[i];
+      if (points[i].threads == 1) serial = &r;
+      if (points[i].threads == 8) eight = &r;
+      std::printf("%8zu %10.3f %14.0f %8.2fx %9llu %9llu %10llu\n",
+                  points[i].threads, r.seconds, r.events_per_sec,
+                  serial != nullptr ? serial->seconds / r.seconds : 0.0,
+                  static_cast<unsigned long long>(r.windows),
+                  static_cast<unsigned long long>(r.batches),
+                  static_cast<unsigned long long>(r.max_batch));
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (serial == nullptr || eight == nullptr) {
+      std::fprintf(stderr, "gate 6 violation: city scaling points missing\n");
+      all_ok = false;
+    } else if (hw >= 8) {
+      const double speedup8 = serial->seconds / eight->seconds;
+      std::printf("8-thread speedup %.2fx on %u hardware threads (target "
+                  "3x)\n",
+                  speedup8, hw);
+      if (speedup8 < 3.0) {
+        std::fprintf(stderr, "gate 6 violation: 8-thread speedup %.2fx < "
+                             "3x\n",
+                     speedup8);
+        all_ok = false;
+      }
+    } else {
+      std::printf("host has %u hardware thread(s): scaling target (>=3x at "
+                  "8 threads) not judged\n",
+                  hw);
+    }
+  }
+
   std::vector<std::string> json_points;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const MatrixResult& r = results[i];
@@ -346,6 +411,9 @@ int main(int argc, char** argv) {
             .field("seconds", r.seconds)
             .field("events_per_sec", r.events_per_sec)
             .field("peak_rss_bytes", r.peak_rss_bytes)
+            .field("windows", r.windows)
+            .field("batches", r.batches)
+            .field("max_batch", r.max_batch)
             .str());
   }
   write_bench_json(smoke ? "matrix_smoke" : "matrix", wall.seconds(),

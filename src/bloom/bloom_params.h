@@ -14,7 +14,7 @@ namespace bsub::bloom {
 /// returns 0; caches use 0 as "empty".
 ///
 /// Thread-safety: the relaxed atomic fetch_add makes epochs unique across
-/// concurrent batch workers, which is all the caches rely on — the epoch
+/// concurrent executor threads, which is all the caches rely on — the epoch
 /// *values* a run hands out may differ between schedules, but cache hits
 /// and misses (and thus every encoded byte) do not.
 inline std::uint64_t next_filter_epoch() {

@@ -128,8 +128,8 @@ std::size_t position_bytes(std::size_t set_bits, std::size_t m,
 
 // Thread-local scratch for set-bit extraction on the hot encode path; one
 // per thread is enough because encoders never nest. Callers fully rewrite
-// it before reading, so reuse across the thread pool's successive jobs
-// (conflict-batch workers included) carries no state between calls.
+// it before reading, so reuse across a thread's successive jobs (parallel
+// executor threads included) carries no state between calls.
 std::vector<std::size_t>& set_bits_scratch() {
   thread_local std::vector<std::size_t> scratch;
   return scratch;

@@ -141,16 +141,16 @@ class BrokerElection {
 
   Config config_;
   // One byte per node, NOT vector<bool>: the bit-packed specialization
-  // would make writes to neighboring nodes race under the conflict-batch
+  // would make writes to neighboring nodes race under the parallel
   // executor even though the *logical* elements are disjoint. All reads and
   // writes during a run touch only the contact's two endpoints.
   std::vector<std::uint8_t> broker_;
   std::vector<NodeState> state_;
   /// Arena for ring/table blocks. Shared across nodes, so acquire/release
-  /// lock internally; blocks in use are touched only by the worker that
-  /// owns the node (batch barriers order cross-batch reuse).
+  /// lock internally; blocks in use are touched only by the node's own
+  /// events (the lock orders a block's release before its reuse).
   util::BlockPool pool_;
-  // Commutative tallies, safe to bump from concurrent batch workers.
+  // Commutative tallies, safe to bump from concurrent executor threads.
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> demotions_{0};
 };

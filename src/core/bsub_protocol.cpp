@@ -316,8 +316,8 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
 
   // The first merge mutates a, so only a's pre-merge state needs to survive
   // in scratch; b's live state feeds the first merge directly. thread_local
-  // (not members) so concurrent batch workers each get their own buffers
-  // while the capacity still survives across contacts on a worker.
+  // (not members) so concurrent executor threads each get their own
+  // buffers while the capacity still survives across contacts on a thread.
   thread_local bloom::Tcbf scratch_relay;
   thread_local InterestManager::ShadowMap scratch_shadow;
   scratch_relay = relay_a;

@@ -79,7 +79,7 @@ class BsubProtocol final : public sim::Protocol {
     std::uint64_t deliveries = 0;        ///< transfers to a consumer
   };
   /// Snapshot of the (atomic) traffic tallies; by value so readers never
-  /// observe a torn struct while batch workers are still bumping it.
+  /// observe a torn struct while executor threads are still bumping it.
   TrafficBreakdown traffic() const {
     return TrafficBreakdown{
         traffic_pickups_.load(std::memory_order_relaxed),
@@ -197,8 +197,9 @@ class BsubProtocol final : public sim::Protocol {
   const NodeFilterCache& node_filters(trace::NodeId node);
 
   /// Materializing accessors (only the contact's own endpoints are ever
-  /// touched, so writes to the pointer slots are race-free under
-  /// node-disjoint batches, same as every other per-node vector here).
+  /// touched, so writes to the pointer slots are race-free when only
+  /// node-disjoint events run concurrently, same as every other per-node
+  /// vector here).
   KeyedBuffer& produced_state(trace::NodeId node) {
     auto& p = produced_[node];
     if (p == nullptr) p = std::make_unique<KeyedBuffer>();
@@ -275,8 +276,9 @@ class BsubProtocol final : public sim::Protocol {
   std::mutex emin_mu_;
   std::unordered_map<std::size_t, double> emin_cache_;
 
-  /// Commutative tallies — relaxed atomics so concurrent batch workers can
-  /// bump them; integer addition makes the totals schedule-independent.
+  /// Commutative tallies — relaxed atomics so concurrent executor threads
+  /// can bump them; integer addition makes the totals
+  /// schedule-independent.
   std::atomic<std::uint64_t> false_injections_{0};
   std::atomic<std::uint64_t> traffic_pickups_{0};
   std::atomic<std::uint64_t> traffic_broker_transfers_{0};

@@ -44,7 +44,6 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
   sim::ParallelRunConfig pcfg;
   pcfg.threads = options_.threads;
   pcfg.window_events = options_.window_events;
-  pcfg.min_batch_fanout = options_.min_batch_fanout;
   last_run_stats_ =
       sim::replay_scenario(events, pcfg, [&](const sim::ScenarioEvent& e) {
         if (e.is_message) {
@@ -55,8 +54,8 @@ TraceRunResults TraceRunner::run(trace::ContactStream& contacts,
         }
         const trace::Contact& c = e.contact;
         // Election decides roles, exactly as in the simulator protocol. It
-        // only mutates the two endpoints' state, so it is safe inside a
-        // batch.
+        // only mutates the two endpoints' state, so it is safe next to any
+        // concurrent node-disjoint event.
         election.on_contact(c.a, c.b, c.start);
         net.node(c.a).set_broker(election.is_broker(c.a));
         net.node(c.b).set_broker(election.is_broker(c.b));

@@ -40,7 +40,6 @@ struct TraceRunnerOptions {
   /// 0 = util::default_thread_count() (honors BSUB_THREADS), 1 = serial.
   std::size_t threads = 0;
   std::size_t window_events = 4096;
-  std::size_t min_batch_fanout = 4;
 };
 
 class TraceRunner {
@@ -62,7 +61,7 @@ class TraceRunner {
 
   /// Runs a streamed scenario; deterministic across thread counts and
   /// bit-identical to running the stream's materialization. Peak memory is
-  /// O(node state + one scheduling window). Consumes the stream from its
+  /// O(node state + two executor windows). Consumes the stream from its
   /// current position. Throws util::ConfigError, before any node exists,
   /// when the workload's node count differs from the stream's.
   TraceRunResults run(trace::ContactStream& contacts,

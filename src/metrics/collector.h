@@ -4,10 +4,10 @@
 // accounting used in the memory/bandwidth discussions.
 //
 // Concurrency model (the parallel-engine determinism contract): the
-// collector may be fed from several pool workers at once as long as no two
-// concurrent events touch the same node — exactly what the conflict
-// scheduler guarantees. Two mechanisms keep N-thread runs byte-identical to
-// serial runs:
+// collector may be fed from several executor threads at once as long as no
+// two concurrent events touch the same node — exactly what the parallel
+// executor's dependency links guarantee. Two mechanisms keep N-thread runs
+// byte-identical to serial runs:
 //   - scalar tallies (forwardings, bytes, hot-path counters) are relaxed
 //     atomics: integer sums commute exactly, so any execution order yields
 //     the same totals;
@@ -34,7 +34,7 @@
 
 namespace bsub::metrics {
 
-/// A monotone event counter safe to bump from concurrent pool workers.
+/// A monotone event counter safe to bump from concurrent threads.
 /// Relaxed ordering suffices: the counters are pure tallies, read only
 /// after the run's final barrier.
 class RelaxedCounter {
@@ -231,8 +231,9 @@ class Collector {
 
  private:
   /// Everything order-sensitive about one destination node, written only
-  /// during that node's own contacts (hence race-free under node-disjoint
-  /// batches, and in the node's trace order under any schedule).
+  /// during that node's own contacts (hence race-free when only
+  /// node-disjoint events run concurrently, and in the node's trace order
+  /// under any schedule).
   struct NodeLog {
     util::DenseIdSet delivered;  ///< workload message ids (dense)
     std::vector<double> delay_minutes;  ///< interested deliveries, in order

@@ -213,8 +213,8 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
   lane.clock.reset(c.start);
   lane.reactor.rebase(c.start);
 
-  // Election only mutates the two endpoints' state — safe inside a
-  // conflict batch, exactly like TraceRunner.
+  // Election only mutates the two endpoints' state — safe next to any
+  // concurrent node-disjoint contact, exactly like TraceRunner.
   election_->on_contact(c.a, c.b, c.start);
   NodeRuntime& a = *nodes_[c.a];
   NodeRuntime& b = *nodes_[c.b];
@@ -292,7 +292,6 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
   sim::ParallelRunConfig pcfg;
   pcfg.threads = config_.threads;
   pcfg.window_events = config_.window_events;
-  pcfg.min_batch_fanout = config_.min_batch_fanout;
 
   FleetRunResults results;
   results.exec =

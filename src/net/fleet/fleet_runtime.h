@@ -69,7 +69,6 @@ struct FleetConfig {
   /// 0 = util::default_thread_count() (honors BSUB_THREADS), 1 = serial.
   std::size_t threads = 0;
   std::size_t window_events = 4096;
-  std::size_t min_batch_fanout = 4;
 
   // --- run_udp() knobs ---
   /// Reactor threads, one socket each. Nodes home at node % shards.

@@ -7,20 +7,20 @@
 // buffered contact + one message cursor, so the merge adds nothing to a
 // streamed run's memory footprint.
 //
-// replay_scenario() is the event loop around it: it stages one scheduling
-// window of merged events at a time and hands them to the windowed
-// conflict-batch executor. sim::Simulator, engine::TraceRunner and the
+// replay_scenario() is the event loop around it: it stages one window of
+// merged events at a time and hands them to the windowed dependency-count
+// executor. sim::Simulator, engine::TraceRunner and the
 // fleet's loopback engine all run through it, so they differ only in what
 // they execute per event (protocol core + byte mover), never in the event
 // order, the window staging or the run statistics.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "sim/conflict_schedule.h"
 #include "sim/parallel_executor.h"
 #include "trace/contact_stream.h"
 #include "util/errors.h"
@@ -41,7 +41,7 @@ struct ScenarioEvent {
     return is_message ? messages[message_index].created : contact.start;
   }
 
-  /// Node endpoints for the conflict scheduler.
+  /// Node endpoints for the executor's dependency links.
   EventNodes nodes(const std::vector<workload::Message>& messages) const {
     if (is_message) {
       return {messages[message_index].producer, EventNodes::kNoNode};
@@ -127,25 +127,25 @@ template <class Exec>
 ReplayStats replay_scenario(ScenarioEventStream& events,
                             const ParallelRunConfig& cfg, Exec&& exec) {
   const std::vector<workload::Message>& messages = events.messages();
-  // Reused across windows: windows are strictly sequential.
-  std::vector<ScenarioEvent> staged;
+  // One staging buffer per executor buffer: the next window is staged
+  // while the current one runs.
+  std::array<std::vector<ScenarioEvent>, 2> staged;
   ReplayStats out;
   out.exec = run_windowed_parallel(
       events.node_count(),
-      [&](std::span<EventNodes> slots) {
-        staged.resize(slots.size());
+      [&](std::size_t buffer, std::span<EventNodes> slots) {
+        std::vector<ScenarioEvent>& window = staged[buffer];
+        window.resize(slots.size());
         std::size_t n = 0;
-        while (n < slots.size() && events.next(staged[n])) {
-          slots[n] = staged[n].nodes(messages);
+        while (n < slots.size() && events.next(window[n])) {
+          slots[n] = window[n].nodes(messages);
           ++n;
         }
-        if (n > 0) out.end = staged[n - 1].time(messages);
+        if (n > 0) out.end = window[n - 1].time(messages);
         return n;
       },
-      [&](std::size_t j) { exec(staged[j]); }, cfg);
-  // An empty scenario never engaged the pool; report it as the serial run
-  // it effectively was.
-  if (out.exec.events == 0) out.exec.threads_used = 1;
+      [&](std::size_t buffer, std::size_t j) { exec(staged[buffer][j]); },
+      cfg);
   return out;
 }
 

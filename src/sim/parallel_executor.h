@@ -1,145 +1,162 @@
-// Windowed conflict-batch executor: runs a trace-ordered event stream
-// across a thread pool while staying bit-identical to serial execution.
+// Windowed dependency-count executor: runs a trace-ordered event stream on
+// several threads while staying bit-identical to serial execution.
 //
-// Pipeline per window of `window_events` events:
-//   1. ConflictScheduler partitions the window into node-disjoint batches
-//      (see conflict_schedule.h for the order-preservation argument);
-//   2. each batch runs either inline (small batches — the pool handoff
-//      costs more than the work) or chunked across the pool's workers,
-//      with wait_idle() as the barrier before the next batch.
+// The structural fact it rests on (PAPER §VII's evaluation model): an
+// event — a contact {a, b} or a message creation at its producer — mutates
+// only the state of its endpoint node(s). Two events with disjoint endpoint
+// sets commute exactly; two events sharing a node must run in stream order.
 //
-// Determinism: a node's events execute in trace order (conflicting events
-// occupy strictly increasing batches; batches and windows are sequential),
-// so all per-node state evolves exactly as in a serial run. Cross-node
-// effects must be commutative (relaxed atomic tallies) or per-node logs
-// reduced in a canonical order — that is the callee's contract, enforced
-// by Protocol::parallel_contacts_safe() at the driver layer.
+// Per window of `window_events` events:
+//   1. Linking (calling thread): each event is linked to the previous event
+//      of the same window on each of its endpoints and keeps an atomic
+//      count of unfinished predecessors. Edges never cross a window.
+//   2. Running: `threads` threads, the calling thread included, run any
+//      event whose count is zero. Finishing an event decrements its (at
+//      most two) successors; a thread goes straight into a successor it
+//      released and queues a second one for any idle thread.
+//   3. Overlap: while window n runs, the calling thread stages window n+1
+//      into the other of two buffers, then joins the run. It links window
+//      n+1 once window n has drained.
+//
+// Determinism: two events sharing a node are ordered by a chain of edges
+// in stream order, so each node sees its events in exactly the serial
+// order and per-node state evolves as in a serial run. Cross-node effects
+// must be commutative (relaxed atomic tallies) or per-node logs reduced in
+// a canonical order — that is the callee's contract, enforced by
+// Protocol::parallel_contacts_safe() at the driver layer.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "sim/conflict_schedule.h"
+#include "trace/contact.h"
 #include "util/parallel.h"
 
 namespace bsub::sim {
 
-/// Knobs for the windowed conflict-batch executor.
+/// Endpoint set of one event. Single-node events (message creations) use
+/// b == kNoNode.
+struct EventNodes {
+  static constexpr trace::NodeId kNoNode = 0xffffffffu;
+  trace::NodeId a = kNoNode;
+  trace::NodeId b = kNoNode;
+};
+
+/// Knobs for the windowed executor.
 struct ParallelRunConfig {
-  /// Worker count; 0 = util::default_thread_count() (honors BSUB_THREADS).
+  /// Threads running events, the calling thread included; 0 =
+  /// util::default_thread_count() (honors BSUB_THREADS), 1 = serial.
   std::size_t threads = 0;
-  /// Events per scheduling window. Larger windows find more parallelism
-  /// (batches grow toward node_count/2 events) but delay nothing — windows
-  /// are a scheduling granularity, not a semantic boundary.
+  /// Events per window. A window bounds the events in flight (two windows
+  /// are staged at once) and the reach of the dependency links; it is not
+  /// a semantic boundary.
   std::size_t window_events = 4096;
-  /// Batches with fewer than `min_batch_fanout` events per worker run
-  /// inline on the calling thread; the pool handoff would dominate.
-  std::size_t min_batch_fanout = 4;
 };
 
 /// Execution-shape report for one run; feeds the bench JSON so perf
 /// trajectories stay apples-to-apples across machines and PRs.
 struct ParallelRunStats {
+  /// Threads that ran events; 1 for a serial or empty run.
   std::size_t threads_used = 0;
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
+  /// Sum over windows of the dependency depth: an event's level is 1 + the
+  /// highest level among its predecessors, and a window's depth is its
+  /// highest level (the longest chain of events sharing nodes).
   std::uint64_t batches = 0;
-  std::uint64_t inline_batches = 0;    ///< ran on the calling thread
-  std::uint64_t parallel_batches = 0;  ///< fanned out to the pool
-  std::uint64_t max_batch = 0;         ///< largest batch seen
-  /// batch_size_log2[k] counts batches with floor(log2(size)) == k.
-  std::vector<std::uint64_t> batch_size_log2;
-
-  void note_batch(std::size_t size) {
-    ++batches;
-    max_batch = std::max<std::uint64_t>(max_batch, size);
-    std::size_t bucket = 0;
-    for (std::size_t s = size; s > 1; s >>= 1) ++bucket;
-    if (batch_size_log2.size() <= bucket) batch_size_log2.resize(bucket + 1);
-    ++batch_size_log2[bucket];
-  }
+  /// Always 0: no event runs inline outside the thread team. Kept because
+  /// the end-to-end bench reads it.
+  std::uint64_t inline_batches = 0;
+  std::uint64_t max_batch = 0;  ///< most events on one level of one window
 };
+
+namespace detail {
+
+/// Type-erased callbacks of run_windowed_parallel (see its contract).
+struct WindowCallbacks {
+  void* fill_ctx = nullptr;
+  std::size_t (*fill)(void* ctx, std::size_t buffer,
+                      std::span<EventNodes> slots) = nullptr;
+  void* exec_ctx = nullptr;
+  void (*exec)(void* ctx, std::size_t buffer, std::size_t j) = nullptr;
+};
+
+/// The multi-threaded path of run_windowed_parallel; `threads` >= 2.
+ParallelRunStats run_dependency_windows(std::size_t node_count,
+                                        std::size_t threads,
+                                        std::size_t window,
+                                        const WindowCallbacks& callbacks);
+
+}  // namespace detail
 
 /// Streaming windowed executor: the event sequence is produced one window
 /// at a time by `fill` instead of being materialized up front, so a run
-/// holds at most `window_events` events in flight — the ring that makes
+/// holds at most two windows of events — the ring that makes
 /// contact-count-independent memory possible.
 ///
 /// Contract:
-///   - `fill(slots)` stages the next up-to-slots.size() events, writing one
-///     EventNodes per event into `slots[0..n)` and returning n; 0 means the
-///     stream is exhausted. Short windows mid-stream are allowed. The
-///     caller typically stages matching per-event payloads in its own
-///     parallel buffer.
-///   - `exec(j)` executes staged event j (window-local, in [0, n)) of the
-///     most recent fill. Within a window, `exec` must tolerate concurrent
-///     invocation for events touching disjoint nodes; windows themselves
-///     are strictly sequential, so `fill` may reuse its staging buffers.
+///   - `fill(buffer, slots)` stages the next up-to-slots.size() events
+///     into staging buffer `buffer` (0 or 1), writing one EventNodes per
+///     event into `slots[0..n)` and returning n; 0 means the stream is
+///     exhausted. Short windows mid-stream are allowed. Windows alternate
+///     between the two buffers, and `fill` for one window runs while the
+///     previous window's events execute, so the caller keeps its per-event
+///     payloads in two buffers too.
+///   - `exec(buffer, j)` executes staged event j (in [0, n)) of `buffer`.
+///     It may run concurrently with `fill` of the other buffer and with
+///     `exec` of events touching disjoint nodes, on any of the threads.
+///   - The first exception `exec` throws is rethrown once its window has
+///     drained (events of that window not yet started are skipped); no
+///     later window starts. An exception from `fill` is rethrown the same
+///     way. Every thread is joined before the call returns or throws.
 ///
-/// Determinism: per-node order is preserved inside each window by the
-/// conflict schedule and across windows by sequencing, so a streamed run is
+/// Determinism: per-node order is preserved inside a window by the
+/// dependency links and across windows by sequencing, so a streamed run is
 /// bit-identical to a serial run over the same event sequence.
 template <class Fill, class Exec>
 ParallelRunStats run_windowed_parallel(std::size_t node_count, Fill&& fill,
                                        Exec&& exec,
                                        const ParallelRunConfig& cfg = {}) {
-  ParallelRunStats stats;
   const std::size_t threads =
       cfg.threads != 0 ? cfg.threads : util::default_thread_count();
   const std::size_t window =
       cfg.window_events != 0 ? cfg.window_events : 4096;
-  std::vector<EventNodes> endpoints(window);
 
   if (threads <= 1) {
-    // Serial degenerates to fill-then-run, window by window: same order,
-    // no scheduling overhead, and no windows counted.
+    // Serial degenerates to fill-then-run, window by window, in one
+    // buffer: same order, no linking, and no windows counted.
+    ParallelRunStats stats;
     stats.threads_used = 1;
+    std::vector<EventNodes> endpoints(window);
     for (;;) {
-      const std::size_t count = fill(std::span<EventNodes>(endpoints));
+      const std::size_t count = fill(0, std::span<EventNodes>(endpoints));
       if (count == 0) break;
       stats.events += count;
-      for (std::size_t j = 0; j < count; ++j) exec(j);
+      for (std::size_t j = 0; j < count; ++j) exec(0, j);
     }
     return stats;
   }
 
-  stats.threads_used = threads;
-  util::ThreadPool pool(threads);
-  ConflictScheduler scheduler(node_count);
-  ConflictSchedule schedule;
-
-  for (;;) {
-    const std::size_t count = fill(std::span<EventNodes>(endpoints));
-    if (count == 0) break;
-    stats.events += count;
-    ++stats.windows;
-    scheduler.schedule(
-        std::span<const EventNodes>(endpoints.data(), count), schedule);
-
-    for (std::size_t k = 0; k < schedule.batch_count(); ++k) {
-      const std::span<const std::uint32_t> batch = schedule.batch(k);
-      stats.note_batch(batch.size());
-      if (batch.size() < cfg.min_batch_fanout * threads) {
-        ++stats.inline_batches;
-        for (std::uint32_t local : batch) exec(local);
-        continue;
-      }
-      ++stats.parallel_batches;
-      const std::size_t chunk = (batch.size() + threads - 1) / threads;
-      for (std::size_t t = 0; t < threads; ++t) {
-        const std::size_t lo = t * chunk;
-        if (lo >= batch.size()) break;
-        const std::size_t hi = std::min(lo + chunk, batch.size());
-        pool.submit([&, lo, hi] {
-          for (std::size_t j = lo; j < hi; ++j) exec(batch[j]);
-        });
-      }
-      pool.wait_idle();  // barrier: conflicting events wait here
-    }
-  }
-  return stats;
+  using FillT = std::remove_reference_t<Fill>;
+  using ExecT = std::remove_reference_t<Exec>;
+  detail::WindowCallbacks callbacks;
+  callbacks.fill_ctx =
+      const_cast<void*>(static_cast<const void*>(std::addressof(fill)));
+  callbacks.fill = [](void* ctx, std::size_t buffer,
+                      std::span<EventNodes> slots) -> std::size_t {
+    return (*static_cast<FillT*>(ctx))(buffer, slots);
+  };
+  callbacks.exec_ctx =
+      const_cast<void*>(static_cast<const void*>(std::addressof(exec)));
+  callbacks.exec = [](void* ctx, std::size_t buffer, std::size_t j) {
+    (*static_cast<ExecT*>(ctx))(buffer, j);
+  };
+  return detail::run_dependency_windows(node_count, threads, window,
+                                        callbacks);
 }
 
 }  // namespace bsub::sim

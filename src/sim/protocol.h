@@ -53,7 +53,7 @@ class Protocol {
   /// Called once after the last event.
   virtual void on_end(util::Time /*now*/) {}
 
-  /// Opt-in to the conflict-batch parallel executor: return true iff
+  /// Opt-in to the parallel executor: return true iff
   /// concurrent on_contact/on_message_created calls for *node-disjoint*
   /// events are safe — all mutable state is per-node, and any global
   /// tallies are commutative (relaxed atomics) or reduced canonically.

@@ -23,7 +23,6 @@ metrics::RunResults Simulator::run(trace::ContactStream& contacts,
   ParallelRunConfig pcfg;
   pcfg.threads = protocol.parallel_contacts_safe() ? config_.threads : 1;
   pcfg.window_events = config_.window_events;
-  pcfg.min_batch_fanout = config_.min_batch_fanout;
 
   const std::vector<workload::Message>& messages = workload.messages();
   const double bandwidth = config_.bandwidth_bytes_per_second;

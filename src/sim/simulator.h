@@ -4,7 +4,7 @@
 // message-creation events and contact events are merged in time order and
 // dispatched to the protocol under test. Scenarios arrive either as a
 // pull-based trace::ContactStream — the city-scale path, which never holds
-// more than one scheduling window of events in memory — or as a
+// more than two executor windows of events in memory — or as a
 // materialized ContactTrace (a thin stream adapter over it).
 //
 // Deterministic: same scenario + workload + protocol state gives identical
@@ -12,7 +12,7 @@
 // materialized input (the stream ordering contract makes both spell out the
 // same event sequence). Events run through the shared scenario replay
 // (event_stream.h). When the protocol opts in via
-// Protocol::parallel_contacts_safe(), the windowed conflict-batch executor
+// Protocol::parallel_contacts_safe(), the windowed dependency-count executor
 // (parallel_executor.h) runs node-disjoint events concurrently while
 // preserving every node's serial event order, so BSUB_THREADS=1 and
 // N-thread runs produce byte-identical RunResults; otherwise the replay
@@ -36,10 +36,8 @@ struct SimulatorConfig {
   /// (honors BSUB_THREADS), 1 = serial. Only takes effect when the protocol
   /// reports parallel_contacts_safe().
   std::size_t threads = 0;
-  /// Events per conflict-scheduling window (see ParallelRunConfig).
+  /// Events per executor window (see ParallelRunConfig).
   std::size_t window_events = 4096;
-  /// Inline-vs-fanout threshold per batch (see ParallelRunConfig).
-  std::size_t min_batch_fanout = 4;
 };
 
 class Simulator {
@@ -47,7 +45,7 @@ class Simulator {
   explicit Simulator(SimulatorConfig config = {}) : config_(config) {}
 
   /// Runs `protocol` over a streamed scenario and returns the collected
-  /// metrics. Peak memory is O(node state + one scheduling window); the
+  /// metrics. Peak memory is O(node state + two executor windows); the
   /// contact count never materializes. Consumes the stream from its
   /// current position (callers reuse a stream by reset()). Throws
   /// util::ConfigError, before the protocol starts, when the workload's
@@ -84,9 +82,9 @@ class Simulator {
     return run(stream, workload, registry, protocol_spec);
   }
 
-  /// Execution-shape stats of the most recent run() (windows, batches,
-  /// batch-size histogram). Serial runs report threads_used == 1 and no
-  /// batches.
+  /// Execution-shape stats of the most recent run() (windows, dependency
+  /// depth, widest level). Serial runs report threads_used == 1 and no
+  /// windows.
   const ParallelRunStats& last_run_stats() const { return last_run_stats_; }
 
  private:

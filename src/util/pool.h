@@ -10,10 +10,10 @@
 // until the pool dies, so steady-state churn (ring growth, table rehash)
 // allocates nothing.
 //
-// Acquire/release serialize behind a mutex: the conflict-batch executor
-// runs node-disjoint contacts concurrently, and while each node's state is
-// owned by one worker, the pool itself is shared (exactly like the global
-// allocator it replaces).
+// Acquire/release serialize behind a mutex: the parallel executor runs
+// node-disjoint contacts concurrently, and while each node's state is
+// touched by one event at a time, the pool itself is shared (exactly like
+// the global allocator it replaces).
 #pragma once
 
 #include <cassert>

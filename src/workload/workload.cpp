@@ -1,7 +1,6 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <tuple>
 
@@ -49,7 +48,10 @@ void check_messages(const std::vector<Message>& messages, const KeySet& keys,
 Workload::Workload(const trace::ContactTrace& trace, const KeySet& keys,
                    const WorkloadConfig& config)
     : keys_(&keys) {
-  assert(config.interests_per_node >= 1);
+  if (config.interests_per_node < 1) {
+    reject("interests_per_node = 0 leaves every node without an interest",
+           "interests_per_node", ">= 1");
+  }
   const std::size_t n = trace.node_count();
   util::Rng rng(config.seed);
   util::Rng interest_rng = rng.split(1);
@@ -139,8 +141,12 @@ Workload::Workload(const KeySet& keys, std::size_t node_count,
   check_messages(messages_, keys, node_count);
   interest_offsets_.reserve(node_count + 1);
   interest_offsets_.push_back(0);
-  for (const auto& keys_of_node : interests) {
-    assert(!keys_of_node.empty());
+  for (std::size_t n = 0; n < interests.size(); ++n) {
+    const std::vector<KeyId>& keys_of_node = interests[n];
+    if (keys_of_node.empty()) {
+      reject("node " + std::to_string(n) + " has no interest", "interests",
+             "at least one key per node");
+    }
     for (KeyId k : keys_of_node) check_key(k, keys, "interests");
     interest_flat_.insert(interest_flat_.end(), keys_of_node.begin(),
                           keys_of_node.end());

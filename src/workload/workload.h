@@ -32,6 +32,8 @@ struct WorkloadConfig {
   /// Distinct interests per node. The paper's simulation uses 1; section
   /// V-A notes the multi-key extension is straightforward, and the B-SUB
   /// filters handle it natively (a genuine filter holds several keys).
+  /// Must be >= 1: Workload's trace constructor throws util::ConfigError
+  /// for 0.
   std::uint32_t interests_per_node = 1;
   std::uint64_t seed = 7;
 };
@@ -50,8 +52,8 @@ class Workload {
   Workload(const KeySet& keys, std::size_t node_count,
            std::vector<KeyId> interests, std::vector<Message> messages);
 
-  /// Explicit construction with multiple interests per node (each inner
-  /// vector must be non-empty); same checks as above.
+  /// Explicit construction with multiple interests per node; same checks
+  /// as above, and util::ConfigError for an empty inner vector.
   Workload(const KeySet& keys, std::size_t node_count,
            std::vector<std::vector<KeyId>> interests,
            std::vector<Message> messages);

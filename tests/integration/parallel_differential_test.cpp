@@ -1,10 +1,10 @@
 // Differential test for the deterministic parallel execution core.
 //
-// The conflict-batch executor claims *exactly* the observable semantics of
-// the serial event loop — not statistically similar, identical. This test
-// runs every protocol with threads=1 (the plain serial merge) and threads=4
-// (windowed conflict batches on the thread pool, with a small window so
-// many windows and batches are exercised even on short traces) over
+// The dependency-count executor claims *exactly* the observable semantics
+// of the serial event loop — not statistically similar, identical. This
+// test runs every protocol with threads=1 (the plain serial merge) and
+// threads=4 (windowed dependency counts, with a small window so many
+// windows and dependency levels are exercised even on short traces) over
 // randomized synthetic scenarios, 10 seeds for B-SUB and 10 for the
 // baselines, and requires every semantic RunResults field, the traffic
 // breakdown, the false-injection count, and the measured relay FPR to
@@ -58,7 +58,7 @@ struct ScenarioCase {
 };
 
 /// threads=1 -> plain serial merge; threads=4, tiny window -> many windows
-/// and batches even on these short traces.
+/// and dependency levels even on these short traces.
 sim::SimulatorConfig serial_config() {
   sim::SimulatorConfig cfg;
   cfg.threads = 1;
@@ -69,7 +69,6 @@ sim::SimulatorConfig parallel_config() {
   sim::SimulatorConfig cfg;
   cfg.threads = 4;
   cfg.window_events = 256;
-  cfg.min_batch_fanout = 1;  // fan out even tiny batches: worst case
   return cfg;
 }
 
@@ -136,7 +135,7 @@ TEST(ParallelDifferential, BsubParallelMatchesSerialOnTenSeeds) {
               parallel_proto.measured_relay_fpr())
         << "s" << seed;
 
-    // The parallel run must actually have used the conflict-batch path.
+    // The parallel run must actually have used the dependency-count path.
     const sim::ParallelRunStats& ps = parallel_sim.last_run_stats();
     EXPECT_EQ(ps.threads_used, 4u) << "s" << seed;
     EXPECT_GT(ps.windows, 1u) << "s" << seed;
@@ -229,7 +228,6 @@ TEST(ParallelDifferential, TraceRunnerParallelMatchesSerial) {
     engine::TraceRunnerOptions parallel_opts;
     parallel_opts.threads = 4;
     parallel_opts.window_events = 256;
-    parallel_opts.min_batch_fanout = 1;
     engine::TraceRunner parallel_runner(node_cfg, {3, 5, 5 * util::kHour},
                                         sim::kDefaultBandwidthBytesPerSecond,
                                         parallel_opts);

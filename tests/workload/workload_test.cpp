@@ -185,6 +185,22 @@ TEST(Workload, ExplicitConstructorsRejectAMessageKeyOutsideTheKeySet) {
                util::ConfigError);
 }
 
+TEST(Workload, MultiInterestConstructorRejectsANodeWithNoInterest) {
+  const KeySet keys = twitter_trend_keys();
+  EXPECT_THROW(
+      Workload(keys, 2, std::vector<std::vector<KeyId>>{{0}, {}}, {}),
+      util::ConfigError);
+}
+
+TEST(Workload, TraceConstructorRejectsZeroInterestsPerNode) {
+  const KeySet keys = twitter_trend_keys();
+  const trace::ContactTrace trace(
+      3, {trace::Contact{0, 1, 0, util::kMinute}}, "three");
+  WorkloadConfig cfg;
+  cfg.interests_per_node = 0;
+  EXPECT_THROW(Workload(trace, keys, cfg), util::ConfigError);
+}
+
 TEST(Workload, ExplicitConstructorsRejectAProducerOutsideTheNodes) {
   const KeySet keys = twitter_trend_keys();
   EXPECT_THROW(Workload(keys, 2, std::vector<KeyId>{0, 1}, {message(0, 2)}),
