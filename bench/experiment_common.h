@@ -1,7 +1,7 @@
-// Shared plumbing for the experiment binaries: scenario construction,
-// protocol runners, parallel sweep execution, fixed-width table printing,
-// and BENCH_*.json result emission. Each binary regenerates one table or
-// figure of the paper (see DESIGN.md's experiment index).
+// Shared plumbing for the bench binaries: scenario construction, protocol
+// runners and BENCH_*.json result emission. bsub_paper regenerates the
+// paper's tables and figures with it (see DESIGN.md's experiment index);
+// bench_matrix, bench_fleet and bench_scale_sweep share it.
 #pragma once
 
 #include <chrono>
@@ -60,8 +60,8 @@ inline core::BsubConfig bsub_config_for(const Scenario& s, util::Time ttl) {
 
 struct ProtocolRun {
   metrics::RunResults results;
-  core::BsubProtocol::TrafficBreakdown traffic;  // zero for baselines
-  double relay_fpr = 0.0;                        // B-SUB only
+  double relay_fpr = 0.0;        // B-SUB only
+  double broker_fraction = 0.0;  // B-SUB only: brokers at the end of the run
 };
 
 /// The full protocol table, shared by every experiment/scale/matrix entry
@@ -72,8 +72,8 @@ inline const sim::ProtocolRegistry& protocol_registry() {
 }
 
 /// Runs one protocol named by spec over a materialized scenario. B-SUB's
-/// extra observability (traffic breakdown, measured relay FPR) is filled
-/// when the spec resolves to B-SUB; baselines report zeros.
+/// extra observability (measured relay FPR, broker share) is filled when
+/// the spec resolves to B-SUB; baselines report zeros.
 inline ProtocolRun run_spec(const Scenario& s, const workload::Workload& w,
                             const std::string& spec) {
   const std::unique_ptr<sim::Protocol> proto = protocol_registry().make(spec);
@@ -81,18 +81,10 @@ inline ProtocolRun run_spec(const Scenario& s, const workload::Workload& w,
   out.results = sim::Simulator().run(s.trace, w, *proto);
   if (const auto* bsub =
           dynamic_cast<const core::BsubProtocol*>(proto.get())) {
-    out.traffic = bsub->traffic();
     out.relay_fpr = bsub->measured_relay_fpr();
+    out.broker_fraction = bsub->election().broker_fraction();
   }
   return out;
-}
-
-inline ProtocolRun run_push(const Scenario& s, const workload::Workload& w) {
-  return run_spec(s, w, "PUSH");
-}
-
-inline ProtocolRun run_pull(const Scenario& s, const workload::Workload& w) {
-  return run_spec(s, w, "PULL");
 }
 
 inline ProtocolRun run_bsub(const Scenario& s, const workload::Workload& w,
@@ -105,19 +97,6 @@ inline ProtocolRun run_bsub(const Scenario& s, const workload::Workload& w,
 inline void print_header(const std::string& title) {
   std::printf("\n%s\n", title.c_str());
   std::printf("%s\n", std::string(title.size(), '-').c_str());
-}
-
-// --- parallel sweep execution ----------------------------------------------
-
-/// Runs one sweep point per input, concurrently on the process-wide worker
-/// count (BSUB_THREADS overrides; 1 forces serial). Every point must own its
-/// mutable state — the Scenario/Workload may be shared read-only. Results
-/// come back in input order, so parallel and serial runs are identical.
-template <class Point, class Fn>
-auto run_points_parallel(const std::vector<Point>& points, Fn&& fn,
-                         std::size_t threads = 0)
-    -> std::vector<decltype(fn(points[0]))> {
-  return util::parallel_map(points, std::forward<Fn>(fn), threads);
 }
 
 /// Wall-clock timer for per-binary BENCH reports.

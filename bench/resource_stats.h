@@ -13,8 +13,7 @@
 // count and allocated_bytes_now() the cumulative bytes requested (both
 // monotone — frees are not subtracted, so a delta across a code region is
 // exactly the bytes that region allocated, regardless of what it later
-// freed). Without the macro, the counters return 0 and
-// alloc_counting_enabled() tells report code to skip the fields.
+// freed). Without the macro, the counters return 0.
 #pragma once
 
 #include <cstdint>
@@ -92,7 +91,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 
 namespace bsub::bench {
-constexpr bool alloc_counting_enabled() { return true; }
 inline std::uint64_t allocs_now() {
   return detail::g_alloc_count.load(std::memory_order_relaxed);
 }
@@ -104,7 +102,6 @@ inline std::uint64_t allocated_bytes_now() {
 #else  // !BSUB_RESOURCE_STATS_COUNT_ALLOCS
 
 namespace bsub::bench {
-constexpr bool alloc_counting_enabled() { return false; }
 inline std::uint64_t allocs_now() { return 0; }
 inline std::uint64_t allocated_bytes_now() { return 0; }
 }  // namespace bsub::bench

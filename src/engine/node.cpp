@@ -92,6 +92,14 @@ std::vector<std::vector<std::uint8_t>> BsubNode::handle(
   } catch (const util::DecodeError&) {
     return {};  // radios see garbage; drop it
   }
+  // A filter on another geometry can be neither merged with nor ranked
+  // against ours (a peer configured with a different m or k): drop it too.
+  const bloom::Tcbf* filter = frame.genuine ? &frame.genuine->filter
+                              : frame.relay ? &frame.relay->filter
+                                            : nullptr;
+  if (filter != nullptr && filter->params() != config_.filter_params) {
+    return {};
+  }
   purge(now);
   switch (frame.type) {
     case FrameType::kHello:
@@ -185,12 +193,9 @@ std::vector<std::vector<std::uint8_t>> BsubNode::on_relay(
   if (!broker_) return out;
   bloom::Tcbf& mine = relay_now(now);
 
-  // Preferential forwarding decisions on the pre-merge filters. When the
-  // peer's filter params match ours (the common case — both sides run the
-  // same deployment config), rank over the bit positions interned at
-  // custody admission; otherwise fall back to hashing against the peer's
-  // geometry. Both routes are bit-identical for matching params.
-  const bool same_params = frame.filter.params() == mine.params();
+  // Preferential forwarding decisions on the pre-merge filters, ranked over
+  // the bit positions interned at custody admission (handle() admits only
+  // filters of our own geometry).
   std::vector<std::pair<double, std::uint64_t>> ranked;
   for (const auto& [id, carried] : carried_) {
     if (auto it = transfer_refused_.find(id);
@@ -198,9 +203,7 @@ std::vector<std::vector<std::uint8_t>> BsubNode::on_relay(
       continue;  // the peer already told us it will not take this one
     }
     const double pref =
-        same_params
-            ? bloom::preference_at(frame.filter, mine, carried.key_indices)
-            : bloom::preference(frame.filter, mine, carried.key_hash);
+        bloom::preference_at(frame.filter, mine, carried.key_indices);
     if (pref > 0.0) ranked.emplace_back(pref, id);
   }
   std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {

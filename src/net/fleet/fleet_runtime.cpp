@@ -20,6 +20,11 @@ namespace bsub::net {
 
 namespace {
 
+/// Contacts run_udp() may have started but not yet completed.
+constexpr std::uint64_t kMaxInflightContacts = 128;
+/// How often a live UDP contact is polled for "session idle -> close".
+constexpr util::Time kIdleCheckPeriod = 2 * util::kMillisecond;
+
 double elapsed_seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
@@ -366,8 +371,7 @@ void FleetRuntime::arm_idle_check(Shard& shard, std::uint32_t a,
   auto it = shard.live.find(contact_key(a, b));
   if (it == shard.live.end()) return;
   it->second.idle =
-      shard.reactor.schedule_after(config_.idle_check_period, [this, &shard,
-                                                               a, b] {
+      shard.reactor.schedule_after(kIdleCheckPeriod, [this, &shard, a, b] {
         auto lit = shard.live.find(contact_key(a, b));
         if (lit == shard.live.end()) return;
         lit->second.idle = TimerQueue::kInvalidTimer;
@@ -543,7 +547,7 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
 
     while (issued_.load(std::memory_order_relaxed) -
                completed_.load(std::memory_order_acquire) >
-           config_.max_inflight_contacts) {
+           kMaxInflightContacts) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }

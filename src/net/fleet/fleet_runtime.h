@@ -74,12 +74,8 @@ struct FleetConfig {
   /// Reactor threads, one socket each. Nodes home at node % shards.
   std::size_t shards = 1;
   FleetUdpConfig udp;
-  /// Driver-side throttle: contacts issued but not yet completed.
-  std::size_t max_inflight_contacts = 128;
   /// A contact still alive this long after connect is aborted (lost peer).
   util::Time contact_timeout = 2 * util::kSecond;
-  /// How often a live contact is polled for "session idle -> close".
-  util::Time idle_check_period = 2 * util::kMillisecond;
 };
 
 /// Builds a FleetConfig from a B-SUB protocol spec via

@@ -133,7 +133,7 @@ TEST(BrokerElection, PaperThresholdsSustainAStableBrokerMinority) {
   // real traces. On our denser synthetic traces the same thresholds settle
   // lower (a handful of hub brokers already satisfies everyone's B_l) —
   // the invariant we hold is a stable non-trivial minority; see
-  // bench/ablation_brokers for the threshold-to-fraction mapping.
+  // bsub_paper ablation_brokers for the threshold-to-fraction mapping.
   auto t = trace::generate_trace(trace::haggle_infocom06_config(23));
   BrokerElection e(t.node_count(), {3, 5, 5 * kHour});
   for (const auto& c : t.contacts()) e.on_contact(c.a, c.b, c.start);

@@ -198,5 +198,35 @@ TEST(Engine, GarbageFramesAreDropped) {
   EXPECT_TRUE(node.handle(garbage, from_minutes(1)).empty());
 }
 
+TEST(Engine, ForeignFilterGeometryFramesAreDropped) {
+  // A broker on the default geometry (m = 256) with a primed relay meets a
+  // broker configured with m = 512, whose genuine and relay frames can be
+  // neither merged nor ranked: both are dropped like garbage, without
+  // throwing and without touching (or decaying) the relay.
+  Network net;  // default DF > 0, so any relay access would decay it
+  BsubNode& broker = net.add_node(1);
+  broker.set_broker(true);
+  net.add_node(2).subscribe("NewMoon");
+  net.contact(2, 1, from_minutes(1), kHour);
+  ASSERT_TRUE(broker.relay_filter().contains("NewMoon"));
+
+  NodeConfig wide_cfg;
+  wide_cfg.filter_params = {512, 4};
+  BsubNode wide(3, wide_cfg);
+  wide.set_broker(true);
+  wide.subscribe("NewMoon");
+  const auto hello = broker.begin_contact(from_minutes(30));
+  ASSERT_EQ(hello.size(), 1u);
+  const auto frames = wide.handle(hello[0], from_minutes(30));
+  ASSERT_EQ(frames.size(), 2u);  // its genuine filter, then its relay
+  const std::uint64_t epoch = broker.relay_filter().epoch();
+  for (const auto& frame : frames) {
+    std::vector<std::vector<std::uint8_t>> out;
+    EXPECT_NO_THROW(out = broker.handle(frame, from_minutes(40)));
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_EQ(broker.relay_filter().epoch(), epoch);
+}
+
 }  // namespace
 }  // namespace bsub::engine

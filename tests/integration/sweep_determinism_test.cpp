@@ -26,7 +26,7 @@ Scenario mini_scenario() {
 std::vector<std::string> sweep_points(const Scenario& scenario,
                                       std::size_t threads) {
   const std::vector<double> ttl_minutes = {30, 60, 120, 240};
-  const std::vector<ProtocolRun> runs = run_points_parallel(
+  const std::vector<ProtocolRun> runs = util::parallel_map(
       ttl_minutes,
       [&](double ttl_min) {
         const util::Time ttl = util::from_minutes(ttl_min);
