@@ -18,6 +18,14 @@
 //      pathology catch, 40x under the slowest rate BENCH_fleet.json
 //      records);
 //   3. every issued contact completes, with <= 1% hard timeouts.
+//
+// Each point also reports two per-layer counts of the live contact path:
+// heap allocations per contact over the run (bench/resource_stats.h
+// counting hooks, all threads) and the share of hello, genuine and relay
+// frames served from the nodes' frame caches.
+#define BSUB_RESOURCE_STATS_COUNT_ALLOCS
+#include "resource_stats.h"
+
 #include "fleet_common.h"
 
 #include <cstring>
@@ -26,7 +34,6 @@
 
 #include "experiment_common.h"
 #include "fork_util.h"
-#include "resource_stats.h"
 
 namespace {
 
@@ -62,6 +69,8 @@ struct PointResult {
   std::uint64_t sendq_drops = 0;
   std::uint64_t unroutable_drops = 0;
   std::uint64_t peak_rss_bytes = 0;
+  double allocs_per_contact = 0.0;
+  double frame_cache_hit_frac = 0.0;
   bool differential_ok = true;
 
   void take(const net::FleetRunResults& r) {
@@ -102,19 +111,32 @@ std::vector<PointSpec> smoke_points() {
 PointResult run_point(const PointSpec& spec) {
   const FleetScenario scenario(spec.point, kExperimentSeed);
   net::FleetConfig cfg = make_fleet_config(scenario, "");
-  PointResult out;
   if (spec.udp) {
     cfg.shards = 2;
     cfg.udp.base_port = spec.base_port;
-    net::FleetRuntime fleet(cfg);
-    out.take(fleet.run_udp(scenario.trace, scenario.workload));
   } else {
     cfg.threads = 2;
-    net::FleetRuntime fleet(cfg);
-    out.take(fleet.run_loopback(scenario.trace, scenario.workload));
-    if (spec.differential) {
-      out.differential_ok = fleet_matches_engine(scenario, cfg, out.protocol);
-    }
+  }
+  PointResult out;
+  net::FleetRuntime fleet(cfg);
+  const std::uint64_t allocs_before = allocs_now();
+  out.take(spec.udp ? fleet.run_udp(scenario.trace, scenario.workload)
+                    : fleet.run_loopback(scenario.trace, scenario.workload));
+  out.allocs_per_contact =
+      static_cast<double>(allocs_now() - allocs_before) /
+      static_cast<double>(std::max<std::uint64_t>(
+          1, out.protocol.contacts_processed));
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (std::size_t n = 0; n < spec.point.nodes; ++n) {
+    hits += fleet.node(n).frame_cache_hits();
+    misses += fleet.node(n).frame_cache_misses();
+  }
+  out.frame_cache_hit_frac =
+      static_cast<double>(hits) /
+      static_cast<double>(std::max<std::uint64_t>(1, hits + misses));
+  if (spec.differential) {
+    out.differential_ok = fleet_matches_engine(scenario, cfg, out.protocol);
   }
   out.peak_rss_bytes = peak_rss_bytes();
   return out;
@@ -133,9 +155,10 @@ int main(int argc, char** argv) {
 
   const std::vector<PointSpec> points = smoke ? smoke_points() : full_points();
 
-  std::printf("%-22s | %7s | %8s | %8s | %12s | %9s | %8s | %8s\n", "point",
-              "nodes", "contacts", "seconds", "contacts/sec", "delivered",
-              "p99 ms", "RSS MiB");
+  std::printf("%-22s | %7s | %8s | %8s | %12s | %9s | %8s | %8s | %8s | "
+              "%9s\n",
+              "point", "nodes", "contacts", "seconds", "contacts/sec",
+              "delivered", "p99 ms", "RSS MiB", "allocs/c", "cache hit");
 
   std::vector<PointResult> results(points.size());
   std::vector<bool> ran(points.size(), false);
@@ -151,12 +174,13 @@ int main(int argc, char** argv) {
     ran[i] = true;
     const PointResult& p = results[i];
     std::printf("%-22s | %7zu | %8zu | %8.2f | %12.0f | %9llu | %8.1f | "
-                "%8.1f\n",
+                "%8.1f | %8.1f | %9.3f\n",
                 spec.label, spec.point.nodes, spec.point.contacts,
                 p.wall_seconds, p.contacts_per_second,
                 static_cast<unsigned long long>(p.protocol.deliveries),
                 p.p99_delivery_latency_ms,
-                static_cast<double>(p.peak_rss_bytes) / (1 << 20));
+                static_cast<double>(p.peak_rss_bytes) / (1 << 20),
+                p.allocs_per_contact, p.frame_cache_hit_frac);
     json_points.push_back(
         JsonObject()
             .field("label", std::string(spec.label))
@@ -180,6 +204,8 @@ int main(int argc, char** argv) {
             .field("sendq_drops", p.sendq_drops)
             .field("unroutable_drops", p.unroutable_drops)
             .field("peak_rss_bytes", p.peak_rss_bytes)
+            .field("allocs_per_contact", p.allocs_per_contact)
+            .field("frame_cache_hit_frac", p.frame_cache_hit_frac)
             .field("differential",
                    std::string(!spec.differential     ? "n/a"
                                : p.differential_ok    ? "pass"

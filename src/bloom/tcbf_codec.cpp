@@ -54,9 +54,10 @@ BitLayout read_layout(util::ByteReader& r) {
   return static_cast<BitLayout>(b);
 }
 
-std::vector<std::size_t> read_positions(util::ByteReader& r, std::size_t m,
-                                        std::size_t count, BitLayout layout) {
-  std::vector<std::size_t> bits;
+/// Reads `count` set-bit positions into `bits` (cleared first).
+void read_positions(util::ByteReader& r, std::size_t m, std::size_t count,
+                    BitLayout layout, std::vector<std::size_t>& bits) {
+  bits.clear();
   bits.reserve(count);
   if (layout == BitLayout::kLocations) {
     unsigned width = util::bits_for(m);
@@ -99,7 +100,6 @@ std::vector<std::size_t> read_positions(util::ByteReader& r, std::size_t m,
                              std::to_string(bits.size()));
     }
   }
-  return bits;
 }
 
 std::uint8_t quantize(double counter, double scale) {
@@ -131,6 +131,13 @@ std::size_t position_bytes(std::size_t set_bits, std::size_t m,
 // it before reading, so reuse across a thread's successive jobs (parallel
 // executor threads included) carries no state between calls.
 std::vector<std::size_t>& set_bits_scratch() {
+  thread_local std::vector<std::size_t> scratch;
+  return scratch;
+}
+
+// Decode-side twin of set_bits_scratch: positions read off the wire, fully
+// rewritten by every read_positions call (decoders never nest).
+std::vector<std::size_t>& positions_scratch() {
   thread_local std::vector<std::size_t> scratch;
   return scratch;
 }
@@ -260,7 +267,8 @@ Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
   switch (encoding) {
     case CounterEncoding::kFull: {
       const double scale = checked_scale(r);
-      auto bits = read_positions(r, params.m, count, layout);
+      auto& bits = positions_scratch();
+      read_positions(r, params.m, count, layout, bits);
       for (std::size_t b : bits) {
         const std::size_t at = r.offset();
         const std::uint8_t q = r.get_u8();
@@ -276,7 +284,8 @@ Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
     }
     case CounterEncoding::kUniform: {
       const double scale = checked_scale(r);
-      auto bits = read_positions(r, params.m, count, layout);
+      auto& bits = positions_scratch();
+      read_positions(r, params.m, count, layout, bits);
       const std::size_t at = r.offset();
       const std::uint8_t q = r.get_u8();
       if (q == 0 && count > 0) {
@@ -288,7 +297,8 @@ Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
       break;
     }
     case CounterEncoding::kCounterLess: {
-      auto bits = read_positions(r, params.m, count, layout);
+      auto& bits = positions_scratch();
+      read_positions(r, params.m, count, layout, bits);
       for (std::size_t b : bits) counters[b] = initial_counter;
       break;
     }
@@ -351,7 +361,12 @@ const std::vector<std::uint8_t>& encode_bloom_cached(const BloomFilter& filter,
   return cache.bytes;
 }
 
-BloomFilter decode_bloom(std::span<const std::uint8_t> data) {
+namespace {
+
+/// Validates a BF encoding and reads its set-bit positions into `bits`;
+/// returns its geometry.
+BloomParams read_bloom(std::span<const std::uint8_t> data,
+                       std::vector<std::size_t>& bits) {
   util::ByteReader r(data);
   if (r.get_u8() != kMagicBloom) {
     throw util::CodecError("bad BF magic", 0, "0xBF", {});
@@ -379,10 +394,29 @@ BloomFilter decode_bloom(std::span<const std::uint8_t> data) {
                            r.offset(), std::to_string(need) + " more byte(s)",
                            std::to_string(r.remaining()));
   }
-  BloomFilter bf(params);
-  bf.set_bits_at(read_positions(r, params.m, count, layout));
+  read_positions(r, params.m, count, layout, bits);
   r.expect_end("BF encoding");
+  return params;
+}
+
+}  // namespace
+
+BloomFilter decode_bloom(std::span<const std::uint8_t> data) {
+  auto& bits = positions_scratch();
+  BloomFilter bf(read_bloom(data, bits));
+  bf.set_bits_at(bits);
   return bf;
+}
+
+void decode_bloom_into(std::span<const std::uint8_t> data, BloomFilter& out) {
+  auto& bits = positions_scratch();
+  const BloomParams params = read_bloom(data, bits);
+  if (out.params() != params) {
+    out = BloomFilter(params);
+  } else {
+    out.clear();
+  }
+  out.set_bits_at(bits);
 }
 
 // --- exact wire sizes -------------------------------------------------------

@@ -56,6 +56,10 @@ Tcbf decode_tcbf(std::span<const std::uint8_t> data);
 /// metadata at all).
 std::vector<std::uint8_t> encode_bloom(const BloomFilter& filter);
 BloomFilter decode_bloom(std::span<const std::uint8_t> data);
+/// Hot-path variant of decode_bloom: decodes into `out`, reusing its bit
+/// storage when the geometry matches (no heap allocation then). On a throw
+/// `out` holds unspecified contents.
+void decode_bloom_into(std::span<const std::uint8_t> data, BloomFilter& out);
 
 /// Hot-path variant of encode_bloom; same contract as encode_tcbf_into.
 void encode_bloom_into(const BloomFilter& filter,

@@ -1,6 +1,5 @@
 #include "engine/network.h"
 
-#include <deque>
 #include <stdexcept>
 
 namespace bsub::engine {
@@ -37,30 +36,41 @@ ContactReport Network::contact(NodeId a, NodeId b, util::Time now,
   sim::Link link(duration, bandwidth_bytes_per_second);
   ContactReport report;
 
+  // Frames in flight, FIFO. A node's output frames live only until its next
+  // step, so they are copied into one byte arena; both are the calling
+  // thread's (contacts on other threads run their own).
   struct Pending {
-    NodeId to;
-    std::vector<std::uint8_t> bytes;
+    BsubNode* to;
+    std::size_t offset;
+    std::size_t size;
   };
-  std::deque<Pending> queue;
-  for (auto& f : na.begin_contact(now)) queue.push_back({b, std::move(f)});
-  for (auto& f : nb.begin_contact(now)) queue.push_back({a, std::move(f)});
+  thread_local std::vector<std::uint8_t> arena;
+  thread_local std::vector<Pending> queue;
+  arena.clear();
+  queue.clear();
+  auto put = [&](BsubNode& to, Frames frames) {
+    for (const auto& f : frames) {
+      queue.push_back({&to, arena.size(), f.size()});
+      arena.insert(arena.end(), f.begin(), f.end());
+    }
+  };
+  put(nb, na.begin_contact(now));
+  put(na, nb.begin_contact(now));
 
   // Frame exchanges terminate naturally (data/genuine frames produce no
   // responses), but cap the rounds defensively.
   std::size_t safety = 100000;
-  while (!queue.empty() && safety-- > 0) {
-    Pending p = std::move(queue.front());
-    queue.pop_front();
-    if (!link.try_send(p.bytes.size())) {
+  for (std::size_t head = 0; head < queue.size() && safety-- > 0; ++head) {
+    const Pending p = queue[head];
+    if (!link.try_send(p.size)) {
       ++report.frames_dropped;
       continue;  // later (smaller) frames may still fit
     }
     ++report.frames_delivered;
-    BsubNode& receiver = node(p.to);
-    const NodeId other = (p.to == a) ? b : a;
-    for (auto& response : receiver.handle(p.bytes, now)) {
-      queue.push_back({other, std::move(response)});
-    }
+    BsubNode& other = (p.to == &na) ? nb : na;
+    put(other, p.to->handle(std::span<const std::uint8_t>(
+                                 arena.data() + p.offset, p.size),
+                             now));
   }
   report.bytes_used = link.used_bytes();
   return report;

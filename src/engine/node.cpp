@@ -1,12 +1,84 @@
 #include "engine/node.h"
 
 #include <algorithm>
+#include <optional>
 
+#include "bloom/tcbf_codec.h"
 #include "core/protocol_registry.h"
 #include "util/byte_io.h"
 #include "util/errors.h"
 
 namespace bsub::engine {
+
+/// One begin_contact()/handle() call's output, in the calling thread's
+/// storage: every frame is appended to `arena` (cached frames are copied,
+/// a few dozen to a few hundred bytes). Views are built when the call ends,
+/// because appends may move the arena.
+struct BsubNode::Outbox {
+  struct Slot {
+    std::size_t offset;
+    std::size_t size;
+  };
+  std::vector<std::uint8_t> arena;
+  std::vector<Slot> slots;
+  std::vector<std::span<const std::uint8_t>> views;
+
+  /// The calling thread's outbox, emptied. One per thread: a node step
+  /// never calls another node's step.
+  static Outbox& begin() {
+    thread_local Outbox outbox;
+    outbox.arena.clear();
+    outbox.slots.clear();
+    return outbox;
+  }
+
+  /// Appends one frame with `append(arena)`.
+  template <typename Append>
+  void add(Append&& append) {
+    const std::size_t start = arena.size();
+    append(arena);
+    slots.push_back({start, arena.size() - start});
+  }
+  void add_cached(const std::vector<std::uint8_t>& bytes) {
+    add([&](std::vector<std::uint8_t>& a) {
+      a.insert(a.end(), bytes.begin(), bytes.end());
+    });
+  }
+  void add_data(NodeId sender, const ContentMessage& msg, bool custody) {
+    add([&](std::vector<std::uint8_t>& a) {
+      append_data(sender, msg, custody, a);
+    });
+  }
+  void add_ack(NodeId sender, std::uint64_t message_id, bool accepted) {
+    add([&](std::vector<std::uint8_t>& a) {
+      append_frame(CustodyAckFrame{sender, message_id, accepted}, a);
+    });
+  }
+
+  Frames finish() {
+    views.clear();
+    for (const Slot& s : slots) {
+      views.emplace_back(arena.data() + s.offset, s.size);
+    }
+    return views;
+  }
+};
+
+namespace {
+
+/// A hello's two reports, decoded into storage the calling thread reuses
+/// (m bits each; nothing else of a received frame outlives its call).
+struct HelloReports {
+  bloom::BloomFilter interest;
+  bloom::BloomFilter relay;
+};
+
+HelloReports& hello_reports() {
+  thread_local HelloReports reports;
+  return reports;
+}
+
+}  // namespace
 
 BsubNode::BsubNode(NodeId id, NodeConfig config)
     : id_(id), config_(config),
@@ -22,15 +94,17 @@ void BsubNode::subscribe(std::string key) {
   }
   // The interest report and genuine filter are pure functions of the
   // subscription set: rebuild them here, once per subscribe, instead of per
-  // contact. The rebuilds advance their epochs, invalidating the hello and
-  // genuine frame caches automatically.
+  // contact. The report's rebuild advances its epoch, invalidating the
+  // hello cache; the genuine filter is only ever sent, so its frame is
+  // encoded here and the filter dropped.
   interest_report_ = bloom::BloomFilter(config_.filter_params);
-  genuine_filter_ = std::make_unique<bloom::Tcbf>(config_.filter_params,
-                                                  config_.initial_counter);
+  GenuineFrame genuine{id_, bloom::Tcbf(config_.filter_params,
+                                        config_.initial_counter)};
   for (const util::HashPair& hp : interest_hashes_) {
     interest_report_.insert(hp);
-    genuine_filter_->insert(hp);
+    genuine.filter.insert(hp);
   }
+  genuine_frame_ = encode(genuine);
 }
 
 void BsubNode::publish(ContentMessage message, util::Time now) {
@@ -62,72 +136,102 @@ bloom::Tcbf& BsubNode::relay_now(util::Time now) {
   return *relay_;
 }
 
+void BsubNode::merge_into_relay(const bloom::Tcbf& filter, bool additive,
+                                util::Time now) {
+  bloom::Tcbf& relay = relay_now(now);
+  const std::size_t before = relay.popcount();
+  if (additive) {
+    relay.a_merge(filter);
+  } else {
+    relay.m_merge(filter);
+  }
+  if (relay.popcount() != before) relay_report_bits_ = kStaleReport;
+}
+
 const bloom::BloomFilter& BsubNode::relay_report_now(util::Time now) {
   // An unmaterialized relay projects to the (default-constructed, empty)
   // report; returning it without materializing keeps hello emission free
   // for never-broker nodes.
   if (relay_ == nullptr) return relay_report_;
   const bloom::Tcbf& relay = relay_now(now);
-  if (relay_report_epoch_ != relay.epoch()) {
+  const std::size_t bits = relay.popcount();
+  if (bits != relay_report_bits_) {
     relay_report_ = relay.to_bloom_filter();
-    relay_report_epoch_ = relay.epoch();
+    relay_report_bits_ = bits;
   }
   return relay_report_;
 }
 
-std::vector<std::vector<std::uint8_t>> BsubNode::begin_contact(
-    util::Time now) {
+Frames BsubNode::begin_contact(util::Time now) {
+  Outbox& out = Outbox::begin();
   purge(now);
   // Cached hello: reused verbatim while the interest report, the relay
   // projection, and the broker flag are all unchanged.
-  return {encode_hello_cached(id_, broker_, interest_report_,
-                              relay_report_now(now), hello_cache_)};
+  out.add_cached(encode_hello_cached(id_, broker_, interest_report_,
+                                     relay_report_now(now), hello_cache_));
+  return out.finish();
 }
 
-std::vector<std::vector<std::uint8_t>> BsubNode::handle(
-    std::span<const std::uint8_t> frame_bytes, util::Time now) {
-  Frame frame;
+Frames BsubNode::handle(std::span<const std::uint8_t> frame_bytes,
+                        util::Time now) {
+  Outbox& out = Outbox::begin();
+  FrameView frame;
   try {
-    frame = decode(frame_bytes);
+    frame = parse_frame(frame_bytes);
   } catch (const util::DecodeError&) {
     return {};  // radios see garbage; drop it
   }
-  // A filter on another geometry can be neither merged with nor ranked
-  // against ours (a peer configured with a different m or k): drop it too.
-  const bloom::Tcbf* filter = frame.genuine ? &frame.genuine->filter
-                              : frame.relay ? &frame.relay->filter
-                                            : nullptr;
-  if (filter != nullptr && filter->params() != config_.filter_params) {
-    return {};
-  }
-  purge(now);
   switch (frame.type) {
-    case FrameType::kHello:
-      return on_hello(*frame.hello, now);
+    case FrameType::kHello: {
+      HelloReports& reports = hello_reports();
+      try {
+        bloom::decode_bloom_into(frame.filter, reports.interest);
+        bloom::decode_bloom_into(frame.relay_report, reports.relay);
+      } catch (const util::DecodeError&) {
+        return {};
+      }
+      purge(now);
+      on_hello(frame.sender, frame.flag, reports.interest, reports.relay, now,
+               out);
+      break;
+    }
     case FrameType::kGenuineFilter:
-      on_genuine(*frame.genuine, now);
-      return {};
-    case FrameType::kRelayFilter:
-      return on_relay(*frame.relay, now);
+    case FrameType::kRelayFilter: {
+      // Decoded for this call only: a received TCBF never outlives it.
+      std::optional<bloom::Tcbf> filter;
+      try {
+        filter.emplace(bloom::decode_tcbf(frame.filter));
+      } catch (const util::DecodeError&) {
+        return {};
+      }
+      // A filter on another geometry can be neither merged with nor ranked
+      // against ours (a peer configured with a different m or k): drop it.
+      if (filter->params() != config_.filter_params) return {};
+      purge(now);
+      if (frame.type == FrameType::kRelayFilter) {
+        on_relay(frame.sender, *filter, now, out);
+      } else if (broker_) {  // only brokers hold relay filters
+        merge_into_relay(*filter, /*additive=*/true, now);
+      }
+      break;
+    }
     case FrameType::kData:
-      return on_data(*frame.data, now);
+      purge(now);
+      on_data(frame.message, frame.flag, now, out);
+      break;
     case FrameType::kCustodyAck:
-      on_custody_ack(*frame.custody_ack);
-      return {};
+      purge(now);
+      on_custody_ack(frame.sender, frame.message_id, frame.flag);
+      break;
   }
-  return {};
+  return out.finish();
 }
 
-void BsubNode::append_deliveries(
-    const bloom::BloomFilter& report, util::Time now,
-    std::vector<std::vector<std::uint8_t>>& out) {
+void BsubNode::append_deliveries(const bloom::BloomFilter& report,
+                                 util::Time now, Outbox& out) {
   auto offer = [&](const ContentMessage& msg, const util::HashPair& hp) {
     if (!report.contains(hp)) return;
-    DataFrame data;
-    data.sender = id_;
-    data.message = msg;
-    data.custody = false;
-    out.push_back(encode(data));
+    out.add_data(id_, msg, /*custody=*/false);
     ++deliveries_made_;
   };
   for (const auto& [id, owned] : produced_) offer(owned.msg, owned.key_hash);
@@ -141,7 +245,7 @@ void BsubNode::append_deliveries(
 
 void BsubNode::append_pickups(NodeId broker,
                               const bloom::BloomFilter& relay_report,
-                              std::vector<std::vector<std::uint8_t>>& out) {
+                              Outbox& out) {
   // Two-phase custody: offers are free; the copy budget is only charged
   // when the broker's ack arrives (on_custody_ack).
   for (auto& [id, owned] : produced_) {
@@ -150,140 +254,113 @@ void BsubNode::append_pickups(NodeId broker,
       continue;
     }
     ++pickups_sent_;
-    DataFrame data;
-    data.sender = id_;
-    data.message = owned.msg;
-    data.custody = true;
-    out.push_back(encode(data));
+    out.add_data(id_, owned.msg, /*custody=*/true);
   }
 }
 
-std::vector<std::vector<std::uint8_t>> BsubNode::on_hello(
-    const HelloFrame& hello, util::Time now) {
-  std::vector<std::vector<std::uint8_t>> out;
-
+void BsubNode::on_hello(NodeId sender, bool is_broker,
+                        const bloom::BloomFilter& interest_report,
+                        const bloom::BloomFilter& relay_report,
+                        util::Time now, Outbox& out) {
   // Direct + broker-to-consumer delivery against the peer's report.
-  append_deliveries(hello.interest_report, now, out);
+  append_deliveries(interest_report, now, out);
 
-  if (hello.is_broker) {
-    // Interest propagation: our genuine filter (rebuilt on subscribe, so
-    // the cached encoding is reused across contacts).
-    if (!interests_.empty()) {
-      out.push_back(encode_genuine_cached(id_, *genuine_filter_,
-                                          genuine_cache_));
-    }
+  if (is_broker) {
+    // Interest propagation: our genuine filter, encoded on subscribe.
+    if (!interests_.empty()) out.add_cached(genuine_frame_);
     // Pickup: replicate matching own messages to the broker.
-    append_pickups(hello.sender, hello.relay_report, out);
+    append_pickups(sender, relay_report, out);
     // Broker-broker: send our relay filter for the preferential exchange.
     if (broker_) {
-      out.push_back(encode_relay_cached(id_, relay_now(now), relay_cache_));
+      out.add_cached(encode_relay_cached(id_, relay_now(now), relay_cache_));
     }
   }
-  return out;
 }
 
-void BsubNode::on_genuine(const GenuineFrame& frame, util::Time now) {
-  if (!broker_) return;  // only brokers hold relay filters
-  relay_now(now).a_merge(frame.filter);
-}
-
-std::vector<std::vector<std::uint8_t>> BsubNode::on_relay(
-    const RelayFrame& frame, util::Time now) {
-  std::vector<std::vector<std::uint8_t>> out;
-  if (!broker_) return out;
-  bloom::Tcbf& mine = relay_now(now);
+void BsubNode::on_relay(NodeId sender, const bloom::Tcbf& filter,
+                        util::Time now, Outbox& out) {
+  if (!broker_) return;
+  const bloom::Tcbf& mine = relay_now(now);
 
   // Preferential forwarding decisions on the pre-merge filters, ranked over
   // the bit positions interned at custody admission (handle() admits only
   // filters of our own geometry).
-  std::vector<std::pair<double, std::uint64_t>> ranked;
+  thread_local std::vector<std::pair<double, std::uint64_t>> ranked;
+  ranked.clear();
   for (const auto& [id, carried] : carried_) {
     if (auto it = transfer_refused_.find(id);
-        it != transfer_refused_.end() && it->second.contains(frame.sender)) {
+        it != transfer_refused_.end() && it->second.contains(sender)) {
       continue;  // the peer already told us it will not take this one
     }
     const double pref =
-        bloom::preference_at(frame.filter, mine, carried.key_indices);
+        bloom::preference_at(filter, mine, carried.key_indices);
     if (pref > 0.0) ranked.emplace_back(pref, id);
   }
   std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
     return std::tie(y.first, x.second) < std::tie(x.first, y.second);
   });
   for (const auto& [pref, id] : ranked) {
-    DataFrame data;
-    data.sender = id_;
-    data.message = carried_.at(id).msg;
-    data.custody = true;
-    out.push_back(encode(data));
     // Two-phase custody: the copy leaves only when the peer acks.
+    out.add_data(id_, carried_.at(id).msg, /*custody=*/true);
   }
 
-  if (config_.broker_merge == core::BrokerMergeMode::kMMerge) {
-    mine.m_merge(frame.filter);
-  } else {
-    mine.a_merge(frame.filter);
-  }
-  return out;
+  merge_into_relay(filter,
+                   config_.broker_merge != core::BrokerMergeMode::kMMerge,
+                   now);
 }
 
-std::vector<std::vector<std::uint8_t>> BsubNode::on_data(
-    const DataFrame& frame, util::Time now) {
-  const ContentMessage& msg = frame.message;
-  if (msg.expired_at(now)) return {};
-  if (frame.custody) {
+void BsubNode::on_data(const MessageView& msg, bool custody, util::Time now,
+                       Outbox& out) {
+  if (msg.expired_at(now)) return;
+  if (custody) {
     if (broker_ && !carried_ever_.contains(msg.id) && msg.producer != id_) {
       const util::HashPair hp = util::hash_pair(msg.key);
       carried_.emplace(
           msg.id,
-          CarriedMessage{msg, hp,
+          CarriedMessage{msg.to_message(), hp,
                          util::bloom_indices(hp, config_.filter_params.k,
                                              config_.filter_params.m)});
       carried_ever_.insert(msg.id);
       note_expiry(msg.expiry());
       ++custody_accepted_;
-      CustodyAckFrame ack;
-      ack.sender = id_;
-      ack.message_id = msg.id;
-      return {encode(ack)};
+      out.add_ack(id_, msg.id, /*accepted=*/true);
+      return;
     }
     ++custody_refused_;
-    CustodyAckFrame nack;
-    nack.sender = id_;
-    nack.message_id = msg.id;
-    nack.accepted = false;
-    return {encode(nack)};
+    out.add_ack(id_, msg.id, /*accepted=*/false);
+    return;
   }
   // Final delivery: consume only if genuinely subscribed (a Bloom false
   // positive on the sender side is discarded here). Own productions do not
   // count as deliveries.
-  if (msg.producer == id_ || !interests_.contains(msg.key)) return {};
-  if (!consumed_.insert(msg.id).second) return {};
-  if (on_delivery_) on_delivery_(msg, now);
-  return {};
+  if (msg.producer == id_ || !interests_.contains(msg.key)) return;
+  if (!consumed_.insert(msg.id).second) return;
+  if (on_delivery_) on_delivery_(msg.to_message(), now);
 }
 
-void BsubNode::on_custody_ack(const CustodyAckFrame& ack) {
-  if (auto it = produced_.find(ack.message_id); it != produced_.end()) {
+void BsubNode::on_custody_ack(NodeId sender, std::uint64_t message_id,
+                              bool accepted) {
+  if (auto it = produced_.find(message_id); it != produced_.end()) {
     OwnedMessage& owned = it->second;
-    if (!ack.accepted) {
+    if (!accepted) {
       // Permanent refusal: never offer this message to this peer again,
       // without charging the copy budget.
-      owned.placed.insert(ack.sender);
+      owned.placed.insert(sender);
       return;
     }
     // Placed: charge the budget and remember the peer.
-    if (owned.copies_left > 0 && !owned.placed.contains(ack.sender)) {
-      owned.placed.insert(ack.sender);
+    if (owned.copies_left > 0 && !owned.placed.contains(sender)) {
+      owned.placed.insert(sender);
       if (--owned.copies_left == 0) produced_.erase(it);
     }
     return;
   }
   // A carried copy moved to a better broker: single custody, drop ours.
-  if (ack.accepted) {
-    carried_.erase(ack.message_id);
-    transfer_refused_.erase(ack.message_id);
-  } else if (carried_.contains(ack.message_id)) {
-    transfer_refused_[ack.message_id].insert(ack.sender);
+  if (accepted) {
+    carried_.erase(message_id);
+    transfer_refused_.erase(message_id);
+  } else if (carried_.contains(message_id)) {
+    transfer_refused_[message_id].insert(sender);
   }
 }
 

@@ -21,7 +21,10 @@
 //
 // The node never touches a network: it consumes frames and returns frames,
 // so it is equally testable against the in-memory Network harness or a real
-// transport.
+// transport. Returned frames are views (see Frames) of one buffer the
+// calling thread reuses: DATA and custody-ack frames are encoded into it
+// straight from the node's state, cached frames (hello, genuine, relay)
+// are copied into it, and no frame gets an allocation of its own.
 #pragma once
 
 #include <algorithm>
@@ -30,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -78,9 +82,18 @@ struct LiveConfig {
 /// failing loudly beats silently running a different protocol than asked).
 LiveConfig live_config_from_spec(std::string_view protocol_spec);
 
+/// The frames one begin_contact() or handle() call emits, in send order.
+/// The views point into a buffer the calling thread owns, so they stay
+/// valid until the next begin_contact() or handle() call on the same
+/// thread, on any node. A caller that keeps frames longer (a FIFO of frames
+/// in flight) copies them.
+using Frames = std::span<const std::span<const std::uint8_t>>;
+
 class BsubNode {
  public:
-  /// Called when a message is accepted by this node as a consumer.
+  /// Called when a message is accepted by this node as a consumer, from
+  /// inside handle(): it must not start another node step on its thread
+  /// (the step's output buffer is in use).
   using DeliveryHandler =
       std::function<void(const ContentMessage&, util::Time)>;
 
@@ -92,7 +105,9 @@ class BsubNode {
 
   /// Subscribes to a content key.
   void subscribe(std::string key);
-  const std::set<std::string>& subscriptions() const { return interests_; }
+  const std::set<std::string, std::less<>>& subscriptions() const {
+    return interests_;
+  }
 
   /// Publishes a message this node produced; it becomes eligible for direct
   /// delivery and broker pickup.
@@ -103,13 +118,13 @@ class BsubNode {
   }
 
   /// Contact bootstrap: the frames this node sends when a contact opens.
-  std::vector<std::vector<std::uint8_t>> begin_contact(util::Time now);
+  Frames begin_contact(util::Time now);
 
   /// Handles one incoming frame; returns the response frames (possibly
-  /// empty). Malformed frames are dropped (util::DecodeError swallowed —
-  /// a real radio sees garbage).
-  std::vector<std::vector<std::uint8_t>> handle(
-      std::span<const std::uint8_t> frame_bytes, util::Time now);
+  /// none). Malformed frames are dropped (util::DecodeError swallowed — a
+  /// real radio sees garbage). `frame_bytes` must not alias this thread's
+  /// previous output.
+  Frames handle(std::span<const std::uint8_t> frame_bytes, util::Time now);
 
   /// Drops expired state; safe to call any time.
   void purge(util::Time now);
@@ -152,12 +167,13 @@ class BsubNode {
   std::uint64_t consumed_total() const { return consumed_.size(); }
 
   /// Hot-path introspection: epoch-cached frame encodings reused / rebuilt
-  /// across the hello, genuine, and relay streams.
+  /// across the hello and relay streams (the genuine frame is encoded once
+  /// per subscribe).
   std::uint64_t frame_cache_hits() const {
-    return hello_cache_.hits + genuine_cache_.hits + relay_cache_.hits;
+    return hello_cache_.hits + relay_cache_.hits;
   }
   std::uint64_t frame_cache_misses() const {
-    return hello_cache_.misses + genuine_cache_.misses + relay_cache_.misses;
+    return hello_cache_.misses + relay_cache_.misses;
   }
   /// Purge calls skipped because the expiry watermark proved nothing could
   /// have expired, vs. calls that actually scanned the buffers.
@@ -187,31 +203,39 @@ class BsubNode {
     util::IndexArray key_indices;
   };
 
+  /// The calling thread's output frames (defined in node.cpp).
+  struct Outbox;
+
   bloom::Tcbf& relay_now(util::Time now);
-  /// Keeps the relay's counter-less BF projection in sync with the relay
-  /// filter's epoch; rebuilt only when the relay actually changed.
+  /// A- or M-merges `filter` into the relay, noting whether it set a bit.
+  void merge_into_relay(const bloom::Tcbf& filter, bool additive,
+                        util::Time now);
+  /// The relay's counter-less BF projection, rebuilt only when its bit set
+  /// changed (see relay_report_bits_).
   const bloom::BloomFilter& relay_report_now(util::Time now);
   /// Registers an admitted message in the purge watermark.
   void note_expiry(util::Time expiry) {
     next_expiry_ = std::min(next_expiry_, expiry);
   }
-  std::vector<std::vector<std::uint8_t>> on_hello(const HelloFrame& hello,
-                                                  util::Time now);
-  std::vector<std::vector<std::uint8_t>> on_relay(const RelayFrame& frame,
-                                                  util::Time now);
-  void on_genuine(const GenuineFrame& frame, util::Time now);
-  std::vector<std::vector<std::uint8_t>> on_data(const DataFrame& frame,
-                                                 util::Time now);
-  void on_custody_ack(const CustodyAckFrame& ack);
+  void on_hello(NodeId sender, bool is_broker,
+                const bloom::BloomFilter& interest_report,
+                const bloom::BloomFilter& relay_report, util::Time now,
+                Outbox& out);
+  void on_relay(NodeId sender, const bloom::Tcbf& filter, util::Time now,
+                Outbox& out);
+  void on_data(const MessageView& msg, bool custody, util::Time now,
+               Outbox& out);
+  void on_custody_ack(NodeId sender, std::uint64_t message_id,
+                      bool accepted);
   void append_deliveries(const bloom::BloomFilter& report, util::Time now,
-                         std::vector<std::vector<std::uint8_t>>& out);
+                         Outbox& out);
   void append_pickups(NodeId broker, const bloom::BloomFilter& relay_report,
-                      std::vector<std::vector<std::uint8_t>>& out);
+                      Outbox& out);
 
   NodeId id_;
   NodeConfig config_;
   bool broker_ = false;
-  std::set<std::string> interests_;
+  std::set<std::string, std::less<>> interests_;
   /// Interned hashes of interests_, in set order (rebuilt on subscribe).
   std::vector<util::HashPair> interest_hashes_;
   std::map<std::uint64_t, OwnedMessage> produced_;
@@ -236,17 +260,24 @@ class BsubNode {
 
   /// Counter-less BF of interests_, rebuilt on subscribe (not per contact).
   bloom::BloomFilter interest_report_;
-  /// Genuine TCBF of interests_, built on first subscribe — null for pure
-  /// producers/brokers with no subscriptions (it is only ever sent by
-  /// subscribers, guarded by `!interests_.empty()`).
-  std::unique_ptr<bloom::Tcbf> genuine_filter_;
-  /// Counter-less projection of relay_, rebuilt only when relay_'s epoch
-  /// moved past relay_report_epoch_.
+  /// The genuine-filter frame, encoded on subscribe. The genuine TCBF is a
+  /// pure function of interests_, so subscribe() builds it, encodes it and
+  /// drops it: a subscriber keeps a few dozen bytes instead of a 2 KiB
+  /// filter. Empty for pure producers/brokers with no subscriptions (it is
+  /// only ever sent by subscribers, guarded by `!interests_.empty()`).
+  std::vector<std::uint8_t> genuine_frame_;
+  /// Counter-less projection of relay_. Decay only clears bits and merges
+  /// only set them, so while no merge has set a bit since the projection,
+  /// the relay's bits are a subset of it, equal exactly when the popcounts
+  /// agree. relay_report_bits_ is the projected popcount, or kStaleReport
+  /// once a merge set a new bit; a decay that clears no bit keeps the
+  /// projection — and the cached hello — although it moves the relay's
+  /// epoch.
   bloom::BloomFilter relay_report_;
-  std::uint64_t relay_report_epoch_ = 0;
+  static constexpr std::size_t kStaleReport = ~std::size_t{0};
+  std::size_t relay_report_bits_ = 0;
   /// Epoch-keyed encoded-frame caches (one per outgoing frame stream).
   FrameCache hello_cache_;
-  FrameCache genuine_cache_;
   FrameCache relay_cache_;
   /// Earliest expiry over produced_/carried_ admissions (a lower bound:
   /// early removals never raise it). purge() is O(1) before this instant.

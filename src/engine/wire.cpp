@@ -14,20 +14,25 @@ constexpr std::size_t kMaxKeyBytes = 4096;
 // reject absurd length claims before any allocation sized from them.
 constexpr std::size_t kMaxPayloadBytes = 4u << 20;
 
-/// Header: magic, version, type, payload length; trailer: FNV checksum of
-/// payload. Fills `out` (cleared, capacity reused).
-void seal_into(FrameType type, const util::ByteWriter& payload,
-               std::vector<std::uint8_t>& out) {
-  util::ByteWriter w(std::move(out));
-  w.put_u8(kFrameMagic);
-  w.put_u8(kWireVersion);
-  w.put_u8(static_cast<std::uint8_t>(type));
-  w.put_varint(payload.size());
-  w.put_bytes(payload.bytes());
-  const std::string_view view(
-      reinterpret_cast<const char*>(payload.bytes().data()), payload.size());
-  w.put_u32(static_cast<std::uint32_t>(util::fnv1a64(view)));
-  out = std::move(w).take();
+/// Appends header (magic, version, type, payload length), payload and
+/// trailer (FNV checksum of the payload) to `out`.
+void seal_append(FrameType type, std::span<const std::uint8_t> payload,
+                 std::vector<std::uint8_t>& out) {
+  out.push_back(kFrameMagic);
+  out.push_back(kWireVersion);
+  out.push_back(static_cast<std::uint8_t>(type));
+  std::uint64_t len = payload.size();
+  while (len >= 0x80) {  // LEB128, as util::ByteWriter::put_varint
+    out.push_back(static_cast<std::uint8_t>(len) | 0x80);
+    len >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(len));
+  out.insert(out.end(), payload.begin(), payload.end());
+  const auto sum = static_cast<std::uint32_t>(util::fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(payload.data()), payload.size())));
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+  }
 }
 
 /// Payload assembly scratch: one writer buffer per thread (frame encoders
@@ -41,6 +46,17 @@ std::vector<std::uint8_t>& payload_scratch() {
 std::vector<std::uint8_t>& blob_scratch() {
   thread_local std::vector<std::uint8_t> buf;
   return buf;
+}
+
+/// Builds a payload with `fill` in the thread's payload scratch and appends
+/// the sealed frame to `out`.
+template <typename Fill>
+void append_sealed(FrameType type, std::vector<std::uint8_t>& out,
+                   Fill&& fill) {
+  util::ByteWriter w(std::move(payload_scratch()));
+  fill(w);
+  seal_append(type, w.bytes(), out);
+  payload_scratch() = std::move(w).take();
 }
 
 void put_bloom_blob(util::ByteWriter& w, const bloom::BloomFilter& bf) {
@@ -68,6 +84,32 @@ void put_message(util::ByteWriter& w, const ContentMessage& m) {
   w.put_u64(static_cast<std::uint64_t>(m.ttl));
 }
 
+void append_hello(NodeId sender, bool is_broker,
+                  const bloom::BloomFilter& interest_report,
+                  const bloom::BloomFilter& relay_report,
+                  std::vector<std::uint8_t>& out) {
+  append_sealed(FrameType::kHello, out, [&](util::ByteWriter& w) {
+    w.put_u64(sender);
+    w.put_u8(is_broker ? 1 : 0);
+    put_bloom_blob(w, interest_report);
+    put_bloom_blob(w, relay_report);
+  });
+}
+
+/// A genuine frame carries a fresh filter (one shared counter), a relay
+/// frame a merged one (every counter).
+void append_filter_frame(FrameType type, NodeId sender,
+                         const bloom::Tcbf& filter,
+                         std::vector<std::uint8_t>& out) {
+  const auto encoding = type == FrameType::kGenuineFilter
+                            ? bloom::CounterEncoding::kUniform
+                            : bloom::CounterEncoding::kFull;
+  append_sealed(type, out, [&](util::ByteWriter& w) {
+    w.put_u64(sender);
+    put_tcbf_blob(w, filter, encoding);
+  });
+}
+
 /// Reads a u64 that must be a valid non-negative util::Time.
 util::Time get_time(util::ByteReader& r, const char* what) {
   const std::size_t at = r.offset();
@@ -80,17 +122,20 @@ util::Time get_time(util::ByteReader& r, const char* what) {
   return static_cast<util::Time>(raw);
 }
 
-ContentMessage get_message(util::ByteReader& r) {
-  ContentMessage m;
+MessageView get_message(util::ByteReader& r) {
+  MessageView m;
   m.id = r.get_u64();
   const std::size_t key_at = r.offset();
-  m.key = r.get_string();
-  if (m.key.size() > kMaxKeyBytes) {
+  const std::uint64_t key_len = r.get_varint();
+  if (key_len > kMaxKeyBytes) {
     throw util::CodecError("key too long", key_at,
                            "at most " + std::to_string(kMaxKeyBytes) +
                                " bytes",
-                           std::to_string(m.key.size()));
+                           std::to_string(key_len));
   }
+  const auto key = r.get_span(static_cast<std::size_t>(key_len));
+  m.key = std::string_view(reinterpret_cast<const char*>(key.data()),
+                           key.size());
   const std::size_t body_at = r.offset();
   const std::uint64_t body_len = r.get_varint();
   if (body_len > kMaxBodyBytes) {
@@ -99,8 +144,7 @@ ContentMessage get_message(util::ByteReader& r) {
                                " bytes",
                            std::to_string(body_len));
   }
-  const auto body = r.get_span(static_cast<std::size_t>(body_len));
-  m.body.assign(body.begin(), body.end());
+  m.body = r.get_span(static_cast<std::size_t>(body_len));
   m.producer = r.get_u64();
   m.created = get_time(r, "message creation time");
   m.ttl = get_time(r, "message TTL");
@@ -125,78 +169,62 @@ std::span<const std::uint8_t> get_blob(util::ByteReader& r) {
 
 }  // namespace
 
+ContentMessage MessageView::to_message() const {
+  return ContentMessage{id,       std::string(key),
+                        std::vector<std::uint8_t>(body.begin(), body.end()),
+                        producer, created,
+                        ttl};
+}
+
 std::vector<std::uint8_t> encode(const HelloFrame& frame) {
   std::vector<std::uint8_t> out;
-  encode_into(frame, out);
+  append_hello(frame.sender, frame.is_broker, frame.interest_report,
+               frame.relay_report, out);
   return out;
 }
 
 std::vector<std::uint8_t> encode(const GenuineFrame& frame) {
   std::vector<std::uint8_t> out;
-  encode_into(frame, out);
+  append_filter_frame(FrameType::kGenuineFilter, frame.sender, frame.filter,
+                      out);
   return out;
 }
 
 std::vector<std::uint8_t> encode(const RelayFrame& frame) {
   std::vector<std::uint8_t> out;
-  encode_into(frame, out);
+  append_filter_frame(FrameType::kRelayFilter, frame.sender, frame.filter,
+                      out);
   return out;
 }
 
 std::vector<std::uint8_t> encode(const DataFrame& frame) {
   std::vector<std::uint8_t> out;
-  encode_into(frame, out);
+  append_data(frame.sender, frame.message, frame.custody, out);
   return out;
 }
 
 std::vector<std::uint8_t> encode(const CustodyAckFrame& frame) {
   std::vector<std::uint8_t> out;
-  encode_into(frame, out);
+  append_frame(frame, out);
   return out;
 }
 
-void encode_into(const HelloFrame& frame, std::vector<std::uint8_t>& out) {
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(frame.sender);
-  w.put_u8(frame.is_broker ? 1 : 0);
-  put_bloom_blob(w, frame.interest_report);
-  put_bloom_blob(w, frame.relay_report);
-  seal_into(FrameType::kHello, w, out);
-  payload_scratch() = std::move(w).take();
+void append_data(NodeId sender, const ContentMessage& message, bool custody,
+                 std::vector<std::uint8_t>& out) {
+  append_sealed(FrameType::kData, out, [&](util::ByteWriter& w) {
+    w.put_u64(sender);
+    put_message(w, message);
+    w.put_u8(custody ? 1 : 0);
+  });
 }
 
-void encode_into(const GenuineFrame& frame, std::vector<std::uint8_t>& out) {
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(frame.sender);
-  put_tcbf_blob(w, frame.filter, bloom::CounterEncoding::kUniform);
-  seal_into(FrameType::kGenuineFilter, w, out);
-  payload_scratch() = std::move(w).take();
-}
-
-void encode_into(const RelayFrame& frame, std::vector<std::uint8_t>& out) {
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(frame.sender);
-  put_tcbf_blob(w, frame.filter, bloom::CounterEncoding::kFull);
-  seal_into(FrameType::kRelayFilter, w, out);
-  payload_scratch() = std::move(w).take();
-}
-
-void encode_into(const DataFrame& frame, std::vector<std::uint8_t>& out) {
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(frame.sender);
-  put_message(w, frame.message);
-  w.put_u8(frame.custody ? 1 : 0);
-  seal_into(FrameType::kData, w, out);
-  payload_scratch() = std::move(w).take();
-}
-
-void encode_into(const CustodyAckFrame& frame, std::vector<std::uint8_t>& out) {
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(frame.sender);
-  w.put_u64(frame.message_id);
-  w.put_u8(frame.accepted ? 1 : 0);
-  seal_into(FrameType::kCustodyAck, w, out);
-  payload_scratch() = std::move(w).take();
+void append_frame(const CustodyAckFrame& frame,
+                  std::vector<std::uint8_t>& out) {
+  append_sealed(FrameType::kCustodyAck, out, [&](util::ByteWriter& w) {
+    w.put_u64(frame.sender);
+    w.put_u64(frame.message_id);
+    w.put_u8(frame.accepted ? 1 : 0);
+  });
 }
 
 const std::vector<std::uint8_t>& encode_hello_cached(
@@ -208,33 +236,11 @@ const std::vector<std::uint8_t>& encode_hello_cached(
     return cache.bytes;
   }
   ++cache.misses;
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(sender);
-  w.put_u8(is_broker ? 1 : 0);
-  put_bloom_blob(w, interest_report);
-  put_bloom_blob(w, relay_report);
-  seal_into(FrameType::kHello, w, cache.bytes);
-  payload_scratch() = std::move(w).take();
+  cache.bytes.clear();
+  append_hello(sender, is_broker, interest_report, relay_report, cache.bytes);
   cache.epoch = interest_report.epoch();
   cache.epoch2 = relay_report.epoch();
   cache.broker = is_broker;
-  return cache.bytes;
-}
-
-const std::vector<std::uint8_t>& encode_genuine_cached(NodeId sender,
-                                                       const bloom::Tcbf& filter,
-                                                       FrameCache& cache) {
-  if (cache.epoch == filter.epoch()) {
-    ++cache.hits;
-    return cache.bytes;
-  }
-  ++cache.misses;
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(sender);
-  put_tcbf_blob(w, filter, bloom::CounterEncoding::kUniform);
-  seal_into(FrameType::kGenuineFilter, w, cache.bytes);
-  payload_scratch() = std::move(w).take();
-  cache.epoch = filter.epoch();
   return cache.bytes;
 }
 
@@ -246,16 +252,13 @@ const std::vector<std::uint8_t>& encode_relay_cached(NodeId sender,
     return cache.bytes;
   }
   ++cache.misses;
-  util::ByteWriter w(std::move(payload_scratch()));
-  w.put_u64(sender);
-  put_tcbf_blob(w, filter, bloom::CounterEncoding::kFull);
-  seal_into(FrameType::kRelayFilter, w, cache.bytes);
-  payload_scratch() = std::move(w).take();
+  cache.bytes.clear();
+  append_filter_frame(FrameType::kRelayFilter, sender, filter, cache.bytes);
   cache.epoch = filter.epoch();
   return cache.bytes;
 }
 
-Frame decode(std::span<const std::uint8_t> bytes) {
+FrameView parse_frame(std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
   if (r.get_u8() != kFrameMagic) {
     throw util::CodecError("bad frame magic", 0, "0x5B", {});
@@ -295,51 +298,59 @@ Frame decode(std::span<const std::uint8_t> bytes) {
   if (declared != static_cast<std::uint32_t>(util::fnv1a64(view))) {
     throw util::CodecError("frame checksum mismatch");
   }
-  // A frame is a complete unit: callers hand decode() exactly one frame, so
+  // A frame is a complete unit: callers hand one frame at a time, so
   // bytes past the checksum mean a framing bug or tampering.
   r.expect_end("frame");
 
   util::ByteReader p(payload);
-  Frame frame;
+  FrameView frame;
   frame.type = type;
+  frame.sender = p.get_u64();
   switch (type) {
-    case FrameType::kHello: {
-      HelloFrame h;
-      h.sender = p.get_u64();
-      h.is_broker = p.get_u8() != 0;
-      h.interest_report = bloom::decode_bloom(get_blob(p));
-      h.relay_report = bloom::decode_bloom(get_blob(p));
-      frame.hello = std::move(h);
+    case FrameType::kHello:
+      frame.flag = p.get_u8() != 0;
+      frame.filter = get_blob(p);
+      frame.relay_report = get_blob(p);
       break;
-    }
-    case FrameType::kGenuineFilter: {
-      GenuineFrame g{p.get_u64(), bloom::decode_tcbf(get_blob(p))};
-      frame.genuine = std::move(g);
+    case FrameType::kGenuineFilter:
+    case FrameType::kRelayFilter:
+      frame.filter = get_blob(p);
       break;
-    }
-    case FrameType::kRelayFilter: {
-      RelayFrame rf{p.get_u64(), bloom::decode_tcbf(get_blob(p))};
-      frame.relay = std::move(rf);
+    case FrameType::kData:
+      frame.message = get_message(p);
+      frame.flag = p.get_u8() != 0;
       break;
-    }
-    case FrameType::kData: {
-      DataFrame d;
-      d.sender = p.get_u64();
-      d.message = get_message(p);
-      d.custody = p.get_u8() != 0;
-      frame.data = std::move(d);
+    case FrameType::kCustodyAck:
+      frame.message_id = p.get_u64();
+      frame.flag = p.get_u8() != 0;
       break;
-    }
-    case FrameType::kCustodyAck: {
-      CustodyAckFrame a;
-      a.sender = p.get_u64();
-      a.message_id = p.get_u64();
-      a.accepted = p.get_u8() != 0;
-      frame.custody_ack = a;
-      break;
-    }
   }
   p.expect_end("frame payload");
+  return frame;
+}
+
+Frame decode(std::span<const std::uint8_t> bytes) {
+  const FrameView v = parse_frame(bytes);
+  Frame frame;
+  frame.type = v.type;
+  switch (v.type) {
+    case FrameType::kHello:
+      frame.hello = HelloFrame{v.sender, v.flag, bloom::decode_bloom(v.filter),
+                               bloom::decode_bloom(v.relay_report)};
+      break;
+    case FrameType::kGenuineFilter:
+      frame.genuine = GenuineFrame{v.sender, bloom::decode_tcbf(v.filter)};
+      break;
+    case FrameType::kRelayFilter:
+      frame.relay = RelayFrame{v.sender, bloom::decode_tcbf(v.filter)};
+      break;
+    case FrameType::kData:
+      frame.data = DataFrame{v.sender, v.message.to_message(), v.flag};
+      break;
+    case FrameType::kCustodyAck:
+      frame.custody_ack = CustodyAckFrame{v.sender, v.message_id, v.flag};
+      break;
+  }
   return frame;
 }
 

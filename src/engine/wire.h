@@ -18,7 +18,9 @@
 // Frames survive hostile bytes: decode() treats its input as
 // attacker-controlled and throws util::CodecError (alias util::DecodeError)
 // on any malformed, truncated, oversized, out-of-range, trailing-garbage,
-// or checksum-failing input, with the failing byte offset attached. Length
+// or checksum-failing input, with the failing byte offset attached. It is
+// parse_frame(), which checks the frame and reads its fields in place,
+// plus the embedded filter decodes, which check the filter blobs. Length
 // claims are capped before any allocation they imply (see DESIGN.md §7).
 #pragma once
 
@@ -26,6 +28,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -117,23 +120,56 @@ struct Frame {
   std::optional<CustodyAckFrame> custody_ack;
 };
 
+/// A content message read in place: key and body alias the frame bytes.
+struct MessageView {
+  std::uint64_t id = 0;
+  std::string_view key;
+  std::span<const std::uint8_t> body;
+  NodeId producer = 0;
+  util::Time created = 0;
+  util::Time ttl = 0;
+
+  util::Time expiry() const { return created + ttl; }
+  bool expired_at(util::Time now) const { return now >= expiry(); }
+  /// An owning copy.
+  ContentMessage to_message() const;
+};
+
+/// A frame read in place by parse_frame(): header, checksum, every length
+/// and every field are validated, but filters stay encoded blobs (decode
+/// them with bloom::decode_bloom / decode_tcbf) and the message aliases the
+/// frame bytes. Nothing is allocated.
+struct FrameView {
+  FrameType type = FrameType::kHello;
+  NodeId sender = 0;
+  /// kHello: the broker flag; kData: custody; kCustodyAck: accepted.
+  bool flag = false;
+  /// kHello: the interest report; kGenuineFilter / kRelayFilter: the TCBF.
+  std::span<const std::uint8_t> filter;
+  /// kHello only: the relay report.
+  std::span<const std::uint8_t> relay_report;
+  MessageView message;           ///< kData only
+  std::uint64_t message_id = 0;  ///< kCustodyAck only
+};
+
 std::vector<std::uint8_t> encode(const HelloFrame& frame);
 std::vector<std::uint8_t> encode(const GenuineFrame& frame);
 std::vector<std::uint8_t> encode(const RelayFrame& frame);
 std::vector<std::uint8_t> encode(const DataFrame& frame);
 std::vector<std::uint8_t> encode(const CustodyAckFrame& frame);
 
-/// Hot-path variants: encode into `out` (cleared, capacity reused); filter
-/// blobs and payload assembly go through thread-local scratch buffers, so
-/// re-encoding into a warmed buffer performs no heap allocation.
-void encode_into(const HelloFrame& frame, std::vector<std::uint8_t>& out);
-void encode_into(const GenuineFrame& frame, std::vector<std::uint8_t>& out);
-void encode_into(const RelayFrame& frame, std::vector<std::uint8_t>& out);
-void encode_into(const DataFrame& frame, std::vector<std::uint8_t>& out);
-void encode_into(const CustodyAckFrame& frame, std::vector<std::uint8_t>& out);
+/// Hot-path encoders for the frames a node builds per step: they append
+/// the frame's bytes to `out` and touch nothing else. Payload assembly goes
+/// through a thread-local scratch buffer, so appending to a warmed buffer
+/// performs no heap allocation. The DATA frame is encoded straight from the
+/// stored message (no DataFrame copy of it).
+void append_data(NodeId sender, const ContentMessage& message, bool custody,
+                 std::vector<std::uint8_t>& out);
+void append_frame(const CustodyAckFrame& frame,
+                  std::vector<std::uint8_t>& out);
 
 /// Epoch-keyed cache of one node's encoded frame bytes for a single frame
-/// stream (hello, genuine, or relay). The sender id is not part of the key:
+/// stream (hello or relay). The sender id is not part of the key:
 /// a cache belongs to one node. Filters carry process-unique mutation
 /// epochs, so equal epochs imply identical contents and the cached bytes
 /// can be replayed verbatim.
@@ -151,17 +187,18 @@ const std::vector<std::uint8_t>& encode_hello_cached(
     NodeId sender, bool is_broker, const bloom::BloomFilter& interest_report,
     const bloom::BloomFilter& relay_report, FrameCache& cache);
 
-/// Cached genuine-filter encoding, keyed on the filter's epoch.
-const std::vector<std::uint8_t>& encode_genuine_cached(NodeId sender,
-                                                       const bloom::Tcbf& filter,
-                                                       FrameCache& cache);
-
 /// Cached relay-filter encoding, keyed on the filter's epoch.
 const std::vector<std::uint8_t>& encode_relay_cached(NodeId sender,
                                                      const bloom::Tcbf& filter,
                                                      FrameCache& cache);
 
-/// Decodes any frame; throws util::DecodeError on malformed input.
+/// Reads any frame in place; throws util::DecodeError on malformed input
+/// (the embedded filter blobs are checked only when decoded).
+FrameView parse_frame(std::span<const std::uint8_t> bytes);
+
+/// Decodes any frame into owning members (parse_frame plus the filter
+/// decodes and a message copy); throws util::DecodeError on malformed
+/// input.
 Frame decode(std::span<const std::uint8_t> bytes);
 
 }  // namespace bsub::engine

@@ -55,24 +55,24 @@ FleetConfig fleet_config_from_spec(std::string_view protocol_spec,
 /// lane are independent episodes: the clock is reset and the reactor rebased
 /// to each contact's start (legal because decay ticks are disabled and
 /// sessions disarm their timers at teardown, so nothing is pending between
-/// contacts).
+/// contacts). Its tallies are its own, summed once the run is over, so
+/// concurrent lanes never write to a shared cache line.
 struct FleetRuntime::Lane {
   ManualClock clock;
   Reactor reactor;
   LoopbackHub hub;
-  /// Hub attachments are permanent (LoopbackHub::attach rejects
-  /// duplicates), so remember which node ids this lane has seen.
-  std::unordered_map<std::uint32_t, LoopbackTransport*> ports;
+  metrics::TransportCounters counters;
+  std::uint64_t contacts = 0;
+  std::uint64_t bytes_used = 0;
 
   explicit Lane(std::size_t mtu)
       : clock(0), reactor(clock), hub(LoopbackHub::Config{.mtu = mtu}) {}
 
+  /// Hub attachments are permanent, so a node is attached on its first
+  /// contact on this lane.
   LoopbackTransport& port(std::uint32_t node) {
-    auto it = ports.find(node);
-    if (it != ports.end()) return *it->second;
-    LoopbackTransport& t = hub.attach(node);
-    ports.emplace(node, &t);
-    return t;
+    LoopbackTransport* t = hub.find(node);
+    return t != nullptr ? *t : hub.attach(node);
   }
 };
 
@@ -115,6 +115,8 @@ struct FleetRuntime::Shard {
   /// complete a contact.
   std::unordered_map<std::uint64_t, Live> live;
   std::vector<std::int64_t> latency_ms;
+  /// The shard's nodes' sessions count here; summed after the threads join.
+  metrics::TransportCounters counters;
 
   Shard(std::size_t idx, std::size_t count, Clock& clock,
         const FleetUdpConfig& udp)
@@ -168,8 +170,7 @@ void FleetRuntime::make_nodes(std::size_t node_count,
                               const workload::Workload& workload) {
   nodes_.reserve(node_count);
   for (trace::NodeId n = 0; n < node_count; ++n) {
-    nodes_.push_back(
-        std::make_unique<NodeRuntime>(n, config_.runtime, counters_));
+    nodes_.push_back(std::make_unique<NodeRuntime>(n, config_.runtime));
     engine::subscribe_interests(nodes_.back()->node(), workload, n);
   }
   election_ =
@@ -226,15 +227,15 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
   a.node().set_broker(election_->is_broker(c.a));
   b.node().set_broker(election_->is_broker(c.b));
 
-  a.bind(lane.port(c.a), lane.reactor);
-  b.bind(lane.port(c.b), lane.reactor);
+  a.bind(lane.port(c.a), lane.reactor, lane.counters);
+  b.bind(lane.port(c.b), lane.reactor, lane.counters);
 
   // One shared byte budget, charged frame-by-frame by the two sessions in
-  // the same order the engine harness charges its FIFO.
-  auto budget = std::make_shared<sim::Link>(c.duration(),
-                                            config_.bandwidth_bytes_per_second);
-  a.connect(c.b, budget);
-  b.connect(c.a, budget);
+  // the same order the engine harness charges its FIFO. Both sessions are
+  // gone before it is.
+  sim::Link budget(c.duration(), config_.bandwidth_bytes_per_second);
+  a.connect(c.b, &budget);
+  b.connect(c.a, &budget);
 
   const util::Time contact_end = c.start + c.duration();
   pump_lane(lane, a, b, contact_end);
@@ -258,8 +259,8 @@ void FleetRuntime::exec_loopback_contact(Lane& lane, const trace::Contact& c) {
   a.unbind();
   b.unbind();
 
-  contacts_processed_.fetch_add(1, std::memory_order_relaxed);
-  bytes_used_.fetch_add(budget->used_bytes(), std::memory_order_relaxed);
+  ++lane.contacts;
+  lane.bytes_used += budget.used_bytes();
 }
 
 void FleetRuntime::exec_loopback_event(const sim::ScenarioEvent& e,
@@ -308,9 +309,12 @@ FleetRunResults FleetRuntime::run_loopback(trace::ContactStream& contacts,
   results.nodes = node_count;
   results.reactor_threads = results.exec.threads_used;
 
-  results.protocol.contacts_processed = contacts_processed_.load();
-  results.protocol.bytes_used = bytes_used_.load();
-  results.transport = counters_.snapshot();
+  // The executor joined its threads, so every lane's tallies are final.
+  for (const auto& lane : lanes_) {
+    results.protocol.contacts_processed += lane->contacts;
+    results.protocol.bytes_used += lane->bytes_used;
+    results.transport.merge(lane->counters.snapshot());
+  }
   results.protocol.frames_delivered = results.transport.frames_received;
   results.protocol.frames_dropped = results.transport.frames_dropped;
 
@@ -483,7 +487,7 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
   for (trace::NodeId n = 0; n < node_count; ++n) {
     Shard& home = *shards_[shard_of(n)];
     FleetPort& port = home.io.add_node(n);
-    nodes_[n]->bind(port, home.reactor);
+    nodes_[n]->bind(port, home.reactor, home.counters);
     nodes_[n]->set_session_closed_handler(
         [this, &home, n](Endpoint peer, SessionCloseReason) {
           complete_contact(home,
@@ -582,6 +586,7 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
 
   std::vector<std::int64_t> latencies;
   for (auto& s : shards_) {
+    results.transport.merge(s->counters.snapshot());
     latencies.insert(latencies.end(), s->latency_ms.begin(),
                      s->latency_ms.end());
     results.send_syscalls += s->io.send_syscalls();
@@ -595,7 +600,6 @@ FleetRunResults FleetRuntime::run_udp(trace::ContactStream& contacts,
   results.p50_delivery_latency_ms = percentile(latencies, 0.50);
   results.p99_delivery_latency_ms = percentile(latencies, 0.99);
 
-  results.transport = counters_.snapshot();
   results.protocol.contacts_processed = completed_.load();
   results.protocol.frames_delivered = results.transport.frames_received;
   results.protocol.frames_dropped = results.transport.frames_dropped;

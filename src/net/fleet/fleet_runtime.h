@@ -188,12 +188,9 @@ class FleetRuntime {
   void complete_contact(Shard& shard, std::uint64_t key);
 
   FleetConfig config_;
-  metrics::TransportCounters counters_;
 
   std::unique_ptr<core::BrokerElection> election_;
   engine::DeliveryLog deliveries_;  ///< run_loopback() only
-  std::atomic<std::uint64_t> contacts_processed_{0};
-  std::atomic<std::uint64_t> bytes_used_{0};
 
   // Loopback lanes, created on demand (one per executing thread).
   std::mutex lanes_mu_;

@@ -54,6 +54,24 @@ void FleetUdpConfig::validate() const {
   }
 }
 
+struct FleetUdpShard::Scratch {
+#if defined(__linux__)
+  // Send and receive keep separate arrays: a receive burst's dispatch may
+  // fill the send queue and flush it mid-burst.
+  std::vector<sockaddr_in> addrs;
+  std::vector<iovec> send_iovs;
+  std::vector<mmsghdr> send_msgs;
+  std::vector<iovec> recv_iovs;
+  std::vector<mmsghdr> recv_msgs;
+
+  explicit Scratch(std::size_t burst)
+      : addrs(burst), send_iovs(burst), send_msgs(burst), recv_iovs(burst),
+        recv_msgs(burst) {}
+#else
+  explicit Scratch(std::size_t) {}
+#endif
+};
+
 bool FleetPort::send(Endpoint to, std::span<const std::uint8_t> datagram) {
   return shard_.submit(*this, to, datagram);
 }
@@ -72,6 +90,7 @@ FleetUdpShard::FleetUdpShard(Reactor& reactor, std::size_t shard_index,
   const std::size_t buffer_bytes = config_.mtu + kFleetHeaderBytes + 1;
   scatter_.assign(config_.batch_burst,
                   std::vector<std::uint8_t>(buffer_bytes));
+  scratch_ = std::make_unique<Scratch>(config_.batch_burst);
   sendq_.reserve(config_.batch_burst);
   fd_ = make_socket(
       static_cast<std::uint16_t>(config_.base_port + shard_index_));
@@ -155,16 +174,15 @@ bool FleetUdpShard::submit(FleetPort& port, Endpoint to,
       return false;  // shed load like a full socket buffer
     }
   }
-  PendingSend p;
-  p.dst_node = dst;
-  p.bytes.resize(kFleetHeaderBytes + payload.size());
-  p.bytes[0] = kFleetMagic;
-  p.bytes[1] = kFleetVersion;
-  put_u32(p.bytes.data() + 2, port.node_);
-  put_u32(p.bytes.data() + 6, dst);
-  std::memcpy(p.bytes.data() + kFleetHeaderBytes, payload.data(),
-              payload.size());
-  sendq_.push_back(std::move(p));
+  const std::size_t offset = sendq_bytes_.size();
+  sendq_bytes_.resize(offset + kFleetHeaderBytes + payload.size());
+  std::uint8_t* p = sendq_bytes_.data() + offset;
+  p[0] = kFleetMagic;
+  p[1] = kFleetVersion;
+  put_u32(p + 2, port.node_);
+  put_u32(p + 6, dst);
+  std::memcpy(p + kFleetHeaderBytes, payload.data(), payload.size());
+  sendq_.push_back({dst, offset, kFleetHeaderBytes + payload.size()});
   if (sendq_.size() >= config_.batch_burst) flush();
   return true;
 }
@@ -173,19 +191,17 @@ void FleetUdpShard::flush() {
   if (sendq_.empty()) return;
 #if defined(__linux__)
   std::size_t done = 0;
+  std::vector<sockaddr_in>& addrs = scratch_->addrs;
+  std::vector<iovec>& iovs = scratch_->send_iovs;
+  std::vector<mmsghdr>& msgs = scratch_->send_msgs;
   while (done < sendq_.size()) {
     const std::size_t burst =
         std::min(config_.batch_burst, sendq_.size() - done);
-    // Scatter arrays are small (<= batch_burst) stack-era vectors; building
-    // them per burst is noise next to the syscall they replace.
-    std::vector<sockaddr_in> addrs(burst);
-    std::vector<iovec> iovs(burst);
-    std::vector<mmsghdr> msgs(burst);
     for (std::size_t i = 0; i < burst; ++i) {
-      PendingSend& p = sendq_[done + i];
+      const PendingSend& p = sendq_[done + i];
       fill_addr(p.dst_node, addrs[i]);
-      iovs[i].iov_base = p.bytes.data();
-      iovs[i].iov_len = p.bytes.size();
+      iovs[i].iov_base = sendq_bytes_.data() + p.offset;
+      iovs[i].iov_len = p.size;
       std::memset(&msgs[i], 0, sizeof(msgs[i]));
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
@@ -208,33 +224,47 @@ void FleetUdpShard::flush() {
     done += static_cast<std::size_t>(sent);
     if (static_cast<std::size_t>(sent) < burst) break;  // buffer full
   }
-  sendq_.erase(sendq_.begin(),
-               sendq_.begin() + static_cast<std::ptrdiff_t>(done));
+  drop_sent(done);
 #else
   // No sendmmsg on this platform: one sendto per queued datagram. A refused
   // datagram is shed like a lost one (the session already counted it sent).
-  for (PendingSend& p : sendq_) {
+  for (const PendingSend& p : sendq_) {
     sockaddr_in addr;
     fill_addr(p.dst_node, addr);
     ++send_syscalls_;
     const ssize_t n =
-        ::sendto(fd_, p.bytes.data(), p.bytes.size(), 0,
+        ::sendto(fd_, sendq_bytes_.data() + p.offset, p.size, 0,
                  reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    if (n == static_cast<ssize_t>(p.bytes.size())) {
+    if (n == static_cast<ssize_t>(p.size)) {
       ++datagrams_out_;
     } else {
       ++sendq_drops_;
     }
   }
-  sendq_.clear();
+  drop_sent(sendq_.size());
 #endif
+}
+
+void FleetUdpShard::drop_sent(std::size_t done) {
+  if (done == sendq_.size()) {
+    sendq_.clear();
+    sendq_bytes_.clear();
+    return;
+  }
+  // A partial flush (socket buffer full): the rest moves to the front.
+  const std::size_t cut = sendq_[done].offset;
+  sendq_.erase(sendq_.begin(),
+               sendq_.begin() + static_cast<std::ptrdiff_t>(done));
+  sendq_bytes_.erase(sendq_bytes_.begin(),
+                     sendq_bytes_.begin() + static_cast<std::ptrdiff_t>(cut));
+  for (PendingSend& p : sendq_) p.offset -= cut;
 }
 
 void FleetUdpShard::on_readable() {
 #if defined(__linux__)
   const std::size_t burst = scatter_.size();
-  std::vector<iovec> iovs(burst);
-  std::vector<mmsghdr> msgs(burst);
+  std::vector<iovec>& iovs = scratch_->recv_iovs;
+  std::vector<mmsghdr>& msgs = scratch_->recv_msgs;
   for (;;) {
     for (std::size_t i = 0; i < burst; ++i) {
       iovs[i].iov_base = scatter_[i].data();

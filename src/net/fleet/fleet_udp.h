@@ -18,7 +18,10 @@
 //             recvmmsg() into a reusable scatter array. One syscall moves
 //             up to `batch_burst` datagrams. Builds without those calls
 //             (non-Linux) flush and drain the same queue and scatter array
-//             with per-datagram sendto()/recv() loops.
+//             with per-datagram sendto()/recv() loops. The queue is one
+//             byte buffer plus a (destination, offset, size) list, and the
+//             syscall arrays are built in shard-owned scratch, so a warm
+//             shard allocates nothing per datagram or per burst.
 //
 // Each node sees the plane through a FleetPort — a Transport whose
 // endpoints are node ids — so Session/NodeRuntime code is identical over
@@ -124,13 +127,20 @@ class FleetUdpShard {
  private:
   friend class FleetPort;
 
+  /// A queued datagram: header + payload at sendq_bytes_[offset, +size).
   struct PendingSend {
     std::uint32_t dst_node;
-    std::vector<std::uint8_t> bytes;  ///< header + payload
+    std::size_t offset;
+    std::size_t size;
   };
+  /// Reusable syscall arrays, batch_burst entries each (defined in the
+  /// .cpp, where the socket headers are).
+  struct Scratch;
 
   bool submit(FleetPort& port, Endpoint to,
               std::span<const std::uint8_t> payload);
+  /// Removes the first `done` queued datagrams (sent or shed).
+  void drop_sent(std::size_t done);
   /// Drains the socket in bursts of up to batch_burst datagrams.
   void on_readable();
   /// Routes one wire datagram (header included) to its local port.
@@ -145,8 +155,10 @@ class FleetUdpShard {
   int fd_ = -1;  ///< the shard's socket
   std::unordered_map<std::uint32_t, std::unique_ptr<FleetPort>> ports_;
   std::vector<PendingSend> sendq_;
+  std::vector<std::uint8_t> sendq_bytes_;
   /// batch_burst receive buffers of mtu + header + 1 bytes each.
   std::vector<std::vector<std::uint8_t>> scatter_;
+  std::unique_ptr<Scratch> scratch_;
 
   std::uint64_t send_syscalls_ = 0;
   std::uint64_t recv_syscalls_ = 0;

@@ -88,56 +88,104 @@ DatagramView parse_datagram(std::span<const std::uint8_t> bytes) {
   return v;
 }
 
-void fragment_frame(std::uint32_t epoch, std::uint64_t seq,
-                    std::span<const std::uint8_t> frame, std::size_t mtu,
-                    std::vector<std::vector<std::uint8_t>>& out) {
+std::size_t fragment_count(std::size_t frame_size, std::size_t mtu) {
   const std::size_t chunk = mtu - kDataHeaderReserve;
-  const std::size_t count = (frame.size() + chunk - 1) / chunk;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t offset = i * chunk;
-    const std::size_t len = std::min(chunk, frame.size() - offset);
-    util::ByteWriter w;
-    put_header(w, DatagramKind::kData, epoch);
-    w.put_varint(seq);
-    w.put_varint(count);
-    w.put_varint(i);
-    w.put_varint(frame.size());
-    w.put_varint(offset);
-    w.put_bytes(frame.subspan(offset, len));
-    out.push_back(std::move(w).take());
-  }
+  return (frame_size + chunk - 1) / chunk;
 }
 
-std::vector<std::uint8_t> encode_ack(std::uint32_t epoch,
-                                     std::uint64_t ack_next) {
-  util::ByteWriter w;
+void encode_fragment(std::uint32_t epoch, std::uint64_t seq,
+                     std::span<const std::uint8_t> frame, std::size_t mtu,
+                     std::size_t index, std::vector<std::uint8_t>& out) {
+  const std::size_t chunk = mtu - kDataHeaderReserve;
+  const std::size_t offset = index * chunk;
+  const std::size_t len = std::min(chunk, frame.size() - offset);
+  util::ByteWriter w(std::move(out));
+  put_header(w, DatagramKind::kData, epoch);
+  w.put_varint(seq);
+  w.put_varint(fragment_count(frame.size(), mtu));
+  w.put_varint(index);
+  w.put_varint(frame.size());
+  w.put_varint(offset);
+  w.put_bytes(frame.subspan(offset, len));
+  out = std::move(w).take();
+}
+
+void encode_ack(std::uint32_t epoch, std::uint64_t ack_next,
+                std::vector<std::uint8_t>& out) {
+  util::ByteWriter w(std::move(out));
   put_header(w, DatagramKind::kAck, epoch);
   w.put_varint(ack_next);
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
-std::vector<std::uint8_t> encode_fin(std::uint32_t epoch, bool is_ack) {
-  util::ByteWriter w;
+void encode_fin(std::uint32_t epoch, bool is_ack,
+                std::vector<std::uint8_t>& out) {
+  util::ByteWriter w(std::move(out));
   put_header(w, is_ack ? DatagramKind::kFinAck : DatagramKind::kFin, epoch);
-  return std::move(w).take();
+  out = std::move(w).take();
+}
+
+void FragmentBuffer::reset() {
+  bytes_.clear();
+  slices_.clear();
+  frag_count_ = 0;
+  frame_len_ = 0;
 }
 
 FragmentBuffer::Add FragmentBuffer::add(const DatagramView& view) {
   if (frag_count_ == 0) {
     frag_count_ = view.frag_count;
     frame_len_ = view.frame_len;
-    bytes_.assign(frame_len_, 0);
-    have_.assign(frag_count_, false);
   } else if (view.frag_count != frag_count_ || view.frame_len != frame_len_) {
     return Add::kMismatch;
   }
-  if (have_[view.frag_index]) return Add::kDuplicate;
-  // parse_datagram already guaranteed offset + payload <= frame_len.
-  std::copy(view.payload.begin(), view.payload.end(),
-            bytes_.begin() + static_cast<std::ptrdiff_t>(view.offset));
-  have_[view.frag_index] = true;
-  ++placed_;
-  return complete() ? Add::kComplete : Add::kIncomplete;
+  const auto it = std::lower_bound(
+      slices_.begin(), slices_.end(), view.frag_index,
+      [](const Slice& s, std::uint64_t index) { return s.index < index; });
+  if (it != slices_.end() && it->index == view.frag_index) {
+    return Add::kDuplicate;
+  }
+  // parse_datagram already guaranteed offset + payload <= frame_len; the
+  // slices together may not hold more than the frame either.
+  if (bytes_.size() + view.payload.size() > frame_len_) {
+    reset();
+    return Add::kMismatch;
+  }
+  slices_.insert(it, Slice{view.frag_index, view.offset, bytes_.size(),
+                           view.payload.size()});
+  bytes_.insert(bytes_.end(), view.payload.begin(), view.payload.end());
+  if (!complete()) return Add::kIncomplete;
+  // Every index is in: the slices must tile [0, frame_len) exactly.
+  std::vector<Slice> by_offset(slices_);
+  std::sort(by_offset.begin(), by_offset.end(),
+            [](const Slice& a, const Slice& b) { return a.offset < b.offset; });
+  std::uint64_t end = 0;
+  for (const Slice& s : by_offset) {
+    if (s.offset != end) break;
+    end += s.size;
+  }
+  if (end != frame_len_) {
+    reset();
+    return Add::kMismatch;
+  }
+  return Add::kComplete;
+}
+
+std::vector<std::uint8_t> FragmentBuffer::take() && {
+  std::sort(slices_.begin(), slices_.end(),
+            [](const Slice& a, const Slice& b) { return a.offset < b.offset; });
+  // Slices that arrived in frame order already are the frame.
+  const bool in_order = std::all_of(
+      slices_.begin(), slices_.end(),
+      [](const Slice& s) { return s.at == s.offset; });
+  if (in_order) return std::move(bytes_);
+  std::vector<std::uint8_t> frame;
+  frame.reserve(frame_len_);
+  for (const Slice& s : slices_) {
+    const auto from = bytes_.begin() + static_cast<std::ptrdiff_t>(s.at);
+    frame.insert(frame.end(), from, from + static_cast<std::ptrdiff_t>(s.size));
+  }
+  return frame;
 }
 
 }  // namespace bsub::net

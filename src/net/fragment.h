@@ -21,7 +21,13 @@
 // parse_datagram() treats input as attacker-controlled and throws
 // util::CodecError on anything malformed (the session counts and drops).
 // FragmentBuffer reassembles one frame from its slices, rejecting
-// inconsistent duplicates and out-of-bounds writes.
+// inconsistent duplicates and slices that do not tile the frame. It holds
+// only the bytes that arrived: a datagram's frame_len is a claim, and a
+// peer that claims 4 MiB and sends one byte costs one byte.
+//
+// The encoders write one datagram into a caller-owned buffer (cleared,
+// capacity reused), so a sender that keeps one warm buffer allocates
+// nothing per datagram.
 #pragma once
 
 #include <cstdint>
@@ -74,41 +80,59 @@ struct DatagramView {
 /// inconsistent fragment geometry, out-of-range lengths).
 DatagramView parse_datagram(std::span<const std::uint8_t> bytes);
 
-/// Slices `frame` into DATA datagrams of at most `mtu` bytes and appends
-/// them to `out`. Requires mtu >= kMinMtu and frame non-empty and within
-/// kMaxFrameBytes.
-void fragment_frame(std::uint32_t epoch, std::uint64_t seq,
-                    std::span<const std::uint8_t> frame, std::size_t mtu,
-                    std::vector<std::vector<std::uint8_t>>& out);
+/// Number of DATA datagrams a frame of `frame_size` bytes takes at `mtu`.
+std::size_t fragment_count(std::size_t frame_size, std::size_t mtu);
 
-std::vector<std::uint8_t> encode_ack(std::uint32_t epoch,
-                                     std::uint64_t ack_next);
-std::vector<std::uint8_t> encode_fin(std::uint32_t epoch, bool is_ack);
+/// Encodes DATA datagram `index` (< fragment_count) of `frame`, sliced at
+/// `mtu`, into `out`. Requires mtu >= kMinMtu and frame non-empty and within
+/// kMaxFrameBytes.
+void encode_fragment(std::uint32_t epoch, std::uint64_t seq,
+                     std::span<const std::uint8_t> frame, std::size_t mtu,
+                     std::size_t index, std::vector<std::uint8_t>& out);
+
+void encode_ack(std::uint32_t epoch, std::uint64_t ack_next,
+                std::vector<std::uint8_t>& out);
+void encode_fin(std::uint32_t epoch, bool is_ack,
+                std::vector<std::uint8_t>& out);
 
 /// Reassembles one frame from DATA fragments (any order, duplicates
-/// tolerated when consistent).
+/// tolerated when consistent). Slices are kept as they arrive and joined
+/// only once every fragment is in, so memory follows the bytes received,
+/// never the frame length a datagram claims.
 class FragmentBuffer {
  public:
   enum class Add {
     kIncomplete,  ///< accepted; frame not yet whole
-    kComplete,    ///< accepted; bytes() is the whole frame
-    kMismatch,    ///< rejected: geometry disagrees with earlier fragments
+    kComplete,    ///< accepted; take() is the whole frame
+    kMismatch,    ///< rejected: geometry disagrees with earlier fragments,
+                  ///< or the slices overrun or fail to tile the frame
+                  ///< (the buffer is then emptied)
     kDuplicate,   ///< rejected: this fragment index was already placed
   };
 
   /// `view.kind` must be kData (caller dispatches).
   Add add(const DatagramView& view);
 
-  bool complete() const { return frag_count_ != 0 && placed_ == frag_count_; }
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() && { return std::move(bytes_); }
+  bool complete() const {
+    return frag_count_ != 0 && slices_.size() == frag_count_;
+  }
+  /// The whole frame; call once, after add() returned kComplete.
+  std::vector<std::uint8_t> take() &&;
 
  private:
-  std::vector<std::uint8_t> bytes_;
-  std::vector<bool> have_;
-  std::uint64_t frag_count_ = 0;  ///< 0 = no fragment accepted yet
+  struct Slice {
+    std::uint64_t index;
+    std::uint64_t offset;  ///< in the frame
+    std::size_t at;        ///< in bytes_
+    std::size_t size;
+  };
+
+  void reset();
+
+  std::vector<std::uint8_t> bytes_;  ///< payloads, in arrival order
+  std::vector<Slice> slices_;        ///< sorted by index
+  std::uint64_t frag_count_ = 0;     ///< 0 = no fragment accepted yet
   std::uint64_t frame_len_ = 0;
-  std::uint64_t placed_ = 0;
 };
 
 }  // namespace bsub::net

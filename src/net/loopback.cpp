@@ -1,5 +1,6 @@
 #include "net/loopback.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bsub::net {
@@ -20,19 +21,36 @@ LoopbackTransport& LoopbackHub::attach(Endpoint ep) {
   return *it->second;
 }
 
+LoopbackTransport* LoopbackHub::find(Endpoint ep) const {
+  auto it = transports_.find(ep);
+  return it == transports_.end() ? nullptr : it->second.get();
+}
+
 bool LoopbackHub::enqueue(Endpoint from, Endpoint to,
                           std::span<const std::uint8_t> bytes) {
   if (bytes.size() > config_.mtu) return false;
-  queue_.push_back(
-      Datagram{from, to, std::vector<std::uint8_t>(bytes.begin(), bytes.end())});
+  if (queued_ == ring_.size()) {
+    // Full: unwrap the ring to start at slot 0, then double it.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.resize(std::max<std::size_t>(16, 2 * ring_.size()));
+  }
+  Datagram& d = ring_[(head_ + queued_) % ring_.size()];
+  d.from = from;
+  d.to = to;
+  d.bytes.assign(bytes.begin(), bytes.end());
+  ++queued_;
   ++enqueued_;
   return true;
 }
 
 bool LoopbackHub::deliver_one() {
-  if (queue_.empty()) return false;
-  Datagram d = std::move(queue_.front());
-  queue_.pop_front();
+  if (queued_ == 0) return false;
+  std::swap(current_, ring_[head_]);
+  head_ = (head_ + 1) % ring_.size();
+  --queued_;
   // The loss draw happens even for unroutable datagrams so the drop
   // sequence depends only on send order, not on topology.
   const bool lost = config_.loss_probability > 0.0 &&
@@ -41,13 +59,13 @@ bool LoopbackHub::deliver_one() {
     ++dropped_loss_;
     return true;
   }
-  auto it = transports_.find(d.to);
-  if (it == transports_.end() || !it->second->handler_) {
+  LoopbackTransport* to = find(current_.to);
+  if (to == nullptr || !to->handler_) {
     ++dropped_unroutable_;
     return true;
   }
   ++delivered_;
-  it->second->handler_(d.from, d.bytes);
+  to->handler_(current_.from, current_.bytes);
   return true;
 }
 

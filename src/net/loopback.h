@@ -8,13 +8,16 @@
 // same sequence of deliveries and drops. This mirrors how the engine's
 // Network harness processes a contact's frames, which is what makes the
 // live loopback runtime bit-for-bit comparable to it.
+//
+// The queue is a ring of datagram slots that keep their byte buffers, and
+// receivers are found by hash, so a warm hub moves datagrams without
+// allocating and in O(1) per datagram however many endpoints it holds.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "net/transport.h"
@@ -39,15 +42,19 @@ class LoopbackHub {
   /// Creates (and owns) a transport bound to `ep`; ids must be unique.
   LoopbackTransport& attach(Endpoint ep);
 
+  /// The transport attached at `ep`, or null.
+  LoopbackTransport* find(Endpoint ep) const;
+
   /// Delivers (or drops, per the loss draw) the front datagram. Returns
-  /// false when the queue is empty.
+  /// false when the queue is empty. Receive handlers may send, but not
+  /// deliver.
   bool deliver_one();
 
   /// Drains the queue, including datagrams enqueued by receive handlers
   /// while draining. Returns the number of datagrams delivered.
   std::size_t deliver_all();
 
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return queued_ == 0; }
 
   // Tallies (lifetime).
   std::uint64_t enqueued() const { return enqueued_; }
@@ -68,8 +75,16 @@ class LoopbackHub {
                std::span<const std::uint8_t> bytes);
 
   Config config_;
-  std::map<Endpoint, std::unique_ptr<LoopbackTransport>> transports_;
-  std::deque<Datagram> queue_;
+  std::unordered_map<Endpoint, std::unique_ptr<LoopbackTransport>>
+      transports_;
+  /// FIFO ring: queued_ datagrams from ring_[head_] on, wrapping. Slots
+  /// keep their byte buffers when popped.
+  std::vector<Datagram> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
+  /// The datagram being delivered, swapped out of its slot so a receive
+  /// handler's sends cannot overwrite it.
+  Datagram current_;
   util::Rng loss_rng_;
   std::uint64_t enqueued_ = 0;
   std::uint64_t delivered_ = 0;

@@ -4,16 +4,17 @@
 
 namespace bsub::net {
 
-NodeRuntime::NodeRuntime(engine::NodeId id, const RuntimeConfig& config,
-                         metrics::TransportCounters& counters)
-    : node_(id, config.node), config_(config), counters_(counters) {}
+NodeRuntime::NodeRuntime(engine::NodeId id, const RuntimeConfig& config)
+    : node_(id, config.node), config_(config) {}
 
 NodeRuntime::~NodeRuntime() { unbind(); }
 
-void NodeRuntime::bind(Transport& transport, Reactor& reactor) {
+void NodeRuntime::bind(Transport& transport, Reactor& reactor,
+                       metrics::TransportCounters& counters) {
   assert(transport_ == nullptr && "bind() while already bound");
   transport_ = &transport;
   reactor_ = &reactor;
+  counters_ = &counters;
   transport_->set_receive_handler(
       [this](Endpoint from, std::span<const std::uint8_t> bytes) {
         on_datagram(from, bytes);
@@ -36,6 +37,7 @@ void NodeRuntime::unbind() {
   transport_->set_receive_handler({});
   transport_ = nullptr;
   reactor_ = nullptr;
+  counters_ = nullptr;
 }
 
 void NodeRuntime::arm_decay_tick() {
@@ -45,23 +47,26 @@ void NodeRuntime::arm_decay_tick() {
   });
 }
 
-Session& NodeRuntime::make_session(Endpoint peer,
-                                   std::shared_ptr<sim::Link> budget) {
+void NodeRuntime::offer_all(Session& s, engine::Frames frames) {
+  // offer() copies each frame before it returns and sends nothing back
+  // into a node, so the views outlive their use.
+  for (const auto& frame : frames) s.offer(frame);
+}
+
+Session& NodeRuntime::make_session(Endpoint peer, sim::Link* budget) {
   // Epoch 0 means "unknown" on the receive side, so incarnations start at 1
   // and grow for the node's lifetime (across rebinds): a later contact with
   // the same peer outranks any straggler datagrams from an earlier one.
   const std::uint32_t epoch = ++next_epoch_;
   auto session = std::make_unique<Session>(peer, epoch, config_.session,
-                                           *transport_, *reactor_, counters_);
+                                           *transport_, *reactor_, *counters_);
   Session* raw = session.get();
-  raw->set_budget(std::move(budget));
+  raw->set_budget(budget);
   raw->set_frame_handler([this, raw](std::span<const std::uint8_t> frame) {
     // The node consumes the frame and answers on the same session; the
     // response frames are the protocol's next step (filters, data,
     // custody acks).
-    for (auto& response : node_.handle(frame, reactor_->now())) {
-      raw->offer(response);
-    }
+    offer_all(*raw, node_.handle(frame, reactor_->now()));
   });
   raw->set_closed_handler([this, peer](SessionCloseReason reason) {
     auto it = sessions_.find(peer);
@@ -76,17 +81,14 @@ Session& NodeRuntime::make_session(Endpoint peer,
   return *it->second;
 }
 
-Session& NodeRuntime::connect(Endpoint peer,
-                              std::shared_ptr<sim::Link> budget) {
+Session& NodeRuntime::connect(Endpoint peer, sim::Link* budget) {
   assert(transport_ != nullptr && "connect() while unbound");
   graveyard_.clear();
   if (auto it = sessions_.find(peer); it != sessions_.end()) {
     return *it->second;
   }
-  Session& s = make_session(peer, std::move(budget));
-  for (auto& frame : node_.begin_contact(reactor_->now())) {
-    s.offer(frame);
-  }
+  Session& s = make_session(peer, budget);
+  offer_all(s, node_.begin_contact(reactor_->now()));
   return s;
 }
 
@@ -107,19 +109,17 @@ void NodeRuntime::on_datagram(Endpoint from,
   try {
     kind = parse_datagram(bytes).kind;
   } catch (const util::CodecError&) {
-    ++counters_.datagrams_received;
-    ++counters_.datagrams_dropped;
+    ++counters_->datagrams_received;
+    ++counters_->datagrams_dropped;
     return;
   }
   if (kind != DatagramKind::kData) {
-    ++counters_.datagrams_received;
+    ++counters_->datagrams_received;
     return;
   }
   // The encounter is symmetric: the passive side says HELLO too.
   Session& s = make_session(from, nullptr);
-  for (auto& frame : node_.begin_contact(reactor_->now())) {
-    s.offer(frame);
-  }
+  offer_all(s, node_.begin_contact(reactor_->now()));
   s.on_datagram(bytes);
 }
 

@@ -16,17 +16,19 @@
 //     contacts keeps its filters honest.
 //
 // The node's persistent state (the BsubNode and its session-epoch counter)
-// outlives any one attachment; the transport and reactor are attached
-// explicitly:
+// outlives any one attachment; the transport, the reactor and the transport
+// counters its sessions bump are attached explicitly:
 //
-//   bind(transport, reactor)   claim the transport's receive upcall, start
-//                              the decay tick (if configured);
+//   bind(transport, reactor,   claim the transport's receive upcall, start
+//        counters)             the decay tick (if configured);
 //   unbind()                   abort any leftover sessions, release the
 //                              transport.
 //
 // A daemon or a UDP shard binds once and stays bound; a deterministic
 // loopback lane binds a node for exactly one contact (decay_tick must be 0
-// there — lanes have no timeline between contacts).
+// there — lanes have no timeline between contacts). Counters belong to
+// whoever drives the reactor (a lane, a shard, a daemon), so concurrent
+// lanes never share a counter's cache line.
 //
 // All calls must come from the bound reactor's thread; the runtime needs no
 // locks.
@@ -58,8 +60,7 @@ class NodeRuntime {
   using SessionClosedHandler =
       std::function<void(Endpoint peer, SessionCloseReason)>;
 
-  NodeRuntime(engine::NodeId id, const RuntimeConfig& config,
-              metrics::TransportCounters& counters);
+  NodeRuntime(engine::NodeId id, const RuntimeConfig& config);
   ~NodeRuntime();
 
   NodeRuntime(const NodeRuntime&) = delete;
@@ -71,8 +72,10 @@ class NodeRuntime {
   Endpoint endpoint() const { return transport_->local_endpoint(); }
 
   /// Attaches the node: claims `transport`'s receive handler and arms the
-  /// decay tick (if configured). Both references must outlive the binding.
-  void bind(Transport& transport, Reactor& reactor);
+  /// decay tick (if configured); its sessions count into `counters`. All
+  /// three must outlive the binding.
+  void bind(Transport& transport, Reactor& reactor,
+            metrics::TransportCounters& counters);
 
   /// Detaches: aborts any session still alive (no datagrams are sent — close
   /// gracefully first), disarms timers, releases the transport. Idempotent.
@@ -81,10 +84,9 @@ class NodeRuntime {
   bool bound() const { return transport_ != nullptr; }
 
   /// Opens a contact session toward `peer` and sends this node's HELLO.
-  /// `budget` (optional) is the shared contact byte budget. No-op if a
-  /// session to the peer is already live.
-  Session& connect(Endpoint peer,
-                   std::shared_ptr<sim::Link> budget = nullptr);
+  /// `budget` (optional) is the shared contact byte budget; it must outlive
+  /// the session. No-op if a session to the peer is already live.
+  Session& connect(Endpoint peer, sim::Link* budget = nullptr);
 
   /// Graceful FIN teardown of the session to `peer` (no-op if none).
   void close(Endpoint peer);
@@ -115,12 +117,14 @@ class NodeRuntime {
   void on_datagram(Endpoint from, std::span<const std::uint8_t> bytes);
 
  private:
-  Session& make_session(Endpoint peer, std::shared_ptr<sim::Link> budget);
+  Session& make_session(Endpoint peer, sim::Link* budget);
+  /// Offers the node's frames on `s`, in order.
+  static void offer_all(Session& s, engine::Frames frames);
   void arm_decay_tick();
 
   engine::BsubNode node_;
   RuntimeConfig config_;
-  metrics::TransportCounters& counters_;
+  metrics::TransportCounters* counters_ = nullptr;
   Transport* transport_ = nullptr;
   Reactor* reactor_ = nullptr;
   std::map<Endpoint, std::unique_ptr<Session>> sessions_;

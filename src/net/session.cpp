@@ -15,9 +15,21 @@ Session::Session(Endpoint peer, std::uint32_t local_epoch,
   ++counters_.session_opens;
 }
 
+namespace {
+
+/// The calling thread's datagram buffer: every datagram is encoded here and
+/// handed to the transport, which copies or queues it before send()
+/// returns, so one warm buffer serves every session of the thread.
+std::vector<std::uint8_t>& datagram_scratch() {
+  thread_local std::vector<std::uint8_t> buf;
+  return buf;
+}
+
+}  // namespace
+
 Session::~Session() { disarm_rto(); }
 
-void Session::send_raw(const std::vector<std::uint8_t>& datagram) {
+void Session::send_raw(std::span<const std::uint8_t> datagram) {
   if (transport_.send(peer_, datagram)) {
     ++counters_.datagrams_sent;
   } else {
@@ -25,14 +37,27 @@ void Session::send_raw(const std::vector<std::uint8_t>& datagram) {
   }
 }
 
+void Session::send_ack() {
+  std::vector<std::uint8_t>& buf = datagram_scratch();
+  encode_ack(local_epoch_, next_recv_seq_, buf);
+  send_raw(buf);
+}
+
+void Session::send_fin(bool is_ack) {
+  std::vector<std::uint8_t>& buf = datagram_scratch();
+  encode_fin(local_epoch_, is_ack, buf);
+  send_raw(buf);
+}
+
 void Session::send_fragments(const SendEntry& entry, bool retransmit) {
-  fragment_scratch_.clear();
-  fragment_frame(local_epoch_, entry.seq, entry.frame,
-                 transport_.max_datagram_bytes() < config_.mtu
-                     ? transport_.max_datagram_bytes()
-                     : config_.mtu,
-                 fragment_scratch_);
-  for (const auto& d : fragment_scratch_) send_raw(d);
+  const std::size_t mtu = std::min(transport_.max_datagram_bytes(),
+                                   config_.mtu);
+  std::vector<std::uint8_t>& buf = datagram_scratch();
+  const std::size_t count = fragment_count(entry.frame.size(), mtu);
+  for (std::size_t i = 0; i < count; ++i) {
+    encode_fragment(local_epoch_, entry.seq, entry.frame, mtu, i, buf);
+    send_raw(buf);
+  }
   if (retransmit) ++counters_.frames_retransmitted;
 }
 
@@ -82,7 +107,7 @@ void Session::on_rto() {
     return;
   }
   if (state_ == SessionState::kClosing) {
-    send_raw(encode_fin(local_epoch_, /*is_ack=*/false));
+    send_fin(/*is_ack=*/false);
   } else if (!unacked_.empty()) {
     // Stop-and-repair: resend the oldest unacked frame; the cumulative ack
     // it unblocks re-opens the pipeline.
@@ -139,7 +164,7 @@ void Session::on_datagram(std::span<const std::uint8_t> bytes) {
       on_ack(view);
       break;
     case DatagramKind::kFin:
-      send_raw(encode_fin(local_epoch_, /*is_ack=*/true));
+      send_fin(/*is_ack=*/true);
       enter_closed(SessionCloseReason::kPeerClose);
       break;
     case DatagramKind::kFinAck:
@@ -153,38 +178,54 @@ void Session::on_datagram(std::span<const std::uint8_t> bytes) {
 void Session::on_data(const DatagramView& view) {
   if (view.seq < next_recv_seq_) {
     // Duplicate of an already-delivered frame (our ack was lost): re-ack.
-    send_raw(encode_ack(local_epoch_, next_recv_seq_));
+    send_ack();
     return;
   }
   if (ready_.contains(view.seq)) {
-    send_raw(encode_ack(local_epoch_, next_recv_seq_));
+    send_ack();
     return;  // complete but held for ordering; nothing to add
   }
   auto it = partials_.find(view.seq);
-  if (it == partials_.end()) {
-    if (partials_.size() >= config_.max_partial_frames ||
-        ready_.size() >= config_.max_out_of_order) {
-      ++counters_.datagrams_dropped;  // hostile/degenerate backlog
-      return;
-    }
-    it = partials_.emplace(view.seq, FragmentBuffer{}).first;
+  if (it == partials_.end() &&
+      (partials_.size() >= config_.max_partial_frames ||
+       ready_.size() >= config_.max_out_of_order)) {
+    ++counters_.datagrams_dropped;  // hostile/degenerate backlog
+    return;
   }
-  switch (it->second.add(view)) {
-    case FragmentBuffer::Add::kComplete:
-      ready_.emplace(view.seq, std::move(it->second).take());
-      partials_.erase(it);
+  if (it == partials_.end() && view.frag_count == 1) {
+    // A whole frame in one datagram needs no reassembly: in order, it goes
+    // up straight from the datagram's bytes; past a gap, it waits.
+    if (view.seq != next_recv_seq_) {
+      ready_.emplace(view.seq, std::vector<std::uint8_t>(
+                                   view.payload.begin(), view.payload.end()));
+    } else {
+      ++next_recv_seq_;
+      ++counters_.frames_received;
+      if (on_frame_) on_frame_(view.payload);
+      if (state_ == SessionState::kClosed) return;  // handler closed us
       deliver_ready();
-      break;
-    case FragmentBuffer::Add::kIncomplete:
-    case FragmentBuffer::Add::kDuplicate:
-      break;
-    case FragmentBuffer::Add::kMismatch:
-      ++counters_.reassembly_failures;
-      ++counters_.datagrams_dropped;
-      break;
+    }
+  } else {
+    if (it == partials_.end()) {
+      it = partials_.emplace(view.seq, FragmentBuffer{}).first;
+    }
+    switch (it->second.add(view)) {
+      case FragmentBuffer::Add::kComplete:
+        ready_.emplace(view.seq, std::move(it->second).take());
+        partials_.erase(it);
+        deliver_ready();
+        break;
+      case FragmentBuffer::Add::kIncomplete:
+      case FragmentBuffer::Add::kDuplicate:
+        break;
+      case FragmentBuffer::Add::kMismatch:
+        ++counters_.reassembly_failures;
+        ++counters_.datagrams_dropped;
+        break;
+    }
   }
   if (state_ == SessionState::kClosed) return;  // a frame handler closed us
-  send_raw(encode_ack(local_epoch_, next_recv_seq_));
+  send_ack();
 }
 
 void Session::deliver_ready() {
@@ -202,12 +243,12 @@ void Session::deliver_ready() {
 }
 
 void Session::on_ack(const DatagramView& view) {
-  bool advanced = false;
-  while (!unacked_.empty() && unacked_.front().seq < view.ack_next) {
-    unacked_.pop_front();
-    advanced = true;
-  }
-  if (!advanced) return;
+  // Cumulative: every frame below ack_next is delivered.
+  const auto acked = std::find_if(
+      unacked_.begin(), unacked_.end(),
+      [&](const SendEntry& e) { return e.seq >= view.ack_next; });
+  if (acked == unacked_.begin()) return;
+  unacked_.erase(unacked_.begin(), acked);
   retries_ = 0;
   rto_current_ = config_.rto_initial;
   if (unacked_.empty()) {
@@ -227,7 +268,7 @@ void Session::close() {
   unacked_.clear();
   retries_ = 0;
   rto_current_ = config_.rto_initial;
-  send_raw(encode_fin(local_epoch_, /*is_ack=*/false));
+  send_fin(/*is_ack=*/false);
   arm_rto();
 }
 

@@ -39,13 +39,17 @@
 // so a budget-limited loopback contact drops exactly the frames the
 // harness would drop. Retransmits and datagram overhead are not charged;
 // they show up in TransportStats instead.
+//
+// Buffers: every datagram a session sends is encoded into one buffer of
+// the calling thread (a transport copies or queues a datagram before
+// send() returns), and a whole frame that arrives in order in one datagram
+// goes up straight from the datagram's bytes; only frames held for
+// retransmission, reassembly or ordering are copied.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -109,9 +113,8 @@ class Session {
   void set_closed_handler(ClosedHandler handler) {
     on_closed_ = std::move(handler);
   }
-  void set_budget(std::shared_ptr<sim::Link> budget) {
-    budget_ = std::move(budget);
-  }
+  /// Shares a contact byte budget; it must outlive the session's offers.
+  void set_budget(sim::Link* budget) { budget_ = budget; }
 
   /// Queues one wire frame for reliable in-order delivery. Returns false
   /// when the frame is dropped: budget exhausted, or session past kClosing.
@@ -142,7 +145,9 @@ class Session {
   };
 
   void send_fragments(const SendEntry& entry, bool retransmit);
-  void send_raw(const std::vector<std::uint8_t>& datagram);
+  void send_ack();
+  void send_fin(bool is_ack);
+  void send_raw(std::span<const std::uint8_t> datagram);
   void arm_rto();
   void disarm_rto();
   void on_rto();
@@ -163,16 +168,15 @@ class Session {
   SessionCloseReason reason_ = SessionCloseReason::kNone;
   FrameHandler on_frame_;
   ClosedHandler on_closed_;
-  std::shared_ptr<sim::Link> budget_;
+  sim::Link* budget_ = nullptr;
 
   // Send side.
   std::uint64_t next_send_seq_ = 0;
-  std::deque<SendEntry> unacked_;
+  std::vector<SendEntry> unacked_;  ///< in seq order
   Reactor::TimerId rto_timer_ = TimerQueue::kInvalidTimer;
   util::Time rto_current_;
   std::uint32_t retries_ = 0;
   std::uint64_t retransmits_ = 0;
-  std::vector<std::vector<std::uint8_t>> fragment_scratch_;
 
   // Receive side.
   std::uint64_t next_recv_seq_ = 0;

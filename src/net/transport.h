@@ -47,7 +47,9 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Best-effort datagram send; false means locally refused (oversized or
-  /// the backend failed synchronously). True does NOT imply delivery.
+  /// the backend failed synchronously). True does NOT imply delivery. The
+  /// datagram is copied, queued or sent before send() returns, and never
+  /// delivered from inside it, so senders may reuse one buffer.
   virtual bool send(Endpoint to, std::span<const std::uint8_t> datagram) = 0;
 
   /// Largest datagram send() accepts — the MTU the fragmenter packs to.

@@ -19,6 +19,14 @@ ContentMessage msg(std::uint64_t id, std::string key, util::Time created,
   return m;
 }
 
+/// Owning copies of one node step's frames, which are views valid only
+/// until the next step on this thread.
+std::vector<std::vector<std::uint8_t>> owned(Frames frames) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const auto& f : frames) out.emplace_back(f.begin(), f.end());
+  return out;
+}
+
 NodeConfig no_decay() {
   NodeConfig cfg;
   cfg.df_per_minute = 0.0;
@@ -184,6 +192,58 @@ TEST(Engine, MultiSubscriptionConsumer) {
   EXPECT_EQ(net.deliveries().size(), 2u);
 }
 
+TEST(Engine, HelloCacheSurvivesDecayThatClearsNoBit) {
+  // The relay's hello projection only changes when a bit does: decay only
+  // clears bits and merges only set them.
+  Network net;  // default DF: 0.1 per minute, counters start at 50
+  BsubNode& broker = net.add_node(1);
+  broker.set_broker(true);
+  net.add_node(2).subscribe("NewMoon");
+  net.contact(2, 1, from_minutes(1), kHour);  // A-merges NewMoon's bits
+  ASSERT_TRUE(broker.relay_filter().contains("NewMoon"));
+
+  const auto first = owned(broker.begin_contact(from_minutes(2)));
+  const std::uint64_t hits = broker.frame_cache_hits();
+  const std::uint64_t misses = broker.frame_cache_misses();
+  const std::uint64_t epoch = broker.relay_filter().epoch();
+
+  // Ten minutes of decay drain every counter by 1 and clear none: the
+  // relay's epoch moves, its bits do not, so the hello is a cache hit.
+  const auto decayed = owned(broker.begin_contact(from_minutes(12)));
+  EXPECT_NE(broker.relay_filter().epoch(), epoch);
+  EXPECT_EQ(decayed, first);
+  EXPECT_EQ(broker.frame_cache_hits(), hits + 1);
+  EXPECT_EQ(broker.frame_cache_misses(), misses);
+
+  // A merge that sets a new bit forces a re-encode.
+  net.add_node(3).subscribe("Eclipse");
+  net.contact(3, 1, from_minutes(20), kHour);
+  ASSERT_TRUE(broker.relay_filter().contains("Eclipse"));
+  const std::uint64_t misses_before_merge = broker.frame_cache_misses();
+  const auto merged = owned(broker.begin_contact(from_minutes(21)));
+  EXPECT_EQ(broker.frame_cache_misses(), misses_before_merge + 1);
+  EXPECT_NE(merged, first);
+
+  // A decay that drains a counter to zero clears its bit and forces a
+  // re-encode too: NewMoon's counters (~50 at minute 1) are gone by minute
+  // 510, Eclipse's (~50 at minute 20) are not.
+  const std::uint64_t misses_before_drain = broker.frame_cache_misses();
+  const auto drained = owned(broker.begin_contact(from_minutes(510)));
+  EXPECT_FALSE(broker.relay_filter().contains("NewMoon"));
+  EXPECT_TRUE(broker.relay_filter().contains("Eclipse"));
+  EXPECT_EQ(broker.frame_cache_misses(), misses_before_drain + 1);
+  EXPECT_NE(drained, merged);
+
+  // Every hello, hit or miss, equals a fresh encoding of the current state.
+  HelloFrame expect;
+  expect.sender = 1;
+  expect.is_broker = true;
+  expect.interest_report = bloom::BloomFilter(NodeConfig{}.filter_params);
+  expect.relay_report = broker.relay_filter().to_bloom_filter();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0], encode(expect));
+}
+
 TEST(Engine, DuplicateNodeIdThrows) {
   Network net;
   net.add_node(1);
@@ -215,13 +275,13 @@ TEST(Engine, ForeignFilterGeometryFramesAreDropped) {
   BsubNode wide(3, wide_cfg);
   wide.set_broker(true);
   wide.subscribe("NewMoon");
-  const auto hello = broker.begin_contact(from_minutes(30));
+  const auto hello = owned(broker.begin_contact(from_minutes(30)));
   ASSERT_EQ(hello.size(), 1u);
-  const auto frames = wide.handle(hello[0], from_minutes(30));
+  const auto frames = owned(wide.handle(hello[0], from_minutes(30)));
   ASSERT_EQ(frames.size(), 2u);  // its genuine filter, then its relay
   const std::uint64_t epoch = broker.relay_filter().epoch();
   for (const auto& frame : frames) {
-    std::vector<std::vector<std::uint8_t>> out;
+    Frames out;
     EXPECT_NO_THROW(out = broker.handle(frame, from_minutes(40)));
     EXPECT_TRUE(out.empty());
   }

@@ -174,13 +174,19 @@ void gen_session(const fs::path& dir) {
   h.interest_report.insert("news");
   h.relay_report = bsub::bloom::BloomFilter({256, 4});
   const auto hello = bsub::engine::encode(h);
-  std::vector<std::vector<std::uint8_t>> frags;
-  fragment_frame(/*epoch=*/7, /*seq=*/0, hello, /*mtu=*/96, frags);
+  std::vector<std::vector<std::uint8_t>> frags(
+      fragment_count(hello.size(), /*mtu=*/96));
+  for (std::size_t i = 0; i < frags.size(); ++i) {
+    encode_fragment(/*epoch=*/7, /*seq=*/0, hello, /*mtu=*/96, i, frags[i]);
+  }
+  std::vector<std::uint8_t> datagram;
 
   std::vector<std::uint8_t> ops;
   for (const auto& d : frags) push_datagram(ops, d);
-  push_datagram(ops, encode_ack(7, 1));
-  push_datagram(ops, encode_fin(7, /*is_ack=*/false));
+  encode_ack(7, 1, datagram);
+  push_datagram(ops, datagram);
+  encode_fin(7, /*is_ack=*/false, datagram);
+  push_datagram(ops, datagram);
   write_file(dir, "handshake.bin", ops);
 
   // Local activity with retransmit pressure: offer, jump time (RTO fires),
@@ -190,7 +196,8 @@ void gen_session(const fs::path& dir) {
   ops.push_back(40);  // offer a 41-byte frame
   ops.push_back(0x00);
   ops.push_back(5);  // +300ms: several RTO backoffs
-  push_datagram(ops, encode_ack(9, 1));
+  encode_ack(9, 1, datagram);
+  push_datagram(ops, datagram);
   ops.push_back(0x02);  // close
   ops.push_back(0x00);
   ops.push_back(255);  // ride the FIN retry ladder to peer-lost

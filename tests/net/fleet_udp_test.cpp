@@ -154,6 +154,52 @@ TEST(FleetUdp, BatchedBurstCrossesShards) {
             2 * kCount);
 }
 
+TEST(FleetUdp, RepliesFlushedMidBurstLeaveTheBurstIntact) {
+  // Each datagram b receives triggers two replies, so the send queue
+  // reaches batch_burst and flushes in the middle of b's receive burst:
+  // the flush must not disturb the datagrams the burst has yet to
+  // dispatch.
+  FleetUdpConfig config;
+  config.base_port = 46270;
+  config.batch_burst = 4;
+  std::unique_ptr<Plane> p;
+  try {
+    p = std::make_unique<Plane>(2, config);
+  } catch (const std::runtime_error& e) {
+    GTEST_SKIP() << "no loopback sockets here: " << e.what();
+  }
+  FleetPort& a = p->shards[0]->add_node(0);  // shard 0
+  FleetPort& b = p->shards[1]->add_node(1);  // shard 1
+  std::vector<std::vector<std::uint8_t>> at_a, at_b;
+  a.set_receive_handler([&](Endpoint, std::span<const std::uint8_t> bytes) {
+    at_a.emplace_back(bytes.begin(), bytes.end());
+  });
+  b.set_receive_handler([&](Endpoint, std::span<const std::uint8_t> bytes) {
+    at_b.emplace_back(bytes.begin(), bytes.end());
+    // Replies shorter than the requests, so a reply's length can never
+    // pass for a request's.
+    const std::vector<std::uint8_t> reply = {bytes[0]};
+    ASSERT_TRUE(b.send(0, reply));
+    ASSERT_TRUE(b.send(0, reply));
+  });
+
+  constexpr std::size_t kCount = 16;
+  for (std::uint8_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(a.send(1, std::vector<std::uint8_t>{i, 0xA, 0xB, 0xC}));
+  }
+  pump_until(*p, [&] {
+    return at_b.size() >= kCount && at_a.size() >= 2 * kCount;
+  });
+  ASSERT_EQ(at_b.size(), kCount);
+  for (std::uint8_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(at_b[i], (std::vector<std::uint8_t>{i, 0xA, 0xB, 0xC}));
+  }
+  EXPECT_EQ(at_a.size(), 2 * kCount);
+  EXPECT_EQ(p->shards[0]->unroutable_drops() +
+                p->shards[1]->unroutable_drops(),
+            0u);
+}
+
 TEST(FleetUdp, MalformedAndUnroutableDatagramsAreCounted) {
   FleetUdpConfig config;
   config.base_port = 46190;

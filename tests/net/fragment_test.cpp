@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "net/fragment.h"
@@ -16,6 +17,30 @@ std::vector<std::uint8_t> test_frame(std::size_t n) {
   std::vector<std::uint8_t> frame(n);
   std::iota(frame.begin(), frame.end(), std::uint8_t{1});
   return frame;
+}
+
+/// Every DATA datagram of `frame`, each encoded into its own vector.
+std::vector<std::vector<std::uint8_t>> fragments(
+    std::uint32_t epoch, std::uint64_t seq,
+    std::span<const std::uint8_t> frame, std::size_t mtu) {
+  std::vector<std::vector<std::uint8_t>> out(fragment_count(frame.size(), mtu));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    encode_fragment(epoch, seq, frame, mtu, i, out[i]);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> ack_bytes(std::uint32_t epoch,
+                                    std::uint64_t ack_next) {
+  std::vector<std::uint8_t> out;
+  encode_ack(epoch, ack_next, out);
+  return out;
+}
+
+std::vector<std::uint8_t> fin_bytes(std::uint32_t epoch, bool is_ack) {
+  std::vector<std::uint8_t> out;
+  encode_fin(epoch, is_ack, out);
+  return out;
 }
 
 std::vector<std::uint8_t> reassemble(
@@ -34,8 +59,7 @@ std::vector<std::uint8_t> reassemble(
 
 TEST(Fragment, SingleDatagramRoundtrip) {
   const auto frame = test_frame(10);
-  std::vector<std::vector<std::uint8_t>> out;
-  fragment_frame(7, 3, frame, 1400, out);
+  const auto out = fragments(7, 3, frame, 1400);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_LE(out[0].size(), 1400u);
   const DatagramView view = parse_datagram(out[0]);
@@ -49,8 +73,7 @@ TEST(Fragment, MultiFragmentRoundtripAtEveryAwkwardMtu) {
   const auto frame = test_frame(5000);
   for (std::size_t mtu : {kMinMtu, kMinMtu + 1, std::size_t{100},
                           std::size_t{1399}, std::size_t{1400}}) {
-    std::vector<std::vector<std::uint8_t>> out;
-    fragment_frame(1, 0, frame, mtu, out);
+    const auto out = fragments(1, 0, frame, mtu);
     ASSERT_GE(out.size(), 2u) << mtu;
     for (const auto& d : out) EXPECT_LE(d.size(), mtu) << mtu;
     EXPECT_EQ(reassemble(out), frame) << mtu;
@@ -59,8 +82,7 @@ TEST(Fragment, MultiFragmentRoundtripAtEveryAwkwardMtu) {
 
 TEST(Fragment, OutOfOrderAndDuplicateFragmentsReassemble) {
   const auto frame = test_frame(2000);
-  std::vector<std::vector<std::uint8_t>> out;
-  fragment_frame(1, 0, frame, 100, out);
+  const auto out = fragments(1, 0, frame, 100);
   ASSERT_GE(out.size(), 3u);
 
   FragmentBuffer buffer;
@@ -71,15 +93,14 @@ TEST(Fragment, OutOfOrderAndDuplicateFragmentsReassemble) {
   EXPECT_TRUE(buffer.complete());
   EXPECT_EQ(buffer.add(parse_datagram(out[0])),
             FragmentBuffer::Add::kDuplicate);
-  EXPECT_EQ(buffer.bytes(), frame);
+  EXPECT_EQ(std::move(buffer).take(), frame);
 }
 
 TEST(Fragment, GeometryMismatchRejected) {
   const auto frame_a = test_frame(2000);
   const auto frame_b = test_frame(3000);
-  std::vector<std::vector<std::uint8_t>> a, b;
-  fragment_frame(1, 0, frame_a, 100, a);
-  fragment_frame(1, 0, frame_b, 100, b);
+  const auto a = fragments(1, 0, frame_a, 100);
+  const auto b = fragments(1, 0, frame_b, 100);
 
   FragmentBuffer buffer;
   EXPECT_EQ(buffer.add(parse_datagram(a[0])),
@@ -89,19 +110,19 @@ TEST(Fragment, GeometryMismatchRejected) {
 }
 
 TEST(Fragment, AckAndFinRoundtrip) {
-  const DatagramView ack = parse_datagram(encode_ack(9, 42));
+  const DatagramView ack = parse_datagram(ack_bytes(9, 42));
   EXPECT_EQ(ack.kind, DatagramKind::kAck);
   EXPECT_EQ(ack.epoch, 9u);
   EXPECT_EQ(ack.ack_next, 42u);
 
-  const DatagramView fin = parse_datagram(encode_fin(9, false));
+  const DatagramView fin = parse_datagram(fin_bytes(9, false));
   EXPECT_EQ(fin.kind, DatagramKind::kFin);
-  const DatagramView fin_ack = parse_datagram(encode_fin(9, true));
+  const DatagramView fin_ack = parse_datagram(fin_bytes(9, true));
   EXPECT_EQ(fin_ack.kind, DatagramKind::kFinAck);
 }
 
 TEST(Fragment, HostileDatagramsRejectedTyped) {
-  auto good = encode_ack(1, 1);
+  auto good = ack_bytes(1, 1);
 
   auto bad_magic = good;
   bad_magic[0] ^= 0xFF;
@@ -131,8 +152,7 @@ TEST(Fragment, LyingGeometryRejectedAtParse) {
   // A DATA datagram whose offset points past the claimed frame length must
   // be rejected before any buffer write.
   const auto frame = test_frame(100);
-  std::vector<std::vector<std::uint8_t>> out;
-  fragment_frame(1, 0, frame, 1400, out);
+  const auto out = fragments(1, 0, frame, 1400);
   // Re-craft: bump the offset varint region by corrupting payload-adjacent
   // header bytes until parse either rejects or keeps bounds intact.
   FragmentBuffer buffer;
@@ -156,8 +176,7 @@ TEST(Fragment, MinMtuEnforcedByContract) {
   // kMinMtu leaves room for at least a few payload bytes per datagram even
   // with worst-case headers.
   const auto frame = test_frame(64);
-  std::vector<std::vector<std::uint8_t>> out;
-  fragment_frame(0xFFFFFFFF, ~0ULL >> 1, frame, kMinMtu, out);
+  const auto out = fragments(0xFFFFFFFF, ~0ULL >> 1, frame, kMinMtu);
   EXPECT_EQ(reassemble(out), frame);
 }
 

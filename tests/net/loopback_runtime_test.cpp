@@ -23,8 +23,8 @@ struct Mesh {
     reactor = std::make_unique<Reactor>(clock);
     hub = std::make_unique<LoopbackHub>();
     for (std::size_t n = 0; n < nodes; ++n) {
-      runtimes.push_back(std::make_unique<NodeRuntime>(n, config, counters));
-      runtimes.back()->bind(hub->attach(n), *reactor);
+      runtimes.push_back(std::make_unique<NodeRuntime>(n, config));
+      runtimes.back()->bind(hub->attach(n), *reactor, counters);
     }
   }
 
@@ -121,7 +121,9 @@ TEST(NodeRuntime, GarbageDatagramDoesNotOpenSession) {
   // A well-formed non-DATA datagram from a stranger opens nothing either,
   // but it is received, not dropped: after a simultaneous close each
   // side's FIN_ACK legitimately reaches a session that is already gone.
-  ASSERT_TRUE(rogue.send(0, encode_ack(1, 1)));
+  std::vector<std::uint8_t> ack;
+  encode_ack(1, 1, ack);
+  ASSERT_TRUE(rogue.send(0, ack));
   mesh.hub->deliver_all();
   EXPECT_EQ(mesh.runtimes[0]->session_count(), 0u);
   EXPECT_EQ(mesh.counters.datagrams_received.load(), 2u);

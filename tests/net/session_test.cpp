@@ -25,6 +25,17 @@ std::string text_of(std::span<const std::uint8_t> frame) {
   return std::string(frame.begin(), frame.end());
 }
 
+/// Every DATA datagram of `frame`, each encoded into its own vector.
+std::vector<std::vector<std::uint8_t>> fragments(
+    std::uint32_t epoch, std::uint64_t seq,
+    std::span<const std::uint8_t> frame, std::size_t mtu) {
+  std::vector<std::vector<std::uint8_t>> out(fragment_count(frame.size(), mtu));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    encode_fragment(epoch, seq, frame, mtu, i, out[i]);
+  }
+  return out;
+}
+
 /// Two sessions joined by a hub, with all the reactor plumbing.
 struct Pair {
   explicit Pair(LoopbackHub::Config hub_config = {},
@@ -181,8 +192,8 @@ TEST(Session, StaleEpochDatagramsDropped) {
   p.pump();
 
   // Craft a datagram from an older incarnation of a (epoch 0 < 1).
-  std::vector<std::vector<std::uint8_t>> stale;
-  fragment_frame(/*epoch=*/0, /*seq=*/0, frame_of("ghost"), 1400, stale);
+  const auto stale =
+      fragments(/*epoch=*/0, /*seq=*/0, frame_of("ghost"), 1400);
   const std::uint64_t dropped_before = p.counters.datagrams_dropped.load();
   p.b->on_datagram(stale[0]);
   EXPECT_EQ(p.counters.datagrams_dropped.load(), dropped_before + 1);
@@ -197,26 +208,87 @@ TEST(Session, NewerEpochResetsReceiveState) {
 
   // The peer restarts with a higher epoch and reuses seq 0: b must accept
   // the new incarnation's stream from scratch.
-  std::vector<std::vector<std::uint8_t>> fresh;
-  fragment_frame(/*epoch=*/5, /*seq=*/0, frame_of("new world"), 1400, fresh);
+  const auto fresh =
+      fragments(/*epoch=*/5, /*seq=*/0, frame_of("new world"), 1400);
   for (const auto& d : fresh) p.b->on_datagram(d);
   ASSERT_EQ(p.received_by_b.size(), 2u);
   EXPECT_EQ(p.received_by_b[1], "new world");
 }
 
+TEST(Session, WholeAndFragmentedFramesArriveOnceInOrder) {
+  // Frames 0, 2 and 4 fit one datagram (delivered without reassembly when
+  // in order); 1 and 3 span several. Their datagrams arrive out of order,
+  // with duplicates, and the receiver's acks are lost (nothing routes to
+  // the sender), so the sender's retransmissions arrive after delivery.
+  ManualClock clock;
+  Reactor reactor(clock);
+  metrics::TransportCounters counters;
+  LoopbackHub hub({.mtu = 128});
+  SessionConfig config;
+  config.mtu = 128;
+  Session b(/*peer=*/1, /*local_epoch=*/1, config, hub.attach(2), reactor,
+            counters);
+  std::vector<std::string> received;
+  b.set_frame_handler([&](std::span<const std::uint8_t> f) {
+    received.push_back(text_of(f));
+  });
+
+  const std::vector<std::string> frames = {
+      "zero", std::string(300, '1'), "two", std::string(500, '3'), "four"};
+  std::vector<std::vector<std::vector<std::uint8_t>>> datagrams;
+  for (std::size_t seq = 0; seq < frames.size(); ++seq) {
+    datagrams.push_back(
+        fragments(/*epoch=*/7, seq, frame_of(frames[seq]), config.mtu));
+  }
+  ASSERT_EQ(datagrams[0].size(), 1u);
+  ASSERT_GE(datagrams[1].size(), 3u);
+  ASSERT_EQ(datagrams[2].size(), 1u);
+  ASSERT_GE(datagrams[3].size(), 5u);
+  ASSERT_EQ(datagrams[4].size(), 1u);
+
+  auto feed = [&](std::size_t seq, std::size_t fragment) {
+    b.on_datagram(datagrams[seq][fragment]);
+  };
+  feed(2, 0);  // whole, ahead of a gap: held
+  feed(1, 1);  // fragment of 1
+  EXPECT_TRUE(received.empty());
+  feed(0, 0);  // whole and in order: straight up
+  EXPECT_EQ(received, (std::vector<std::string>{frames[0]}));
+  feed(0, 0);  // retransmit after a lost ack: re-acked, not re-delivered
+  feed(2, 0);  // duplicate of a held frame
+  for (std::size_t i = datagrams[1].size(); i-- > 0;) feed(1, i);
+  EXPECT_EQ(received,
+            (std::vector<std::string>{frames[0], frames[1], frames[2]}));
+  feed(3, 2);
+  feed(3, 0);
+  feed(3, 2);  // duplicate fragment
+  feed(4, 0);  // whole, ahead of the fragmented 3: held
+  feed(1, 0);  // a stale fragment of a delivered frame
+  for (std::size_t i = 1; i < datagrams[3].size(); ++i) feed(3, i);
+  // The sender never heard an ack: it retransmits everything.
+  for (const auto& frame : datagrams) {
+    for (const auto& d : frame) b.on_datagram(d);
+  }
+
+  EXPECT_EQ(received, frames);
+  EXPECT_EQ(counters.frames_received.load(), frames.size());
+  EXPECT_EQ(counters.reassembly_failures.load(), 0u);
+  EXPECT_TRUE(b.idle());
+}
+
 TEST(Session, BudgetChargesOfferOnceAndDropsWhenExhausted) {
   Pair p;
   // 300 bytes of budget: the first small frame fits, a big one does not.
-  auto budget = std::make_shared<sim::Link>(
-      /*duration=*/util::kSecond, /*bandwidth_bytes_per_second=*/300.0);
-  p.a->set_budget(budget);
+  sim::Link budget(/*duration=*/util::kSecond,
+                   /*bandwidth_bytes_per_second=*/300.0);
+  p.a->set_budget(&budget);
   EXPECT_TRUE(p.a->offer(frame_of(std::string(100, 'a'))));
   EXPECT_FALSE(p.a->offer(frame_of(std::string(400, 'b'))));
   EXPECT_TRUE(p.a->offer(frame_of(std::string(50, 'c'))));
   p.pump();
   ASSERT_EQ(p.received_by_b.size(), 2u);
   EXPECT_EQ(p.counters.frames_dropped.load(), 1u);
-  EXPECT_EQ(budget->used_bytes(), 150u);
+  EXPECT_EQ(budget.used_bytes(), 150u);
 }
 
 TEST(Session, AbortFiresClosedHandlerOnce) {

@@ -87,10 +87,10 @@ TEST(UdpTransport, BsubContactDeliversEndToEnd) {
   metrics::TransportCounters counters;
   RuntimeConfig config;
   config.decay_tick = 0;
-  NodeRuntime publisher(1, config, counters);
-  NodeRuntime subscriber(2, config, counters);
-  publisher.bind(*ta, reactor);
-  subscriber.bind(*tb, reactor);
+  NodeRuntime publisher(1, config);
+  NodeRuntime subscriber(2, config);
+  publisher.bind(*ta, reactor, counters);
+  subscriber.bind(*tb, reactor, counters);
 
   std::vector<std::uint64_t> delivered;
   subscriber.node().subscribe("news");

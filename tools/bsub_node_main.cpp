@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
     if (!opts.protocol.empty()) {
       config.node = bsub::engine::live_config_from_spec(opts.protocol).node;
     }
-    bsub::net::NodeRuntime runtime(opts.id, config, counters);
-    runtime.bind(transport, reactor);
+    bsub::net::NodeRuntime runtime(opts.id, config);
+    runtime.bind(transport, reactor, counters);
     runtime.node().set_broker(opts.broker);
     for (const std::string& key : opts.subscriptions) {
       runtime.node().subscribe(key);
