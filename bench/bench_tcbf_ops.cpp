@@ -1,17 +1,13 @@
-// Micro-benchmarks of the TCBF primitives (google-benchmark): the paper's
-// efficiency argument rests on these being trivial (hashing + table
-// lookups), so they are pinned here.
+// TCBF primitives against a dense reference: the paper's efficiency
+// argument rests on these being trivial (hashing + table lookups).
 //
-// Besides the google-benchmark cases, main() runs a before/after comparison
-// of bloom::Tcbf against `DenseTcbf` — a seed-faithful reference with eager
-// O(m) decay, dense O(m) merges, and per-query string hashing — at m in
-// {256, 1024, 8192, 65536}, and records ns-per-op for decay/merge/query to
-// BENCH_tcbf_ops.json. Each m runs in its own forked child, so no pass
+// Compares bloom::Tcbf against `DenseTcbf` — a seed-faithful reference with
+// eager O(m) decay, dense O(m) merges, and per-query string hashing — at m
+// in {256, 1024, 8192, 65536}, and records ns-per-op for decay/merge/query
+// to BENCH_tcbf_ops.json. Each m runs in its own forked child, so no pass
 // times the heap another pass left behind. It exits non-zero if a pinned
-// performance floor regresses (see check_regressions below). Run only the
-// comparison and the floor with `--benchmark_filter=NOMATCH`.
-#include <benchmark/benchmark.h>
-
+// performance floor regresses (see check_regressions below). The same ops
+// at the relays' real fill are timed end to end by `bsub_bench --traced`.
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -20,14 +16,9 @@
 #include <string_view>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
-#include "bloom/fpr.h"
 #include "bloom/tcbf.h"
-#include "bloom/tcbf_codec.h"
 #include "fork_util.h"
-#include "util/errors.h"
 #include "util/hash.h"
-#include "util/rng.h"
 
 namespace {
 
@@ -40,170 +31,11 @@ std::vector<std::string> make_keys(std::size_t n) {
   return keys;
 }
 
-void BM_BloomInsert(benchmark::State& state) {
-  const auto keys = make_keys(64);
-  bloom::BloomFilter bf({256, 4});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    bf.insert(keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(bf);
-  }
+/// Compiler barrier: the timed work on `value` must run, once per call.
+template <class T>
+void keep(T& value) {
+  asm volatile("" : "+m"(value) : : "memory");
 }
-BENCHMARK(BM_BloomInsert);
-
-void BM_BloomQuery(benchmark::State& state) {
-  const auto keys = make_keys(64);
-  bloom::BloomFilter bf({256, 4});
-  for (std::size_t i = 0; i < 38; ++i) bf.insert(keys[i]);
-  std::size_t i = 0;
-  bool hit = false;
-  for (auto _ : state) {
-    hit ^= bf.contains(keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(hit);
-  }
-}
-BENCHMARK(BM_BloomQuery);
-
-void BM_TcbfInsert(benchmark::State& state) {
-  const auto keys = make_keys(64);
-  bloom::Tcbf t({256, 4}, 50.0);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    t.insert(keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(BM_TcbfInsert);
-
-void BM_TcbfExistentialQuery(benchmark::State& state) {
-  const auto keys = make_keys(64);
-  bloom::Tcbf t({256, 4}, 50.0);
-  for (std::size_t i = 0; i < 38; ++i) t.insert(keys[i]);
-  std::size_t i = 0;
-  bool hit = false;
-  for (auto _ : state) {
-    hit ^= t.contains(keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(hit);
-  }
-}
-BENCHMARK(BM_TcbfExistentialQuery);
-
-void BM_TcbfHashedQuery(benchmark::State& state) {
-  const auto keys = make_keys(64);
-  std::vector<util::HashPair> hps;
-  for (const auto& k : keys) hps.push_back(util::hash_pair(k));
-  bloom::Tcbf t({256, 4}, 50.0);
-  for (std::size_t i = 0; i < 38; ++i) t.insert(hps[i]);
-  std::size_t i = 0;
-  bool hit = false;
-  for (auto _ : state) {
-    hit ^= t.contains(hps[i++ % hps.size()]);
-    benchmark::DoNotOptimize(hit);
-  }
-}
-BENCHMARK(BM_TcbfHashedQuery);
-
-void BM_TcbfPreferentialQuery(benchmark::State& state) {
-  const auto keys = make_keys(64);
-  bloom::Tcbf a({256, 4}, 50.0), b({256, 4}, 50.0);
-  for (std::size_t i = 0; i < 20; ++i) a.insert(keys[i]);
-  for (std::size_t i = 10; i < 30; ++i) b.insert(keys[i]);
-  std::size_t i = 0;
-  double p = 0.0;
-  for (auto _ : state) {
-    p += bloom::preference(a, b, keys[i++ % keys.size()]);
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(BM_TcbfPreferentialQuery);
-
-void BM_TcbfDecay(benchmark::State& state) {
-  const auto keys = make_keys(38);
-  const auto m = static_cast<std::uint32_t>(state.range(0));
-  bloom::Tcbf t({m, 4}, 1e12);  // effectively never drains mid-benchmark
-  for (const auto& k : keys) t.insert(k);
-  for (auto _ : state) {
-    t.decay(0.138);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(BM_TcbfDecay)->Arg(256)->Arg(1024)->Arg(8192)->Arg(65536);
-
-void BM_TcbfAMerge(benchmark::State& state) {
-  const auto keys = make_keys(38);
-  const auto m = static_cast<std::uint32_t>(state.range(0));
-  bloom::Tcbf src({m, 4}, 50.0);
-  for (const auto& k : keys) src.insert(k);
-  bloom::Tcbf dst({m, 4}, 50.0);
-  for (auto _ : state) {
-    dst.a_merge(src);
-    benchmark::DoNotOptimize(dst);
-  }
-}
-BENCHMARK(BM_TcbfAMerge)->Arg(256)->Arg(1024)->Arg(8192)->Arg(65536);
-
-void BM_TcbfMMerge(benchmark::State& state) {
-  const auto keys = make_keys(38);
-  const auto m = static_cast<std::uint32_t>(state.range(0));
-  bloom::Tcbf src({m, 4}, 50.0);
-  for (const auto& k : keys) src.insert(k);
-  bloom::Tcbf dst({m, 4}, 50.0);
-  for (auto _ : state) {
-    dst.m_merge(src);
-    benchmark::DoNotOptimize(dst);
-  }
-}
-BENCHMARK(BM_TcbfMMerge)->Arg(256)->Arg(1024)->Arg(8192)->Arg(65536);
-
-void BM_TcbfEncodeFull(benchmark::State& state) {
-  bloom::Tcbf t({256, 4}, 50.0);
-  const auto keys = make_keys(static_cast<std::size_t>(state.range(0)));
-  for (const auto& k : keys) t.insert(k);
-  for (auto _ : state) {
-    auto enc = bloom::encode_tcbf(t, bloom::CounterEncoding::kFull);
-    benchmark::DoNotOptimize(enc);
-  }
-}
-BENCHMARK(BM_TcbfEncodeFull)->Arg(1)->Arg(10)->Arg(38);
-
-void BM_TcbfDecode(benchmark::State& state) {
-  bloom::Tcbf t({256, 4}, 50.0);
-  const auto keys = make_keys(38);
-  for (const auto& k : keys) t.insert(k);
-  const auto enc = bloom::encode_tcbf(t, bloom::CounterEncoding::kFull);
-  for (auto _ : state) {
-    auto dec = bloom::decode_tcbf(enc);
-    benchmark::DoNotOptimize(dec);
-  }
-}
-BENCHMARK(BM_TcbfDecode);
-
-void BM_TcbfDecodeReject(benchmark::State& state) {
-  // Cost of turning away hostile bytes: a valid encoding truncated to the
-  // given fraction (x1000) of its length. The length-prefix sanity check
-  // should reject long-but-truncated buffers before any O(m) allocation,
-  // so this stays flat as the cut point moves.
-  bloom::Tcbf t({65536, 4}, 50.0);
-  const auto keys = make_keys(2000);
-  for (const auto& k : keys) t.insert(k);
-  auto enc = bloom::encode_tcbf(t, bloom::CounterEncoding::kFull);
-  enc.resize(enc.size() * static_cast<std::size_t>(state.range(0)) / 1000);
-  std::size_t rejected = 0;
-  for (auto _ : state) {
-    try {
-      auto dec = bloom::decode_tcbf(enc);
-      benchmark::DoNotOptimize(dec);
-    } catch (const util::DecodeError&) {
-      ++rejected;
-    }
-  }
-  if (rejected != static_cast<std::size_t>(state.iterations())) {
-    state.SkipWithError("truncated buffer unexpectedly decoded");
-  }
-}
-BENCHMARK(BM_TcbfDecodeReject)->Arg(10)->Arg(500)->Arg(999);
-
-// --- before/after comparison -----------------------------------------------
 
 /// Seed-faithful reference TCBF: the representation this repo shipped with —
 /// one dense counter array, eager O(m) decay and merge sweeps, and string
@@ -324,11 +156,11 @@ PassTimings run_comparison_at(std::uint32_t m) {
 
   const double dense_decay = ns_per_op([&] {
     dense.decay(0.138);
-    benchmark::DoNotOptimize(dense);
+    keep(dense);
   });
   const double lazy_decay = ns_per_op([&] {
     lazy.decay(0.138);
-    benchmark::DoNotOptimize(lazy);
+    keep(lazy);
   });
   out.ops[0] = {"decay", m, dense_decay, lazy_decay};
 
@@ -342,11 +174,11 @@ PassTimings run_comparison_at(std::uint32_t m) {
   bloom::Tcbf lazy_dst(params, 50.0);
   const double dense_merge = ns_per_op([&] {
     dense_dst.a_merge(dense_src);
-    benchmark::DoNotOptimize(dense_dst);
+    keep(dense_dst);
   });
   const double lazy_merge = ns_per_op([&] {
     lazy_dst.a_merge(lazy_src);
-    benchmark::DoNotOptimize(lazy_dst);
+    keep(lazy_dst);
   });
   out.ops[1] = {"a_merge", m, dense_merge, lazy_merge};
 
@@ -367,11 +199,11 @@ PassTimings run_comparison_at(std::uint32_t m) {
     bloom::Tcbf lazy_fdst(params, 50.0);
     const double dense_fmerge = ns_per_op([&] {
       dense_fdst.a_merge(dense_fsrc);
-      benchmark::DoNotOptimize(dense_fdst);
+      keep(dense_fdst);
     });
     const double lazy_fmerge = ns_per_op([&] {
       lazy_fdst.a_merge(lazy_fsrc);
-      benchmark::DoNotOptimize(lazy_fdst);
+      keep(lazy_fdst);
     });
     out.ops[2] = {"a_merge_dense", m, dense_fmerge, lazy_fmerge};
   }
@@ -379,12 +211,12 @@ PassTimings run_comparison_at(std::uint32_t m) {
   std::size_t qi = 0;
   const double dense_query = ns_per_op([&] {
     auto c = dense.min_counter(keys[qi++ % kKeys]);
-    benchmark::DoNotOptimize(c);
+    keep(c);
   });
   qi = 0;
   const double lazy_query = ns_per_op([&] {
     auto c = lazy.min_counter(hps[qi++ % kKeys]);
-    benchmark::DoNotOptimize(c);
+    keep(c);
   });
   out.ops[3] = {"min_counter", m, dense_query, lazy_query};
   return out;
@@ -456,7 +288,7 @@ int check_regressions(const std::vector<OpTiming>& timings) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<OpTiming> timings;
   if (!run_comparison(timings)) return 1;
@@ -470,10 +302,5 @@ int main(int argc, char** argv) {
                  violations);
     return 1;
   }
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

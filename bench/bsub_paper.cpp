@@ -1,17 +1,22 @@
-// One program for the paper's evaluation (section VII): Tables I-II, the
-// in-text FPR, memory and allocation claims, Figs. 7-9 and the ablations,
-// each an entry of one registry (DESIGN.md's experiment index).
+// One program for the evaluation: the paper's (section VII) Tables I-II,
+// the in-text FPR, memory and allocation claims, Figs. 7-9 and the
+// ablations, plus this repo's scenario x protocol matrix, live fleet and
+// city-scale sweep, each an entry of one registry (DESIGN.md's experiment
+// index).
 //
 //   bsub_paper                          runs every experiment
 //   bsub_paper fig7_haggle ablation_... runs only the named ones
+//   bsub_paper --smoke [experiment...]  the matrix, fleet and scale sweep
+//                                       run their CI subsets
 //
 // An experiment declares each table's columns once: that list prints the
 // fixed-width table and names the row fields in BENCH_paper.json. Each
 // claim EXPERIMENTS.md makes about the rows is a named gate that states what
 // it checks, the range it holds over and the value it measured, read back
 // from the table. The run ends with a gate summary and exits 1 if any gate
-// failed. Seeds are fixed, so every number is deterministic; sweep points
-// run on the parallel runner (BSUB_THREADS) and come back in axis order.
+// failed. Seeds are fixed, so every number but the timings and peak RSS is
+// deterministic; sweep points run on the parallel runner (BSUB_THREADS) and
+// come back in axis order.
 #define BSUB_RESOURCE_STATS_COUNT_ALLOCS
 #include "resource_stats.h"
 
@@ -23,6 +28,8 @@
 #include <deque>
 #include <map>
 #include <stdexcept>
+#include <thread>
+#include <type_traits>
 #include <variant>
 
 #include "bloom/allocation.h"
@@ -32,6 +39,10 @@
 #include "bloom/tcbf_codec.h"
 #include "core/interest_manager.h"
 #include "engine/trace_runner.h"
+#include "fleet_common.h"
+#include "fork_util.h"
+#include "scale_common.h"
+#include "trace/city.h"
 #include "util/rng.h"
 
 namespace bsub::bench {
@@ -65,15 +76,29 @@ struct Table {
   /// The numeric column `key`, one value per row. Gates read their values
   /// from here, so a gate checks exactly what the table prints.
   Series col(const char* key) const {
-    std::size_t c = 0;
-    while (c < columns.size() && std::strcmp(columns[c].key, key) != 0) ++c;
-    if (c == columns.size()) throw std::logic_error(name + ": no " + key);
+    const std::size_t c = index(key);
     Series out;
     for (const auto& r : rows) {
       const auto* u = std::get_if<std::uint64_t>(&r[c]);
       out.push_back(u ? static_cast<double>(*u) : std::get<double>(r[c]));
     }
     return out;
+  }
+
+  /// The label column `key`, one string per row.
+  std::vector<std::string> labels(const char* key) const {
+    const std::size_t c = index(key);
+    std::vector<std::string> out;
+    for (const auto& r : rows) out.push_back(std::get<std::string>(r[c]));
+    return out;
+  }
+
+ private:
+  std::size_t index(const char* key) const {
+    std::size_t c = 0;
+    while (c < columns.size() && std::strcmp(columns[c].key, key) != 0) ++c;
+    if (c == columns.size()) throw std::logic_error(name + ": no " + key);
+    return c;
   }
 };
 
@@ -96,6 +121,7 @@ struct Gate {
 /// One experiment's tables (a deque keeps earlier ones in place) and gates.
 struct Report {
   std::string name;
+  bool smoke = false;  ///< --smoke: the harness experiments' CI subsets
   std::deque<Table> tables = {};
   std::vector<Gate> gates = {};
 
@@ -140,7 +166,8 @@ void print_table(const Table& t) {
   std::printf("\n%s\n", t.name.c_str());
   for (const auto& line : text) {
     for (std::size_t c = 0; c < line.size(); ++c) {
-      const bool left = std::holds_alternative<std::string>(t.rows.back()[c]);
+      const bool left = !t.rows.empty() &&
+                        std::holds_alternative<std::string>(t.rows.back()[c]);
       std::printf("%s%*s", c == 0 ? "" : "  ", left ? -width[c] : width[c],
                   line[c].c_str());
     }
@@ -180,8 +207,18 @@ void append_points(const Report& r, std::vector<std::string>& points) {
   }
 }
 
-double min_of(const Series& v) { return *std::min_element(v.begin(), v.end()); }
-double max_of(const Series& v) { return *std::max_element(v.begin(), v.end()); }
+/// The smallest and largest value; NaN if `v` is empty or holds a NaN, so a
+/// gate whose input is missing fails.
+double min_of(const Series& v) {
+  double m = v.empty() ? std::nan("") : v[0];
+  for (double x : v) m = std::isnan(x) || x < m ? x : m;
+  return m;
+}
+double max_of(const Series& v) {
+  double m = v.empty() ? std::nan("") : v[0];
+  for (double x : v) m = std::isnan(x) || x > m ? x : m;
+  return m;
+}
 
 Series minus(const Series& a, const Series& b) {
   Series out;
@@ -205,6 +242,483 @@ Series from(const Series& v, std::ptrdiff_t first) {
 }
 
 const util::Time kTenHours = 10 * util::kHour;
+
+// --- the matrix, fleet and scale harnesses ------------------------------------
+//
+// Each point runs in its own forked child (fork_util.h), so its peak RSS is
+// its own. A child's RSS starts with the pages its parent holds, so main()
+// runs these experiments before any other has grown the process.
+
+/// Runs `run(p)` for each point in a forked child and adds `cells(p, result)`
+/// to `t` for each point that came back; returns how many did not.
+template <class Point, class Run, class Cells>
+double run_forked(Table& t, const std::vector<Point>& points, Run run,
+                  Cells cells) {
+  double failed = 0;
+  for (const Point& p : points) {
+    std::invoke_result_t<Run, const Point&> result;
+    if (run_isolated([&] { return run(p); }, result)) {
+      t.row(cells(p, result));
+    } else {
+      std::fprintf(stderr, "%s: a point failed to run\n", t.name.c_str());
+      ++failed;
+    }
+  }
+  return failed;
+}
+
+void gate_points_ran(Report& r, double failed) {
+  r.gate("every_point_ran", "every point ran in its own process [failed]",
+         "every point", failed, "==", 0);
+}
+
+// matrix: every registered protocol over every scenario class, serial and
+// threaded. Its gates re-assert the accounting invariants on every cell, so
+// a protocol that double-charges bytes (the old SPRAY re-spray bug),
+// charges control bytes it never sends, or diverges between thread counts
+// fails the run.
+
+enum class Scene { kHaggle, kReality, kCity };
+
+/// Expanded per scenario in the child: the materialized traces tune DF from
+/// Eq. 5 (which needs trace centrality), the streamed city uses the fixed
+/// scale default.
+constexpr const char* kTunedBsub = "B-SUB@tuned";
+
+struct MatrixPoint {
+  Scene scene;
+  std::string protocol;  ///< spec string or kTunedBsub
+  std::size_t threads;
+};
+
+struct MatrixResult {
+  char protocol[96] = {};  ///< the expanded spec actually run
+  metrics::RunResults results;
+  sim::ParallelRunStats exec;
+  double seconds = 0.0;
+  std::uint64_t peak_rss_bytes = 0;
+};
+
+const char* scene_name(Scene s) {
+  return s == Scene::kHaggle ? "haggle"
+         : s == Scene::kReality ? "reality"
+                                : "city-stream";
+}
+
+/// Runs in the child: the scenario is rebuilt from its deterministic
+/// config, so every point is independent.
+MatrixResult run_matrix_point(const MatrixPoint& p) {
+  sim::SimulatorConfig sim_cfg;
+  sim_cfg.threads = p.threads;
+  sim::Simulator simulator(sim_cfg);
+  MatrixResult out;
+  std::string spec = p.protocol;
+  WallTimer timer;
+  if (p.scene == Scene::kCity) {
+    constexpr std::size_t kCityNodes = 5000;
+    const trace::CityTraceConfig city =
+        trace::city_config(kCityNodes, 100000, kExperimentSeed);
+    auto stream = trace::make_city_stream(city);
+    const workload::KeySet keys = workload::twitter_trend_keys();
+    const workload::Workload w = make_scale_workload(
+        keys, kCityNodes, 200, static_cast<util::Time>(city.days) * util::kDay,
+        kExperimentSeed, kScaleSalt);
+    if (spec == kTunedBsub) spec = kScaleDefaultProtocol;
+    out.results = simulator.run(*stream, w, protocol_registry(), spec);
+  } else {
+    const Scenario s = p.scene == Scene::kHaggle ? haggle_scenario()
+                                                 : reality_scenario();
+    const workload::Workload w = s.make_workload(kTenHours);
+    if (spec == kTunedBsub) {
+      spec = core::bsub_spec(bsub_config_for(s, kTenHours));
+    }
+    out.results = simulator.run(s.trace, w, protocol_registry(), spec);
+  }
+  out.seconds = timer.seconds();
+  std::snprintf(out.protocol, sizeof out.protocol, "%s", spec.c_str());
+  out.exec = simulator.last_run_stats();
+  out.peak_rss_bytes = peak_rss_bytes();
+  return out;
+}
+
+const std::vector<Column> kMatrixColumns = {
+    {"scenario", "scenario"}, {"protocol", "protocol"}, {"threads", "T"},
+    {"delivery_ratio", "delivery", 3}, {"deliveries", "delivered"},
+    {"false_deliveries", "false"}, {"expected_deliveries", "expected"},
+    {"forwardings", "forwards"}, {"message_bytes", "msg bytes"},
+    {"control_bytes", "ctl bytes"}, {"mean_delay_minutes", "delay(min)", 1},
+    {"events", "events"}, {"seconds", "secs", 3},
+    {"events_per_sec", "events/s", 0}, {"peak_rss_bytes", "peak RSS (B)"},
+    {"windows", "windows"}, {"batches", "levels"}, {"max_batch", "max level"}};
+
+std::vector<Cell> matrix_cells(const MatrixPoint& p, const MatrixResult& m) {
+  const metrics::RunResults& r = m.results;
+  const double eps =
+      m.seconds > 0.0 ? static_cast<double>(m.exec.events) / m.seconds : 0.0;
+  return {std::string(scene_name(p.scene)), std::string(m.protocol),
+          std::uint64_t{m.exec.threads_used}, r.delivery_ratio,
+          r.interested_deliveries, r.false_deliveries, r.expected_deliveries,
+          r.forwardings, r.message_bytes, r.control_bytes,
+          r.mean_delay_minutes, m.exec.events, m.seconds, eps,
+          m.peak_rss_bytes, m.exec.windows, m.exec.batches,
+          m.exec.max_batch};
+}
+
+void matrix(Report& r) {
+  const std::vector<Scene> scenes =
+      r.smoke ? std::vector<Scene>{Scene::kHaggle}
+              : std::vector<Scene>{Scene::kHaggle, Scene::kReality,
+                                   Scene::kCity};
+  std::vector<MatrixPoint> grid;
+  for (Scene scene : scenes) {
+    for (const char* protocol :
+         {kTunedBsub, "PUSH", "PULL", "SPRAY:copies=3"}) {
+      // The streamed city is the one scenario wide enough to scale, so it
+      // carries the 2- and 8-thread points too.
+      for (std::size_t threads :
+           scene == Scene::kCity ? std::vector<std::size_t>{1, 2, 4, 8}
+                                 : std::vector<std::size_t>{1, 4}) {
+        grid.push_back({scene, protocol, threads});
+      }
+    }
+  }
+  Table& t = r.table(r.smoke ? "haggle x protocol x {1, 4} threads (smoke)"
+                             : "scenario x protocol x {1, 4} threads "
+                               "(city-stream: 5,000 nodes, 10^5 contacts, "
+                               "also 2 and 8)",
+                     kMatrixColumns);
+  double failed = run_forked(t, grid, run_matrix_point, matrix_cells);
+  // SPRAY's copy-budget sub-sweep; copies=3 is the grid's serial haggle row.
+  Table* budget = nullptr;
+  if (!r.smoke) {
+    budget = &r.table("SPRAY copy budget (haggle, serial)", kMatrixColumns);
+    failed += run_forked(*budget,
+                         std::vector<MatrixPoint>{
+                             {Scene::kHaggle, "SPRAY:copies=1", 1},
+                             {Scene::kHaggle, "SPRAY:copies=8", 1}},
+                         run_matrix_point, matrix_cells);
+  }
+  gate_points_ran(r, failed);
+
+  const std::vector<std::string> scene = t.labels("scenario");
+  const std::vector<std::string> protocol = t.labels("protocol");
+  const Series threads = t.col("threads"), delivery = t.col("delivery_ratio");
+  const Series control = t.col("control_bytes");
+  auto is = [&](std::size_t i, const char* prefix) {
+    return protocol[i].rfind(prefix, 0) == 0;
+  };
+  Series over = minus(t.col("deliveries"), t.col("expected_deliveries"));
+  if (budget != nullptr) {
+    for (double d : minus(budget->col("deliveries"),
+                          budget->col("expected_deliveries"))) {
+      over.push_back(d);
+    }
+  }
+  r.gate("deliveries_within_expected", "deliveries never exceed the "
+         "workload's expected deliveries [max delivered - expected]",
+         "every point", max_of(over), "<=", 0);
+
+  // Gates 2-5 read the grid: one row per (scenario, protocol, threads).
+  double diverging = 0;
+  std::vector<Series> semantic;
+  for (const char* key : {"deliveries", "false_deliveries",
+                          "expected_deliveries", "forwardings",
+                          "message_bytes", "control_bytes", "delivery_ratio",
+                          "mean_delay_minutes"}) {
+    semantic.push_back(t.col(key));
+  }
+  for (std::size_t i = 0; i < scene.size(); ++i) {
+    for (std::size_t j = i + 1; j < scene.size(); ++j) {
+      if (scene[i] != scene[j] || protocol[i] != protocol[j]) continue;
+      bool same = true;
+      for (const Series& f : semantic) same = same && f[i] == f[j];
+      diverging += !same;
+    }
+  }
+  const char* grid_range = r.smoke ? "haggle, 1 and 4 threads"
+                                   : "3 scenarios, 1-8 threads";
+  r.gate("serial_equals_parallel", "every thread count reproduces the "
+         "serial semantic fields [diverging row pairs]", grid_range,
+         diverging, "==", 0);
+
+  // PULL and SPRAY move strict subsets of the bodies PUSH moves at
+  // unconstrained bandwidth; only protocols with a control plane pay
+  // control bytes.
+  Series above_push;
+  double wrong_class = 0;
+  for (std::size_t i = 0; i < scene.size(); ++i) {
+    if (threads[i] != 1) continue;
+    wrong_class += (is(i, "B-SUB") || is(i, "PULL")) ? control[i] == 0
+                                                     : control[i] != 0;
+    if (!is(i, "PULL") && !is(i, "SPRAY")) continue;
+    for (std::size_t j = 0; j < scene.size(); ++j) {
+      if (threads[j] == 1 && scene[j] == scene[i] && is(j, "PUSH")) {
+        above_push.push_back(delivery[i] - delivery[j]);
+      }
+    }
+  }
+  r.gate("push_bounds_delivery", "PUSH delivers at least as much as PULL "
+         "and SPRAY [max PULL/SPRAY - PUSH]", "serial, per scenario",
+         max_of(above_push), "<=", 0);
+  r.gate("control_bytes_by_class", "B-SUB and PULL pay control bytes, PUSH "
+         "and SPRAY none [rows in the wrong class]", "serial rows",
+         wrong_class, "==", 0);
+  if (r.smoke) return;
+
+  // A bigger budget may never move fewer bytes: the delivered-guard fix
+  // keeps re-sprays out without deflating legitimate spraying.
+  auto spray_bytes = [](const Table& tab, const std::string& spec) {
+    const std::vector<std::string> s = tab.labels("scenario");
+    const std::vector<std::string> p = tab.labels("protocol");
+    const Series th = tab.col("threads"), b = tab.col("message_bytes");
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (s[i] == "haggle" && p[i] == spec && th[i] == 1) return b[i];
+    }
+    return std::nan("");
+  };
+  const Series bytes = {spray_bytes(*budget, "SPRAY:copies=1"),
+                        spray_bytes(t, "SPRAY:copies=3"),
+                        spray_bytes(*budget, "SPRAY:copies=8")};
+  r.gate("spray_bytes_monotone", "SPRAY moves no fewer bytes with a bigger "
+         "budget [min step, B]", "haggle, copies 1, 3, 8",
+         min_of(steps(bytes)), ">=", 0);
+
+  // Single-run scaling of the city B-SUB replay. A host with fewer than 8
+  // hardware threads runs the points but cannot judge the target.
+  const unsigned hw = std::thread::hardware_concurrency();
+  Table& scaling = r.table(
+      "city-stream B-SUB, one run across threads (>= 3x at 8 threads, "
+      "judged on >= 8 hardware threads; this host has " +
+          std::to_string(hw) + ")",
+      {{"threads", "threads"}, {"seconds", "secs", 3},
+       {"speedup", "speedup", 2}});
+  const Series secs = t.col("seconds");
+  double serial = std::nan(""), speedup8 = std::nan("");
+  for (std::size_t i = 0; i < scene.size(); ++i) {
+    if (scene[i] != "city-stream" || !is(i, "B-SUB")) continue;
+    if (threads[i] == 1) serial = secs[i];
+    if (threads[i] == 8) speedup8 = serial / secs[i];
+    scaling.row({threads[i], secs[i], serial / secs[i]});
+  }
+  if (hw >= 8) {
+    r.gate("city_8_thread_speedup", "the city B-SUB replay runs >= 3x "
+           "faster at 8 threads [speedup]", "5,000 nodes, 8 vs 1 threads",
+           speedup8, ">=", 3);
+  }
+}
+
+// fleet: thousands of live B-SUB nodes per reactor thread. The claim is
+// correct scale-out: the deterministic loopback engine is bit-identical to
+// engine::TraceRunner, and the real-UDP engine completes every contact.
+
+struct FleetSpec {
+  const char* label;
+  FleetPoint point;
+  /// First port of a real-UDP point (shard s binds it + s); 0 runs the
+  /// loopback engine and checks it against the engine harness.
+  std::uint16_t udp_port = 0;
+};
+
+struct FleetResult {
+  net::FleetRunResults run;
+  std::uint64_t peak_rss_bytes = 0;
+  double allocs_per_contact = 0.0;
+  double frame_cache_hit_frac = 0.0;  ///< hello, genuine and relay frames
+  bool differential_ok = true;
+};
+
+FleetResult run_fleet_point(const FleetSpec& spec) {
+  const FleetScenario scenario(spec.point, kExperimentSeed);
+  net::FleetConfig cfg = make_fleet_config(scenario, "");
+  if (spec.udp_port != 0) {
+    cfg.shards = 2;
+    cfg.udp.base_port = spec.udp_port;
+  } else {
+    cfg.threads = 2;
+  }
+  FleetResult out;
+  net::FleetRuntime fleet(cfg);
+  const std::uint64_t allocs_before = allocs_now();
+  out.run = spec.udp_port != 0
+                ? fleet.run_udp(scenario.trace, scenario.workload)
+                : fleet.run_loopback(scenario.trace, scenario.workload);
+  out.allocs_per_contact =
+      static_cast<double>(allocs_now() - allocs_before) /
+      static_cast<double>(std::max<std::uint64_t>(
+          1, out.run.protocol.contacts_processed));
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (std::size_t n = 0; n < spec.point.nodes; ++n) {
+    hits += fleet.node(n).frame_cache_hits();
+    misses += fleet.node(n).frame_cache_misses();
+  }
+  out.frame_cache_hit_frac =
+      static_cast<double>(hits) /
+      static_cast<double>(std::max<std::uint64_t>(1, hits + misses));
+  if (spec.udp_port == 0) {
+    out.differential_ok = fleet_matches_engine(scenario, cfg, out.run.protocol);
+  }
+  out.peak_rss_bytes = peak_rss_bytes();
+  return out;
+}
+
+std::vector<Cell> fleet_cells(const FleetSpec& spec, const FleetResult& f) {
+  const net::FleetRunResults& r = f.run;
+  const bool udp = spec.udp_port != 0;
+  return {std::string(spec.label), std::string(udp ? "udp" : "loopback"),
+          std::uint64_t{spec.point.nodes}, std::uint64_t{spec.point.contacts},
+          std::uint64_t{spec.point.messages}, std::uint64_t{r.reactor_threads},
+          r.wall_seconds, r.contacts_per_second, r.deliveries_per_second,
+          r.protocol.deliveries, r.protocol.expected_deliveries,
+          r.p50_delivery_latency_ms, r.p99_delivery_latency_ms,
+          r.contacts_timed_out, r.send_syscalls, r.recv_syscalls,
+          r.datagrams_out, r.sendq_drops, r.unroutable_drops,
+          f.peak_rss_bytes, f.allocs_per_contact, f.frame_cache_hit_frac,
+          std::string(udp ? "n/a" : f.differential_ok ? "pass" : "FAIL"),
+          r.protocol.contacts_processed};
+}
+
+void fleet(Report& r) {
+  constexpr FleetPoint kSparse{10000, 8000, 100};
+  constexpr FleetPoint kDense{10000, 80000, 500};
+  const std::vector<FleetSpec> points =
+      r.smoke ? std::vector<FleetSpec>{{"loopback-256", {256, 2048, 64}},
+                                       {"udp-64", {64, 1000, 50}, 47800}}
+              : std::vector<FleetSpec>{{"loopback-10k", kDense},
+                                       {"udp-10k", kSparse, 47600},
+                                       {"udp-10k-dense", kDense, 47700}};
+  Table& t = r.table(
+      "live fleet: loopback (2 lanes) and real UDP (2 shards)",
+      {{"label", "point"}, {"mode", "mode"}, {"nodes", "nodes"},
+       {"contacts", "contacts"}, {"messages", "msgs"},
+       {"reactor_threads", "reactors"}, {"seconds", "secs", 2},
+       {"contacts_per_sec", "contacts/s", 0},
+       {"deliveries_per_sec", "dlv/s", 0}, {"deliveries", "delivered"},
+       {"expected_deliveries", "expected"},
+       {"p50_delivery_latency_ms", "p50 ms", 1},
+       {"p99_delivery_latency_ms", "p99 ms", 1},
+       {"contacts_timed_out", "timed out"}, {"send_syscalls", "sends"},
+       {"recv_syscalls", "recvs"}, {"datagrams_out", "datagrams"},
+       {"sendq_drops", "sendq drops"}, {"unroutable_drops", "unroutable"},
+       {"peak_rss_bytes", "peak RSS (B)"},
+       {"allocs_per_contact", "allocs/contact", 1},
+       {"frame_cache_hit_frac", "cache hits", 3},
+       {"differential", "differential"},
+       {"contacts_processed", "completed"}});
+  gate_points_ran(r, run_forked(t, points, run_fleet_point, fleet_cells));
+
+  const std::vector<std::string> mode = t.labels("mode");
+  const std::vector<std::string> differential = t.labels("differential");
+  const Series rate = t.col("contacts_per_sec"), issued = t.col("contacts");
+  const Series done = t.col("contacts_processed");
+  const Series timed_out = t.col("contacts_timed_out");
+  double mismatches = 0;
+  Series udp_rate, lost, timeout_share;
+  for (std::size_t i = 0; i < mode.size(); ++i) {
+    mismatches += differential[i] == "FAIL";
+    if (mode[i] != "udp") continue;
+    udp_rate.push_back(rate[i]);
+    lost.push_back(std::abs(issued[i] - done[i]));
+    timeout_share.push_back(timed_out[i] / issued[i]);
+  }
+  r.gate("loopback_bit_identical", "every loopback point is bit-identical "
+         "to engine::TraceRunner [mismatching points]", "loopback points",
+         mismatches, "==", 0);
+  // Coarse pathology catches: the floor is 40x under the slowest rate the
+  // full points recorded.
+  r.gate("udp_throughput_floor", "every UDP point runs >= 500 contacts/s "
+         "[min contacts/s]", "UDP points", min_of(udp_rate), ">=", 500);
+  r.gate("udp_contacts_complete", "every issued contact completes [max "
+         "|issued - completed|]", "UDP points", max_of(lost), "==", 0);
+  r.gate("udp_timeouts_under_1pct", "hard timeouts stay <= 1% of contacts "
+         "[max share]", "UDP points", max_of(timeout_share), "<=", 0.01);
+}
+
+// scale_sweep: the streaming contact plane plus the lazy, pooled node state.
+// Every point streams a trace::make_city_stream scenario through B-SUB on
+// the simulator; none materializes its trace, up to 10^6 nodes x 10^7
+// contacts. Peak memory must stay O(idle floor + materialized participant
+// state + one scheduling window): contacts may activate state (a node that
+// meets enough peers becomes a broker and owns a ~2 KiB relay filter, which
+// is protocol behavior), but must not leak per event.
+
+// Budget terms. kPerNodeFloorBytes covers the always-paid slots, handles
+// and indices; kBaseRssBytes the process baseline (binary, stream window,
+// workload); kPerBrokerBytes one materialized participant's state (2 KB
+// relay TCBF + shadow + election ring/table + message bookkeeping).
+constexpr double kPerNodeFloorBytes = 640.0;
+constexpr double kBaseRssBytes = 16.0 * (1 << 20);
+constexpr double kPerBrokerBytes = 5120.0;
+
+std::vector<Cell> scale_cells(const ScalePoint& p, const ScaleResult& r) {
+  return {std::uint64_t{p.nodes}, p.contacts, r.events, r.seconds,
+          r.events_per_sec, r.peak_rss_bytes, r.bytes_per_node,
+          r.materialized_relays, r.election_state_bytes, r.deliveries,
+          r.delivery_ratio, r.forwardings};
+}
+
+void scale_sweep(Report& r) {
+  const std::vector<ScalePoint> points =
+      r.smoke ? std::vector<ScalePoint>{{10000, 100000}, {10000, 1000000}}
+              : std::vector<ScalePoint>{{1000, 100000},
+                                        {10000, 100000},
+                                        {10000, 1000000},
+                                        {100000, 1000000},
+                                        {100000, 10000000},
+                                        {1000000, 100000},
+                                        {1000000, 10000000}};
+  Table& t = r.table(
+      "streamed city, B-SUB:df=0.5, serial",
+      {{"nodes", "nodes"}, {"contacts", "contacts"}, {"events", "events"},
+       {"seconds", "secs", 2}, {"events_per_sec", "events/s", 0},
+       {"peak_rss_bytes", "peak RSS (B)"}, {"bytes_per_node", "B/node", 0},
+       {"materialized_relays", "ever-brokers"},
+       {"election_state_bytes", "election B"}, {"deliveries", "delivered"},
+       {"delivery_ratio", "delivery", 4}, {"forwardings", "forwards"}});
+  gate_points_ran(
+      r, run_forked(t, points,
+                    [](const ScalePoint& p) { return run_scale_point(p); },
+                    scale_cells));
+
+  const Series nodes = t.col("nodes"), events = t.col("events");
+  const Series rss = t.col("peak_rss_bytes"), relays = t.col("materialized_relays");
+  const Series eps = t.col("events_per_sec"), per_node = t.col("bytes_per_node");
+  // At a fixed node count, the point with 10x the contacts may add only
+  // the state its extra ever-brokers materialized (credited per relay and
+  // capped at one per node, so a per-event leak still trips): peak <=
+  // 1.25 x the smaller point's + 32 MiB + 5120 B per extra relay.
+  Series over_ceiling;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    if (nodes[i] != nodes[i - 1]) continue;
+    const double ceiling = std::floor(rss[i - 1] * 1.25) + (32 << 20) +
+                           std::floor(std::max(0.0, relays[i] - relays[i - 1]) *
+                                      kPerBrokerBytes);
+    over_ceiling.push_back((rss[i] - ceiling) / (1 << 20));
+  }
+  r.gate("rss_flat_in_contacts", "peak RSS stays under its activity-"
+         "adjusted ceiling [max MiB over]",
+         "each node count with two contact volumes",
+         max_of(over_ceiling), "<=", 0);
+  // Wall time includes O(nodes) protocol setup, so a point with fewer
+  // events than nodes measures setup; it is there as an RSS baseline.
+  Series judged;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (events[i] >= nodes[i]) judged.push_back(eps[i]);
+  }
+  r.gate("throughput_floor", "every setup-amortized point runs >= 25k "
+         "events/s [min events/s]", "points with events >= nodes",
+         min_of(judged), ">=", 25000);
+  Series over_budget;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    over_budget.push_back(per_node[i] -
+                          (kPerNodeFloorBytes + kBaseRssBytes / nodes[i] +
+                           relays[i] * kPerBrokerBytes / nodes[i]));
+  }
+  r.gate("bytes_per_node_budget", "peak RSS per node fits 640 B + 16 MiB / "
+         "nodes + 5120 B per ever-broker / nodes [max B/node over]",
+         "every point", max_of(over_budget), "<=", 0);
+}
+
 
 // --- Tables I-II, FPR theory, memory, allocation -----------------------------
 
@@ -643,26 +1157,39 @@ void ablation_brokers(Report& r) {
   const workload::Workload w = s.make_workload(kTenHours);
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> settings = {
       {1, 2}, {2, 3}, {3, 5}, {5, 8}, {8, 12}};
+  // Each setting with reverse-path gating on (the default) and off.
+  std::vector<std::pair<std::size_t, bool>> jobs;
+  for (std::size_t i = 0; i < settings.size(); ++i) {
+    jobs.emplace_back(i, true);
+    jobs.emplace_back(i, false);
+  }
   const std::vector<ProtocolRun> runs =
-      util::parallel_map(settings, [&](const auto& thresholds) {
+      util::parallel_map(jobs, [&](const auto& job) {
         core::BsubConfig cfg = bsub_config_for(s, kTenHours);
-        cfg.broker_lower = thresholds.first;
-        cfg.broker_upper = thresholds.second;
+        cfg.broker_lower = settings[job.first].first;
+        cfg.broker_upper = settings[job.first].second;
+        cfg.relay_gated_delivery = job.second;
         return run_bsub(s, w, cfg);
       });
   Table& t = r.table(
       "section V-B: election thresholds (haggle, TTL 10 h, W = 5 h)",
       {{"lower", "Bl"}, {"upper", "Bu"}, {"brokers_pct", "brokers %", 1},
        {"delivery", "delivery", 3}, {"delay_min", "delay(min)", 1},
-       {"fwd_per_delivery", "fwd/deliv", 2}});
+       {"fwd_per_delivery", "fwd/deliv", 2},
+       {"ungated_delivery", "ungated dlv", 3},
+       {"ungated_fwd_per_delivery", "ungated fwd", 2}});
   for (std::size_t i = 0; i < settings.size(); ++i) {
-    const metrics::RunResults& res = runs[i].results;
+    const ProtocolRun& gated = runs[2 * i];
+    const metrics::RunResults& res = gated.results;
+    const metrics::RunResults& ungated = runs[2 * i + 1].results;
     t.row({settings[i].first, settings[i].second,
-           100.0 * runs[i].broker_fraction, res.delivery_ratio,
-           res.mean_delay_minutes, res.forwardings_per_delivery});
+           100.0 * gated.broker_fraction, res.delivery_ratio,
+           res.mean_delay_minutes, res.forwardings_per_delivery,
+           ungated.delivery_ratio, ungated.forwardings_per_delivery});
   }
   const char* range = "(Bl, Bu) from (1, 2) to (8, 12)";
   const Series brokers = t.col("brokers_pct");
+  const Series gap = minus(t.col("delivery"), t.col("ungated_delivery"));
   r.gate("share_rises", "higher thresholds, more brokers [min step, pts]",
          range, min_of(steps(brokers)), ">", 0);
   r.gate("share_spans_paper", "the paper's ~30% brokers is reached [max %]",
@@ -671,6 +1198,10 @@ void ablation_brokers(Report& r) {
          max_of(steps(t.col("delivery"))), "<", 0);
   r.gate("fwd_rises", "more brokers forward more per delivery [min step]",
          range, min_of(steps(t.col("fwd_per_delivery"))), ">", 0);
+  // With W = TTL a relay key outlives every copy picked up under it, so
+  // gating never withholds one: it cannot be why more brokers deliver less.
+  r.gate("gating_inert", "relay gating moves no delivery [max |gated - "
+         "ungated|]", range, std::max(max_of(gap), -min_of(gap)), "==", 0);
 }
 
 void ablation_copies(Report& r) {
@@ -784,32 +1315,109 @@ void ablation_multikey(Report& r) {
          min_of(steps(t.col("relay_fpr"))), ">=", 0);
 }
 
+/// Forwards every call to B-SUB and records, after each contact, the DF in
+/// force at each endpoint that is a broker and that broker's online N (the
+/// distinct peers in its election window, which Eq. 4/5 read). The
+/// simulator runs it serially: it is not parallel-safe.
+class DfProbe final : public sim::Protocol {
+ public:
+  explicit DfProbe(core::BsubProtocol& inner) : inner_(inner) {}
+
+  using sim::Protocol::on_start;
+  void on_start(const sim::ScenarioInfo& scenario,
+                const workload::Workload& workload,
+                metrics::Collector& collector) override {
+    inner_.on_start(scenario, workload, collector);
+  }
+  void on_message_created(const workload::Message& msg,
+                          util::Time now) override {
+    inner_.on_message_created(msg, now);
+  }
+  void on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
+                  util::Time duration, sim::Link& link) override {
+    inner_.on_contact(a, b, now, duration, link);
+    for (trace::NodeId n : {a, b}) {
+      if (!inner_.election().is_broker(n)) continue;
+      df.push_back(inner_.interests().node_df(n));
+      online_n.push_back(
+          static_cast<double>(inner_.election().degree(n, now)));
+    }
+  }
+  void on_end(util::Time now) override { inner_.on_end(now); }
+  const char* name() const override { return inner_.name(); }
+
+  Series df, online_n;  ///< one entry per broker endpoint of a contact
+
+ private:
+  core::BsubProtocol& inner_;
+};
+
+double mean_of(const Series& v) {
+  double sum = 0.0;
+  for (double x : v) sum += x;
+  return sum / static_cast<double>(v.size());
+}
+
+/// Nearest-rank quantile q of `v`.
+double quantile(Series v, double q) {
+  std::sort(v.begin(), v.end());
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(v.size())));
+  return v[std::max<std::size_t>(rank, 1) - 1];
+}
+
 void ablation_adaptive_df(Report& r) {
   const std::vector<Scenario> scenarios = {haggle_scenario(),
                                            reality_scenario()};
   const std::vector<std::pair<std::size_t, bool>> jobs = {
       {0, false}, {0, true}, {1, false}, {1, true}};  // scenario, adaptive
-  const std::vector<ProtocolRun> runs =
-      util::parallel_map(jobs, [&](const auto& job) {
-        const Scenario& s = scenarios[job.first];
-        core::BsubConfig cfg = bsub_config_for(s, kTenHours);
-        if (job.second) {
-          cfg.adaptive_df = true;
-          cfg.df_window = kTenHours;
-        }
-        return run_bsub(s, s.make_workload(kTenHours), cfg);
-      });
+  struct Run {
+    ProtocolRun run;
+    Series df = {}, online_n = {};  ///< adaptive: at each broker contact
+  };
+  const std::vector<Run> runs = util::parallel_map(jobs, [&](const auto& job) {
+    const Scenario& s = scenarios[job.first];
+    core::BsubConfig cfg = bsub_config_for(s, kTenHours);
+    if (!job.second) return Run{run_bsub(s, s.make_workload(kTenHours), cfg)};
+    cfg.adaptive_df = true;
+    cfg.df_window = kTenHours;
+    core::BsubProtocol bsub(cfg);
+    DfProbe probe(bsub);
+    Run out;
+    out.run.results =
+        sim::Simulator().run(s.trace, s.make_workload(kTenHours), probe);
+    out.run.relay_fpr = bsub.measured_relay_fpr();
+    out.run.broker_fraction = bsub.election().broker_fraction();
+    out.df = std::move(probe.df);
+    out.online_n = std::move(probe.online_n);
+    return out;
+  });
   Table& t = r.table(
       "section VII-B: offline Eq. 5 DF vs per-broker online DF, TTL = W = 10 h",
       {{"trace", "trace"}, {"df_mode", "DF mode"}, {"delivery", "delivery", 3},
        {"delay_min", "delay(min)", 1}, {"fwd_per_delivery", "fwd/deliv", 2},
        {"relay_fpr", "relay FPR", 4}});
+  Table& in_force = r.table(
+      "online DF in force at broker contacts vs Eq. 5 (N: keys per window)",
+      {{"trace", "trace"}, {"broker_contacts", "broker contacts"},
+       {"eq5_n", "Eq.5 N", 1}, {"online_n", "online N mean", 1},
+       {"eq5_df", "Eq.5 DF", 4}, {"df_mean", "DF mean", 4},
+       {"df_p90", "DF p90", 4}, {"df_max", "DF max", 4}});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const metrics::RunResults& res = runs[i].results;
-    t.row({scenarios[jobs[i].first].trace.name(),
-           std::string(jobs[i].second ? "adaptive" : "fixed"),
+    const Scenario& s = scenarios[jobs[i].first];
+    const metrics::RunResults& res = runs[i].run.results;
+    t.row({s.trace.name(), std::string(jobs[i].second ? "adaptive" : "fixed"),
            res.delivery_ratio, res.mean_delay_minutes,
-           res.forwardings_per_delivery, runs[i].relay_fpr});
+           res.forwardings_per_delivery, runs[i].run.relay_fpr});
+    if (!jobs[i].second) continue;
+    const core::BsubConfig cfg;
+    const core::DfEstimate eq5 = core::compute_df(
+        s.trace, kTenHours, cfg.filter_params, cfg.initial_counter);
+    const Series& df = runs[i].df;
+    in_force.row({s.trace.name(), std::uint64_t{df.size()},
+                  eq5.keys_per_window, mean_of(runs[i].online_n),
+                  eq5.df_per_minute, mean_of(df), quantile(df, 0.9),
+                  max_of(df)});
   }
   const Series d = t.col("delivery");
   const Series fixed = {d[0], d[2]}, online = {d[1], d[3]};
@@ -817,6 +1425,16 @@ void ablation_adaptive_df(Report& r) {
          "both traces", min_of(minus(fixed, online)), ">", 0);
   r.gate("online_keeps_80pct", "online DF keeps >= 80% [min online/offline]",
          "both traces", min_of(over(online, fixed)), ">=", 0.8);
+  // Brokers are the busy nodes, and they re-derive the DF at their busiest:
+  // the N in force is several times Eq. 5's, which raises the DF it yields.
+  r.gate("online_n_above_eq5", "brokers' online N exceeds Eq. 5's N [min "
+         "ratio]", "broker contacts, both traces",
+         min_of(over(in_force.col("online_n"), in_force.col("eq5_n"))), ">",
+         1);
+  r.gate("df_in_force_above_eq5", "the mean DF in force exceeds Eq. 5's "
+         "[min ratio]", "broker contacts, both traces",
+         min_of(over(in_force.col("df_mean"), in_force.col("eq5_df"))), ">",
+         1);
 }
 
 void engine_overhead(Report& r) {
@@ -875,7 +1493,10 @@ void engine_overhead(Report& r) {
 
 // --- the registry ------------------------------------------------------------
 
+/// Runs in this order: the harness experiments first, so they fork their
+/// points while the process is still small.
 const std::vector<std::pair<const char*, void (*)(Report&)>> kExperiments = {
+    {"matrix", matrix}, {"fleet", fleet}, {"scale_sweep", scale_sweep},
     {"table1_traces", table1_traces}, {"table2_keys", table2_keys},
     {"fpr_theory", fpr_theory}, {"memory_comparison", memory_comparison},
     {"tcbf_allocation", tcbf_allocation}, {"fig7_haggle", fig7_haggle},
@@ -887,35 +1508,66 @@ const std::vector<std::pair<const char*, void (*)(Report&)>> kExperiments = {
     {"ablation_adaptive_df", ablation_adaptive_df},
     {"engine_overhead", engine_overhead}};
 
+/// Writes BENCH_paper.json into the working directory: how the run was made,
+/// then one point per table row and gate.
+void write_bench_json(bool smoke, double wall_seconds,
+                      const std::vector<std::string>& points) {
+  std::FILE* f = std::fopen("BENCH_paper.json", "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "warning: cannot write BENCH_paper.json\n");
+    return;
+  }
+  std::fprintf(f,
+               "{\"bench\": \"paper\", \"smoke\": %s, \"threads\": %zu, "
+               "\"wall_seconds\": %.3f, \"points\": %s}\n",
+               smoke ? "true" : "false", util::default_thread_count(),
+               wall_seconds, points_json(points).c_str());
+  std::fclose(f);
+  std::printf("\n[paper] %.2fs wall on %zu thread(s) -> BENCH_paper.json\n",
+              wall_seconds, util::default_thread_count());
+}
+
 }  // namespace
 }  // namespace bsub::bench
 
 int main(int argc, char** argv) {
   using namespace bsub::bench;
-  auto selected = argc > 1 ? decltype(kExperiments){} : kExperiments;
+  bool smoke = false;
+  std::vector<bool> named(kExperiments.size(), false);
+  bool any_named = false;
   for (int a = 1; a < argc; ++a) {
-    const auto e = std::find_if(
-        kExperiments.begin(), kExperiments.end(),
-        [&](const auto& x) { return std::strcmp(argv[a], x.first) == 0; });
-    if (e == kExperiments.end()) {
+    if (std::strcmp(argv[a], "--smoke") == 0) {
+      smoke = true;
+      continue;
+    }
+    std::size_t e = 0;
+    while (e < kExperiments.size() &&
+           std::strcmp(argv[a], kExperiments[e].first) != 0) {
+      ++e;
+    }
+    if (e == kExperiments.size()) {
       std::fprintf(stderr, "bsub_paper: unknown experiment '%s'; usage: "
-                           "bsub_paper [experiment...] from:\n", argv[a]);
+                           "bsub_paper [--smoke] [experiment...] from:\n",
+                   argv[a]);
       for (const auto& x : kExperiments) std::fprintf(stderr, " %s", x.first);
       std::fprintf(stderr, "\n");
       return 2;
     }
-    selected.push_back(*e);
+    named[e] = any_named = true;
   }
 
   WallTimer wall;
   std::vector<std::string> points;
   std::vector<Gate> failed;
+  std::size_t experiments = 0;
   std::size_t gates = 0;
-  for (const auto& [name, run] : selected) {
+  for (std::size_t e = 0; e < kExperiments.size(); ++e) {
+    if (any_named && !named[e]) continue;
+    const auto& [name, run] = kExperiments[e];
     print_header(name);
     std::fflush(stdout);
     WallTimer timer;
-    Report report{name};
+    Report report{name, smoke};
     run(report);
     for (const Table& t : report.tables) print_table(t);
     std::printf("\n");
@@ -923,15 +1575,16 @@ int main(int argc, char** argv) {
       print_gate(g);
       if (!g.pass()) failed.push_back(g);
     }
+    ++experiments;
     gates += report.gates.size();
     std::printf("[%s] %.2fs wall\n", name, timer.seconds());
     append_points(report, points);
   }
-  write_bench_json("paper", wall.seconds(), points);
+  write_bench_json(smoke, wall.seconds(), points);
 
   print_header("Gate summary");
   for (const Gate& g : failed) print_gate(g);
   std::printf("%zu experiment(s), %zu gate(s): %zu passed, %zu failed\n",
-              selected.size(), gates, gates - failed.size(), failed.size());
+              experiments, gates, gates - failed.size(), failed.size());
   return failed.empty() ? 0 : 1;
 }

@@ -1,7 +1,8 @@
-// Shared plumbing for the bench binaries: scenario construction, protocol
-// runners and BENCH_*.json result emission. bsub_paper regenerates the
-// paper's tables and figures with it (see DESIGN.md's experiment index);
-// bench_matrix, bench_fleet and bench_scale_sweep share it.
+// Shared plumbing for the bench and tool binaries: scenario and workload
+// construction, protocol runners and BENCH_*.json result emission.
+// bsub_paper regenerates the paper's tables and figures and the harness
+// experiments with it (see DESIGN.md's experiment index); the bsub_scale
+// and bsub_fleet CLIs build their scenarios with it.
 #pragma once
 
 #include <chrono>
@@ -17,6 +18,7 @@
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace bsub::bench {
@@ -48,6 +50,46 @@ inline Scenario reality_scenario() {
   return Scenario(trace::mit_reality_config(kExperimentSeed));
 }
 
+/// Salts that keep the scale and fleet scenario families' draws apart at
+/// one seed (make_scale_workload).
+inline constexpr std::uint64_t kScaleSalt = 0x5CA1EULL;
+inline constexpr std::uint64_t kFleetSalt = 0xF1EE7ULL;
+
+/// Deterministic workload for `node_count` nodes over `duration`, built
+/// from the explicit Workload constructor, so a streamed scenario never
+/// materializes a trace: node n subscribes to key n mod |keys|, and
+/// `message_count` messages of 1-140 bytes with uniform keys and
+/// producers are created evenly through the window (every message sees
+/// live contact traffic before and after it) and live 6 h.
+inline workload::Workload make_scale_workload(const workload::KeySet& keys,
+                                              std::size_t node_count,
+                                              std::size_t message_count,
+                                              util::Time duration,
+                                              std::uint64_t seed,
+                                              std::uint64_t salt) {
+  std::vector<workload::KeyId> interests(node_count);
+  for (std::size_t n = 0; n < node_count; ++n) {
+    interests[n] = static_cast<workload::KeyId>(n % keys.size());
+  }
+  std::vector<workload::Message> messages(message_count);
+  util::Rng rng(seed ^ salt);
+  for (std::size_t i = 0; i < message_count; ++i) {
+    workload::Message& m = messages[i];
+    m.id = i;
+    m.key = static_cast<workload::KeyId>(
+        rng.next_below(static_cast<std::uint64_t>(keys.size())));
+    m.producer = static_cast<trace::NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(node_count)));
+    m.size_bytes = 1 + static_cast<std::uint32_t>(rng.next_below(140));
+    m.created = static_cast<util::Time>(
+        (static_cast<double>(i) + 0.5) /
+        static_cast<double>(message_count) * static_cast<double>(duration));
+    m.ttl = 6 * util::kHour;
+  }
+  return workload::Workload(keys, node_count, std::move(interests),
+                            std::move(messages));
+}
+
 /// B-SUB with the paper's parameters and the DF derived from Eq. 5 for the
 /// given delay bound (W = TTL, as section VII-B prescribes).
 inline core::BsubConfig bsub_config_for(const Scenario& s, util::Time ttl) {
@@ -64,7 +106,7 @@ struct ProtocolRun {
   double broker_fraction = 0.0;  // B-SUB only: brokers at the end of the run
 };
 
-/// The full protocol table, shared by every experiment/scale/matrix entry
+/// The full protocol table, shared by every experiment and tool entry
 /// point. Benches name protocols by spec string, never by constructor.
 inline const sim::ProtocolRegistry& protocol_registry() {
   static const sim::ProtocolRegistry registry = core::make_protocol_registry();
@@ -99,7 +141,7 @@ inline void print_header(const std::string& title) {
   std::printf("%s\n", std::string(title.size(), '-').c_str());
 }
 
-/// Wall-clock timer for per-binary BENCH reports.
+/// Wall-clock timer for BENCH reports and timed points.
 class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
@@ -113,7 +155,7 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-// --- BENCH_*.json emission --------------------------------------------------
+// --- BENCH_*.json rows --------------------------------------------------------
 
 /// Minimal JSON object builder for sweep-point rows. Doubles print with
 /// %.17g so serial and parallel runs serialize bit-identically.
@@ -169,26 +211,6 @@ inline std::string points_json(const std::vector<std::string>& points) {
   }
   out += "\n]";
   return out;
-}
-
-/// Writes BENCH_<name>.json into the working directory: per-binary wall
-/// time plus the sweep-point results, for the perf trajectory.
-inline void write_bench_json(const std::string& name, double wall_seconds,
-                             const std::vector<std::string>& points) {
-  const std::string path = "BENCH_" + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\"bench\": \"%s\", \"threads\": %zu, \"wall_seconds\": "
-               "%.3f, \"points\": %s}\n",
-               name.c_str(), util::default_thread_count(), wall_seconds,
-               points_json(points).c_str());
-  std::fclose(f);
-  std::printf("\n[%s] %.2fs wall on %zu thread(s) -> %s\n", name.c_str(),
-              wall_seconds, util::default_thread_count(), path.c_str());
 }
 
 }  // namespace bsub::bench

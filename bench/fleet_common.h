@@ -1,20 +1,19 @@
 // Shared plumbing for the fleet runtime surfaces: the deterministic fleet
 // scenario (synthetic community trace + explicit workload), protocol-spec
 // -> FleetConfig assembly with Eq. 5 DF tuning, and the engine-harness
-// differential. Used by bench_fleet (the gated harness) and the bsub_fleet
-// CLI (one point, interactive).
+// differential. Used by bsub_paper's fleet experiment (the gated points)
+// and the bsub_fleet CLI (one point, interactive).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "core/df_tuning.h"
+#include "experiment_common.h"
 #include "net/fleet/fleet_runtime.h"
 #include "trace/synthetic.h"
-#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace bsub::bench {
@@ -31,8 +30,10 @@ struct FleetPoint {
 inline constexpr util::Time kFleetDuration = 12 * util::kHour;
 inline constexpr util::Time kFleetTtl = 6 * util::kHour;
 
-/// Deterministic scenario for a fleet point. Construct in place and keep
-/// alive for the runtime's lifetime — the workload references `keys`.
+/// Deterministic scenario for a fleet point: the workload is
+/// make_scale_workload's over the fleet window (kFleetTtl is its 6 h TTL).
+/// Construct in place and keep alive for the runtime's lifetime — the
+/// workload references `keys`.
 struct FleetScenario {
   trace::ContactTrace trace;
   workload::KeySet keys;
@@ -49,40 +50,8 @@ struct FleetScenario {
           return trace::generate_trace(cfg);
         }()),
         keys(workload::twitter_trend_keys()),
-        workload(keys, point.nodes, make_interests(point, keys),
-                 make_messages(point, keys, seed)) {}
-
- private:
-  static std::vector<workload::KeyId> make_interests(
-      const FleetPoint& point, const workload::KeySet& keys) {
-    std::vector<workload::KeyId> interests(point.nodes);
-    for (std::size_t n = 0; n < point.nodes; ++n) {
-      interests[n] = static_cast<workload::KeyId>(n % keys.size());
-    }
-    return interests;
-  }
-
-  static std::vector<workload::Message> make_messages(
-      const FleetPoint& point, const workload::KeySet& keys,
-      std::uint64_t seed) {
-    std::vector<workload::Message> messages(point.messages);
-    util::Rng rng(seed ^ 0xF1EE7ULL);
-    for (std::size_t i = 0; i < point.messages; ++i) {
-      workload::Message& m = messages[i];
-      m.id = i;
-      m.key = static_cast<workload::KeyId>(
-          rng.next_below(static_cast<std::uint64_t>(keys.size())));
-      m.producer = static_cast<trace::NodeId>(
-          rng.next_below(static_cast<std::uint64_t>(point.nodes)));
-      m.size_bytes = 1 + static_cast<std::uint32_t>(rng.next_below(140));
-      m.created = static_cast<util::Time>(
-          (static_cast<double>(i) + 0.5) /
-          static_cast<double>(std::max<std::size_t>(point.messages, 1)) *
-          static_cast<double>(kFleetDuration));
-      m.ttl = kFleetTtl;
-    }
-    return messages;
-  }
+        workload(make_scale_workload(keys, point.nodes, point.messages,
+                                     kFleetDuration, seed, kFleetSalt)) {}
 };
 
 /// FleetConfig for a scenario: a non-empty protocol spec is applied via
@@ -109,7 +78,7 @@ inline net::FleetConfig make_fleet_config(const FleetScenario& scenario,
 /// Runs engine::TraceRunner over the same scenario/config and compares the
 /// protocol results bit for bit (doubles by memcmp, not ==), printing each
 /// mismatching field to stderr. The loopback engine's determinism gate,
-/// shared by the bsub_fleet CLI and bench_fleet.
+/// shared by the bsub_fleet CLI and bsub_paper's fleet experiment.
 inline bool fleet_matches_engine(const FleetScenario& scenario,
                                  const net::FleetConfig& cfg,
                                  const engine::TraceRunResults& got) {

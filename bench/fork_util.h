@@ -3,8 +3,10 @@
 // points in one process would report every point's peak as the max of all
 // points run so far. Forking one child per point gives each point its own
 // high-water mark, and a microbenchmark pass a heap no earlier pass has
-// touched. Used by bench_scale_sweep, bench_matrix, bench_tcbf_ops, and the
-// bsub_scale CLI.
+// touched. A child starts with its parent's resident pages counted in its
+// RSS, so fork points only from a process that is still small. Used by
+// bsub_paper's matrix, fleet and scale_sweep experiments, bench_tcbf_ops
+// and `bsub_scale --isolate`.
 #pragma once
 
 #include <cstddef>

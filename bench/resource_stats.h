@@ -4,7 +4,7 @@
 //
 // Peak RSS is the kernel's high-water mark for the whole process
 // (getrusage), so it is monotone: a sweep that wants per-point peaks must
-// isolate each point in its own process (see run_forked in scale_common.h).
+// isolate each point in its own process (see run_isolated in fork_util.h).
 //
 // Allocation counting is opt-in per binary: define
 // BSUB_RESOURCE_STATS_COUNT_ALLOCS in exactly one TU (before including this

@@ -1,11 +1,10 @@
-// Shared plumbing for the city-scale streaming sweep: one-point runners,
-// a deterministic scale workload, and process isolation for per-point peak
-// RSS measurement. Used by bench_scale_sweep (the gated harness) and the
-// bsub_scale CLI (one point, interactive).
+// Shared plumbing for the city-scale streaming sweep: the one-point runner
+// and its fork-isolated form for per-point peak RSS measurement. Used by
+// bsub_paper's scale_sweep experiment (the gated sweep) and the bsub_scale
+// CLI (one point, interactive).
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -52,41 +51,6 @@ struct ScaleResult {
   std::uint64_t election_state_bytes = 0;
 };
 
-/// Deterministic workload for a city of `node_count` nodes over `duration`:
-/// every node subscribes to one key round-robin; `message_count` messages
-/// with hash-spread producers and evenly spread creation times. Built from
-/// the explicit Workload constructor — no trace required, so the scenario
-/// never materializes.
-inline workload::Workload make_scale_workload(const workload::KeySet& keys,
-                                              std::size_t node_count,
-                                              std::size_t message_count,
-                                              util::Time duration,
-                                              std::uint64_t seed) {
-  std::vector<workload::KeyId> interests(node_count);
-  for (std::size_t n = 0; n < node_count; ++n) {
-    interests[n] = static_cast<workload::KeyId>(n % keys.size());
-  }
-  std::vector<workload::Message> messages(message_count);
-  util::Rng rng(seed ^ 0x5CA1EULL);
-  for (std::size_t i = 0; i < message_count; ++i) {
-    workload::Message& m = messages[i];
-    m.id = i;
-    m.key = static_cast<workload::KeyId>(
-        rng.next_below(static_cast<std::uint64_t>(keys.size())));
-    m.producer = static_cast<trace::NodeId>(
-        rng.next_below(static_cast<std::uint64_t>(node_count)));
-    m.size_bytes = 1 + static_cast<std::uint32_t>(rng.next_below(140));
-    // Evenly spread through the middle of the trace so every message sees
-    // live contact traffic before and after it.
-    m.created = static_cast<util::Time>(
-        (static_cast<double>(i) + 0.5) /
-        static_cast<double>(message_count) * static_cast<double>(duration));
-    m.ttl = 6 * util::kHour;
-  }
-  return workload::Workload(keys, node_count, std::move(interests),
-                            std::move(messages));
-}
-
 /// Default protocol for scale runs. Fixed DF: Eq. 5's tuning needs trace
 /// centrality, which a streamed scenario deliberately never computes; the
 /// sweep measures the contact plane, not DF calibration, so any sane
@@ -108,8 +72,8 @@ inline ScaleResult run_scale_point(
   auto stream = trace::make_city_stream(city);
 
   const workload::KeySet keys = workload::twitter_trend_keys();
-  const workload::Workload w =
-      make_scale_workload(keys, point.nodes, point.messages, duration, seed);
+  const workload::Workload w = make_scale_workload(
+      keys, point.nodes, point.messages, duration, seed, kScaleSalt);
 
   const std::unique_ptr<sim::Protocol> proto =
       protocol_registry().make(protocol_spec);

@@ -332,35 +332,6 @@ void encode_bloom_into(const BloomFilter& filter,
   out = std::move(w).take();
 }
 
-// --- epoch-keyed encode caches ---------------------------------------------
-
-const std::vector<std::uint8_t>& encode_tcbf_cached(const Tcbf& filter,
-                                                    CounterEncoding encoding,
-                                                    EncodedFilterCache& cache) {
-  // Real epochs are never 0, so an empty cache (epoch 0) can't false-hit.
-  if (cache.epoch == filter.epoch() && cache.encoding == encoding) {
-    ++cache.hits;
-    return cache.bytes;
-  }
-  ++cache.misses;
-  encode_tcbf_into(filter, encoding, cache.bytes);
-  cache.epoch = filter.epoch();
-  cache.encoding = encoding;
-  return cache.bytes;
-}
-
-const std::vector<std::uint8_t>& encode_bloom_cached(const BloomFilter& filter,
-                                                     EncodedFilterCache& cache) {
-  if (cache.epoch == filter.epoch()) {
-    ++cache.hits;
-    return cache.bytes;
-  }
-  ++cache.misses;
-  encode_bloom_into(filter, cache.bytes);
-  cache.epoch = filter.epoch();
-  return cache.bytes;
-}
-
 namespace {
 
 /// Validates a BF encoding and reads its set-bit positions into `bits`;

@@ -65,28 +65,6 @@ void decode_bloom_into(std::span<const std::uint8_t> data, BloomFilter& out);
 void encode_bloom_into(const BloomFilter& filter,
                        std::vector<std::uint8_t>& out);
 
-/// Memoized wire encoding keyed on the filter's mutation epoch: the cached
-/// bytes stay valid exactly as long as the filter's epoch is unchanged
-/// (epochs are process-unique, so equal epochs imply identical contents).
-/// One cache caches one (filter stream, encoding) pair; hits return the
-/// cached buffer without touching the filter's bit array.
-struct EncodedFilterCache {
-  std::vector<std::uint8_t> bytes;
-  /// Epoch the bytes were encoded at; 0 = empty (real epochs are nonzero).
-  std::uint64_t epoch = 0;
-  CounterEncoding encoding = CounterEncoding::kFull;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-/// Returns the wire encoding of `filter`, re-encoding only when the filter's
-/// epoch (or the requested counter encoding) differs from the cache's.
-const std::vector<std::uint8_t>& encode_tcbf_cached(const Tcbf& filter,
-                                                    CounterEncoding encoding,
-                                                    EncodedFilterCache& cache);
-const std::vector<std::uint8_t>& encode_bloom_cached(const BloomFilter& filter,
-                                                     EncodedFilterCache& cache);
-
 /// Exact size in bytes of encode_tcbf(filter, encoding) — computed from the
 /// popcount and geometry alone, without materializing the encoding. The
 /// simulator's contact loop only ever charges encoded sizes against link

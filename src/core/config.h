@@ -44,9 +44,13 @@ struct BsubConfig {
   /// message to a consumer only while its own relay filter still contains
   /// the message's key — the "delivery tree" is found "with the guidance of
   /// the stored bloom filters in the brokers". Once the interest decays out
-  /// of the relay, the route is gone and the copy goes stale. This is what
-  /// couples the decaying factor to delivery ratio, delay, and forwardings
-  /// (Fig. 9); disable to let brokers offer every buffered message.
+  /// of the relay, the route is gone and the copy goes stale. At Eq. 5's DF
+  /// with W = TTL it withholds nothing: a relay key outlives every copy
+  /// picked up under it, so the DF reaches delivery through the pickups and
+  /// broker forwarding that read the same filters (`bsub_paper
+  /// ablation_brokers` gates gated == ungated delivery). It binds only at
+  /// DFs far above Eq. 5's; disable to let brokers offer every buffered
+  /// message.
   bool relay_gated_delivery = true;
 
   /// When true, each broker re-derives its own DF online from the number of

@@ -1,11 +1,11 @@
-// Epoch-cached wire encodings and exact-size accounting.
+// Exact-size accounting and the filter epochs encode caches key on.
 //
-// The contact-loop fast path never encodes a filter whose epoch is
-// unchanged (cache hit) and never encodes at all when only the byte count
-// is needed (encoded_*_wire_size). Both shortcuts must be indistinguishable
-// from the real encoder: these tests pin (a) the size formulas against the
-// actual encodings across randomized filters and geometries, (b) the cache
-// hit/miss contract, and (c) the epoch semantics the caches key on.
+// The simulator's contact loop never encodes at all when only the byte
+// count is needed (encoded_*_wire_size), and the engine's frame cache
+// replays a frame while its filter's epoch is unchanged. Both shortcuts
+// must be indistinguishable from the real encoder: these tests pin (a) the
+// size formulas against the actual encodings across randomized filters and
+// geometries and (b) the epoch semantics the cache keys on.
 #include "bloom/tcbf_codec.h"
 
 #include <gtest/gtest.h>
@@ -69,52 +69,6 @@ TEST(EncodeCache, BloomWireSizeMatchesEncodingExactly) {
                 encode_bloom(filter).size());
     }
   }
-}
-
-TEST(EncodeCache, TcbfCacheHitsUntilEpochAdvances) {
-  Tcbf filter({256, 4}, 50.0);
-  filter.insert("a");
-  EncodedFilterCache cache;
-  const auto& first =
-      encode_tcbf_cached(filter, CounterEncoding::kFull, cache);
-  EXPECT_EQ(cache.misses, 1u);
-  EXPECT_EQ(first, encode_tcbf(filter, CounterEncoding::kFull));
-
-  const auto& again =
-      encode_tcbf_cached(filter, CounterEncoding::kFull, cache);
-  EXPECT_EQ(cache.hits, 1u);
-  EXPECT_EQ(&again, &cache.bytes);  // replayed verbatim, no re-encode
-
-  filter.insert("b");  // epoch moves -> miss and re-encode
-  const auto& rebuilt =
-      encode_tcbf_cached(filter, CounterEncoding::kFull, cache);
-  EXPECT_EQ(cache.misses, 2u);
-  EXPECT_EQ(rebuilt, encode_tcbf(filter, CounterEncoding::kFull));
-}
-
-TEST(EncodeCache, TcbfCacheKeysOnEncodingToo) {
-  Tcbf filter({256, 4}, 50.0);
-  filter.insert("a");
-  EncodedFilterCache cache;
-  encode_tcbf_cached(filter, CounterEncoding::kFull, cache);
-  const auto& uniform =
-      encode_tcbf_cached(filter, CounterEncoding::kUniform, cache);
-  EXPECT_EQ(cache.misses, 2u);  // same epoch, different encoding
-  EXPECT_EQ(uniform, encode_tcbf(filter, CounterEncoding::kUniform));
-}
-
-TEST(EncodeCache, BloomCacheHitsUntilEpochAdvances) {
-  BloomFilter filter({256, 4});
-  filter.insert("a");
-  EncodedFilterCache cache;
-  encode_bloom_cached(filter, cache);
-  encode_bloom_cached(filter, cache);
-  EXPECT_EQ(cache.misses, 1u);
-  EXPECT_EQ(cache.hits, 1u);
-  filter.insert("b");
-  const auto& rebuilt = encode_bloom_cached(filter, cache);
-  EXPECT_EQ(cache.misses, 2u);
-  EXPECT_EQ(rebuilt, encode_bloom(filter));
 }
 
 TEST(EncodeCache, EpochAdvancesOnEveryMutation) {

@@ -1,7 +1,6 @@
 // Allocation checks on the live contact path:
 //   - with warm caches and unchanged filters, a contact's outbound hello
-//     and relay frames and the filter encodings under them are pure cache
-//     hits that allocate nothing;
+//     and relay frames are pure cache hits that allocate nothing;
 //   - a serial loopback replay of a reduced fleet scenario stays within an
 //     allocation budget per contact;
 //   - reassembly memory follows the bytes that arrived, not the frame
@@ -19,7 +18,6 @@
 
 #include "bloom/bloom_filter.h"
 #include "bloom/tcbf.h"
-#include "bloom/tcbf_codec.h"
 #include "engine/wire.h"
 #include "fleet_common.h"
 #include "metrics/collector.h"
@@ -46,12 +44,9 @@ TEST(SteadyStateAllocs, CachedEncodesAllocateNothing) {
   }
 
   engine::FrameCache hello, rel;
-  bloom::EncodedFilterCache tcbf_cache, bloom_cache;
   // Warm every cache (the one allowed miss per epoch).
   engine::encode_hello_cached(1, true, interest, relay_report, hello);
   engine::encode_relay_cached(1, relay, rel);
-  bloom::encode_tcbf_cached(relay, bloom::CounterEncoding::kFull, tcbf_cache);
-  bloom::encode_bloom_cached(interest, bloom_cache);
 
   constexpr int kRounds = 10000;
   std::size_t bytes = 0;
@@ -61,10 +56,6 @@ TEST(SteadyStateAllocs, CachedEncodesAllocateNothing) {
         engine::encode_hello_cached(1, true, interest, relay_report, hello)
             .size();
     bytes += engine::encode_relay_cached(1, relay, rel).size();
-    bytes += bloom::encode_tcbf_cached(relay, bloom::CounterEncoding::kFull,
-                                       tcbf_cache)
-                 .size();
-    bytes += bloom::encode_bloom_cached(interest, bloom_cache).size();
   }
   const std::uint64_t allocs = bench::allocs_now() - before;
 

@@ -6,7 +6,7 @@
 // Streams a trace::make_city_stream scenario through B-SUB on the simulator
 // substrate and reports wall time, event throughput, and peak RSS. With
 // --isolate the point runs in a forked child so peak RSS excludes the
-// parent's footprint (what bench_scale_sweep does for every point).
+// parent's footprint (what `bsub_paper scale_sweep` does for every point).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
