@@ -949,21 +949,27 @@ const Table& ttl_table(bool reality) {
            {"push_delay_min", "PUSH delay", 1},
            {"bsub_delay_min", "B-SUB delay", 1},
            {"pull_delay_min", "PULL delay", 1}, {"push_fwd", "PUSH fwd", 2},
-           {"bsub_fwd", "B-SUB fwd", 2}, {"pull_fwd", "PULL fwd", 2}}};
+           {"bsub_fwd", "B-SUB fwd", 2}, {"pull_fwd", "PULL fwd", 2},
+           {"bsub_tie_transfers", "B-SUB ties"}}};
   const Scenario s = reality ? reality_scenario() : haggle_scenario();
   const auto rows = util::parallel_map(kTtlMinutes, [&](double ttl_min) {
     const util::Time ttl = util::from_minutes(ttl_min);
     const workload::Workload w = s.make_workload(ttl);
-    return std::vector<metrics::RunResults>{
-        run_spec(s, w, "PUSH").results,
-        run_bsub(s, w, bsub_config_for(s, ttl)).results,
-        run_spec(s, w, "PULL").results};
+    return std::vector<ProtocolRun>{run_spec(s, w, "PUSH"),
+                                    run_bsub(s, w, bsub_config_for(s, ttl)),
+                                    run_spec(s, w, "PULL")};
   });
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::vector<Cell> row = {kTtlMinutes[i]};
-    for (const auto& p : rows[i]) row.emplace_back(p.delivery_ratio);
-    for (const auto& p : rows[i]) row.emplace_back(p.mean_delay_minutes);
-    for (const auto& p : rows[i]) row.emplace_back(p.forwardings_per_delivery);
+    for (const auto& p : rows[i]) row.emplace_back(p.results.delivery_ratio);
+    for (const auto& p : rows[i]) {
+      row.emplace_back(p.results.mean_delay_minutes);
+    }
+    for (const auto& p : rows[i]) {
+      row.emplace_back(p.results.forwardings_per_delivery);
+    }
+    // Ungated: B-SUB custody moved on rounding ties (EXPERIMENTS.md).
+    row.emplace_back(rows[i][1].tie_transfers);
     t.row(std::move(row));
   }
   return done[reality] = std::move(t);
@@ -1055,12 +1061,14 @@ void fig9_df_sweep(Report& r) {
         scenarios[s].trace.name() + ", TTL 20 h",
         {{"df_per_minute", "DF(/min)", 3}, {"delivery", "delivery", 3},
          {"delay_min", "delay(min)", 1}, {"fwd_per_delivery", "fwd/deliv", 2},
-         {"relay_fpr", "relay FPR", 4}, {"delivered_fpr", "deliv FPR", 4}});
+         {"relay_fpr", "relay FPR", 4}, {"delivered_fpr", "deliv FPR", 4},
+         {"tie_transfers", "tie moves"}});
     for (double df : dfs) {
       const ProtocolRun& run = runs[i++];
+      // Ungated: custody moved on rounding ties; DF 0 has no decay base.
       t.row({df, run.results.delivery_ratio, run.results.mean_delay_minutes,
              run.results.forwardings_per_delivery, run.relay_fpr,
-             run.results.false_positive_rate});
+             run.results.false_positive_rate, run.tie_transfers});
     }
     delivery.push_back(t.col("delivery"));
     fpr.push_back(t.col("relay_fpr"));

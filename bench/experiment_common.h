@@ -104,6 +104,9 @@ struct ProtocolRun {
   metrics::RunResults results;
   double relay_fpr = 0.0;        // B-SUB only
   double broker_fraction = 0.0;  // B-SUB only: brokers at the end of the run
+  /// B-SUB only: broker-to-broker custody moves made on a rounding tie
+  /// (BsubProtocol::TrafficBreakdown::tie_transfers).
+  std::uint64_t tie_transfers = 0;
 };
 
 /// The full protocol table, shared by every experiment and tool entry
@@ -114,8 +117,8 @@ inline const sim::ProtocolRegistry& protocol_registry() {
 }
 
 /// Runs one protocol named by spec over a materialized scenario. B-SUB's
-/// extra observability (measured relay FPR, broker share) is filled when
-/// the spec resolves to B-SUB; baselines report zeros.
+/// extra observability (measured relay FPR, broker share, tie transfers)
+/// is filled when the spec resolves to B-SUB; baselines report zeros.
 inline ProtocolRun run_spec(const Scenario& s, const workload::Workload& w,
                             const std::string& spec) {
   const std::unique_ptr<sim::Protocol> proto = protocol_registry().make(spec);
@@ -125,6 +128,7 @@ inline ProtocolRun run_spec(const Scenario& s, const workload::Workload& w,
           dynamic_cast<const core::BsubProtocol*>(proto.get())) {
     out.relay_fpr = bsub->measured_relay_fpr();
     out.broker_fraction = bsub->election().broker_fraction();
+    out.tie_transfers = bsub->traffic().tie_transfers;
   }
   return out;
 }

@@ -164,6 +164,13 @@ std::vector<double> Tcbf::counters() const {
 
 Tcbf Tcbf::from_counters(BloomParams params, double initial_counter,
                          std::vector<double> counters) {
+  Tcbf t;
+  t.assign_counters(params, initial_counter, counters);
+  return t;
+}
+
+void Tcbf::assign_counters(BloomParams params, double initial_counter,
+                           std::span<const double> counters) {
   if (counters.size() != params.m) {
     throw std::invalid_argument("Tcbf::from_counters: size mismatch");
   }
@@ -171,9 +178,14 @@ Tcbf Tcbf::from_counters(BloomParams params, double initial_counter,
     throw std::invalid_argument(
         "Tcbf::from_counters: initial counter must be finite and positive");
   }
-  Tcbf t(params, initial_counter);
-  // Copy into the padded aligned array (the incoming vector has the wrong
-  // allocator and length to be adopted wholesale).
+  params_ = params;
+  initial_counter_ = initial_counter;
+  // The constructor's padded layout; assign() keeps the capacity.
+  const std::size_t words = (params.m + 63) / 64;
+  raw_.assign(words * 64, 0.0);
+  occupied_.assign(words, 0);
+  occupied_bits_ = 0;
+  decay_base_ = 0.0;
   for (std::size_t i = 0; i < counters.size(); ++i) {
     // Decoded state is untrusted: NaN would poison every later comparison,
     // and values past the ceiling would defeat the saturation invariant on
@@ -183,13 +195,12 @@ Tcbf Tcbf::from_counters(BloomParams params, double initial_counter,
     }
     const double v = std::clamp(counters[i], 0.0, kCounterSaturation);
     if (v > 0.0) {
-      t.raw_[i] = v;
-      t.mark_occupied(i);
+      raw_[i] = v;
+      mark_occupied(i);
     }
   }
-  t.merged_ = true;
-  t.touch();
-  return t;
+  merged_ = true;
+  touch();
 }
 
 double preference(const Tcbf& b, const Tcbf& f, std::string_view key) {

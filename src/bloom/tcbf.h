@@ -54,6 +54,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -165,6 +166,11 @@ class Tcbf {
   /// Rebuilds a TCBF from decoded state. Marks the filter as merged.
   static Tcbf from_counters(BloomParams params, double initial_counter,
                             std::vector<double> counters);
+  /// from_counters into this filter: the same values and checks, reusing
+  /// the counter storage when the geometry is unchanged (no heap
+  /// allocation then). On a throw the filter holds unspecified contents.
+  void assign_counters(BloomParams params, double initial_counter,
+                       std::span<const double> counters);
 
  private:
   /// Effective value of slot i under the current decay base.

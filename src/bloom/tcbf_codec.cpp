@@ -210,9 +210,16 @@ double checked_scale(util::ByteReader& r) {
   return scale;
 }
 
-}  // namespace
+/// A decoded TCBF's header; its counters go to the caller's array.
+struct DecodedTcbf {
+  BloomParams params;
+  double initial_counter;
+};
 
-Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
+/// Validates a TCBF encoding and writes its effective counters into
+/// `counters` (m slots, 0 where no bit is set).
+DecodedTcbf decode_counters(std::span<const std::uint8_t> data,
+                            std::vector<double>& counters) {
   util::ByteReader r(data);
   if (r.get_u8() != kMagicTcbf) {
     throw util::CodecError("bad TCBF magic", 0, "0xB5", {});
@@ -263,7 +270,7 @@ Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
                            std::to_string(r.remaining()));
   }
 
-  std::vector<double> counters(params.m, 0.0);
+  counters.assign(params.m, 0.0);
   switch (encoding) {
     case CounterEncoding::kFull: {
       const double scale = checked_scale(r);
@@ -304,7 +311,21 @@ Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
     }
   }
   r.expect_end("TCBF encoding");
-  return Tcbf::from_counters(params, initial_counter, std::move(counters));
+  return {params, initial_counter};
+}
+
+}  // namespace
+
+Tcbf decode_tcbf(std::span<const std::uint8_t> data) {
+  std::vector<double> counters;
+  const DecodedTcbf d = decode_counters(data, counters);
+  return Tcbf::from_counters(d.params, d.initial_counter, std::move(counters));
+}
+
+void decode_tcbf_into(std::span<const std::uint8_t> data, Tcbf& out) {
+  thread_local std::vector<double> counters;
+  const DecodedTcbf d = decode_counters(data, counters);
+  out.assign_counters(d.params, d.initial_counter, counters);
 }
 
 // --- BF --------------------------------------------------------------------

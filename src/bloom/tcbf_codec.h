@@ -51,6 +51,11 @@ void encode_tcbf_into(const Tcbf& filter, CounterEncoding encoding,
 /// recovered up to quantization error. Throws util::DecodeError on
 /// malformed input.
 Tcbf decode_tcbf(std::span<const std::uint8_t> data);
+/// Hot-path variant of decode_tcbf: decodes into `out` through a
+/// thread-local counter scratch and Tcbf::assign_counters, so a warm
+/// decode of an unchanged geometry allocates nothing. On a throw `out`
+/// holds unspecified contents.
+void decode_tcbf_into(std::span<const std::uint8_t> data, Tcbf& out);
 
 /// Encodes a plain BF (equivalent to kCounterLess but with no counter
 /// metadata at all).

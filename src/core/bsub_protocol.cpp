@@ -1,7 +1,6 @@
 #include "core/bsub_protocol.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 
 #include "bloom/tcbf_codec.h"
@@ -9,18 +8,6 @@
 #include "util/binomial.h"
 
 namespace bsub::core {
-
-namespace {
-
-/// lower_bound comparators: buckets by key, entries by id.
-constexpr auto kKeyBefore = [](const auto& bucket, workload::KeyId key) {
-  return bucket.key < key;
-};
-constexpr auto kIdBefore = [](const auto& entry, workload::MessageId id) {
-  return entry.id < id;
-};
-
-}  // namespace
 
 BsubProtocol::BsubProtocol(BsubConfig config) : config_(config) {}
 
@@ -88,67 +75,9 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
   traffic_pickups_.store(0, std::memory_order_relaxed);
   traffic_broker_transfers_.store(0, std::memory_order_relaxed);
   traffic_deliveries_.store(0, std::memory_order_relaxed);
+  traffic_tie_transfers_.store(0, std::memory_order_relaxed);
   fpr_probes_.store(0, std::memory_order_relaxed);
   fpr_hits_.store(0, std::memory_order_relaxed);
-}
-
-void BsubProtocol::KeyedBuffer::add(const workload::Message& msg,
-                                    std::uint32_t copies_left) {
-  auto bucket =
-      std::lower_bound(buckets.begin(), buckets.end(), msg.key, kKeyBefore);
-  if (bucket == buckets.end() || bucket->key != msg.key) {
-    bucket = buckets.insert(bucket, Bucket{msg.key, {}});
-  }
-  std::vector<Entry>& entries = bucket->entries;
-  const Entry entry{msg.id, &msg, copies_left};
-  if (entries.empty() || entries.back().id < msg.id) {
-    entries.push_back(entry);  // publications and most pickups arrive in order
-  } else {
-    auto at =
-        std::lower_bound(entries.begin(), entries.end(), msg.id, kIdBefore);
-    assert(at->id != msg.id);
-    entries.insert(at, entry);
-  }
-  expiry.add(msg.expiry(), msg.id);
-  ++size;
-}
-
-bool BsubProtocol::KeyedBuffer::erase(workload::KeyId key,
-                                      workload::MessageId id) {
-  Bucket* bucket = find(key);
-  if (bucket == nullptr) return false;
-  std::vector<Entry>& entries = bucket->entries;
-  auto at = std::lower_bound(entries.begin(), entries.end(), id, kIdBefore);
-  if (at == entries.end() || at->id != id) return false;
-  entries.erase(at);
-  --size;
-  return true;
-}
-
-BsubProtocol::KeyedBuffer::Bucket* BsubProtocol::KeyedBuffer::find(
-    workload::KeyId key) {
-  auto bucket =
-      std::lower_bound(buckets.begin(), buckets.end(), key, kKeyBefore);
-  return bucket != buckets.end() && bucket->key == key ? &*bucket : nullptr;
-}
-
-template <class Visit>
-bool BsubProtocol::visit_in_id_order(std::vector<Run>& runs,
-                                     std::uint64_t& visited, Visit&& visit) {
-  // A linear scan for the smallest head: a contact selects a handful of
-  // buckets (one per matching key), and with one run this is a plain loop.
-  std::size_t live = runs.size();
-  while (live > 0) {
-    std::size_t min = 0;
-    for (std::size_t r = 1; r < live; ++r) {
-      if (runs[r].front().id < runs[min].front().id) min = r;
-    }
-    ++visited;
-    if (!visit(runs[min].front())) return false;
-    runs[min] = runs[min].subspan(1);
-    if (runs[min].empty()) runs[min] = runs[--live];
-  }
-  return true;
 }
 
 void BsubProtocol::on_message_created(const workload::Message& msg,
@@ -161,32 +90,17 @@ void BsubProtocol::on_message_created(const workload::Message& msg,
 
 void BsubProtocol::purge(trace::NodeId node, util::Time now) {
   // Null producer/carrier state reads as empty buffers: nothing to purge.
-  if (KeyedBuffer* p = produced_[node].get()) purge_buffer(*p, now, nullptr);
-  if (CarrierState* cs = carrier_[node].get()) {
-    purge_buffer(cs->carried, now, &cs->falsely_injected);
-  }
-}
-
-void BsubProtocol::purge_buffer(KeyedBuffer& buffer, util::Time now,
-                                util::DenseIdSet* falsely_injected) {
-  // The expiry index proves in O(1) that nothing expired since the last
-  // purge; otherwise it yields exactly the due ids. A due id that already
-  // left the buffer (copy budget spent, custody moved) is not found and
-  // skipped. Workload ids index the workload's message table, which names
-  // the id's bucket.
   auto& hp = collector_->hot_path();
-  if (!buffer.expiry.due(now)) {
-    ++hp.purge_scans_skipped;
-    return;
+  if (sim::KeyedBuffer* p = produced_[node].get()) {
+    p->purge(now, workload_->messages(), hp);
   }
-  ++hp.purge_scans_run;
-  const std::vector<workload::Message>& messages = workload_->messages();
-  buffer.expiry.pop_due(now, [&](workload::MessageId id) {
-    assert(messages[id].id == id);
-    if (buffer.erase(messages[id].key, id) && falsely_injected != nullptr) {
-      falsely_injected->erase(id);
-    }
-  });
+  if (CarrierState* cs = carrier_[node].get()) {
+    // An expired copy leaves the false-injection set with the buffer.
+    cs->carried.purge(now, workload_->messages(), hp,
+                      [cs](workload::MessageId id) {
+                        cs->falsely_injected.erase(id);
+                      });
+  }
 }
 
 void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
@@ -347,7 +261,7 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
   thread_local std::vector<Candidate> ranked;
   ranked.clear();
   std::uint64_t visited = 0;
-  for (const KeyedBuffer::Bucket& bucket : cs_from->carried.buckets) {
+  for (const sim::KeyedBuffer::Bucket& bucket : cs_from->carried.buckets) {
     if (bucket.entries.empty()) continue;
     // Preferential query over the interned bit positions (no re-deriving k
     // indices per filter); bit-identical to the hash-pair overload.
@@ -355,7 +269,7 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
                                              key_indices(bucket.key));
     if (pref <= 0.0) continue;
     visited += bucket.entries.size();
-    for (const KeyedBuffer::Entry& e : bucket.entries) {
+    for (const sim::KeyedBuffer::Entry& e : bucket.entries) {
       if (e.msg->producer == to || ever_carried(to, e.id)) continue;
       ranked.push_back({pref, e.id, e.msg});
     }
@@ -368,10 +282,12 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
   });
 
   std::uint64_t moved = 0;
+  std::uint64_t ties = 0;
   for (const Candidate& c : ranked) {
     if (!link.try_send(c.msg->size_bytes)) break;
     collector_->record_forwarding(*c.msg);
     ++moved;
+    ties += c.pref < kRoundingTie;
     CarrierState& cs_to = carrier_state(to);
     cs_to.carried.add(*c.msg, 0);  // custody moves by sharing the payload
     cs_to.carried_ever.insert(c.id);
@@ -383,6 +299,9 @@ void BsubProtocol::forward_between_brokers(trace::NodeId from,
   }
   if (moved > 0) {
     traffic_broker_transfers_.fetch_add(moved, std::memory_order_relaxed);
+    if (ties > 0) {
+      traffic_tie_transfers_.fetch_add(ties, std::memory_order_relaxed);
+    }
     collector_->hot_path().payload_copies_avoided += moved;
   }
 }
@@ -415,11 +334,11 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
   // Only the buckets of keys in the report (and, if `relay` is set, still
   // routed by it) are offered; merged by id, they go out in the order an
   // id-sorted buffer filtered the same way would.
-  thread_local std::vector<Run> runs;
-  auto select = [&](KeyedBuffer& buffer, const bloom::Tcbf* relay) {
+  thread_local std::vector<sim::Run> runs;
+  auto select = [&](sim::KeyedBuffer& buffer, const bloom::Tcbf* relay) {
     runs.clear();
     for (workload::KeyId k : fc.report_keys) {
-      KeyedBuffer::Bucket* bucket = buffer.find(k);
+      sim::KeyedBuffer::Bucket* bucket = buffer.find(k);
       if (bucket == nullptr || bucket->entries.empty()) continue;
       if (relay != nullptr && !relay->contains_at(key_indices(k))) continue;
       runs.emplace_back(bucket->entries);
@@ -427,12 +346,13 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
   };
   std::uint64_t visited = 0;
   bool link_open = true;
-  KeyedBuffer* produced = produced_[from].get();
+  sim::KeyedBuffer* produced = produced_[from].get();
   if (produced != nullptr && produced->size > 0) {
     select(*produced, nullptr);
-    link_open = visit_in_id_order(runs, visited, [&](KeyedBuffer::Entry& e) {
-      return try_deliver(*e.msg, [] { return false; });
-    });
+    link_open =
+        sim::visit_in_id_order(runs, visited, [&](sim::KeyedBuffer::Entry& e) {
+          return try_deliver(*e.msg, [] { return false; });
+        });
   }
   // Carried copies stay in custody after a delivery so one replica can
   // serve several subscribers of the same key; the per-broker carried_ever
@@ -448,7 +368,7 @@ void BsubProtocol::direct_delivery(trace::NodeId from, trace::NodeId to,
       relay = &interests_->relay(from, now);
     }
     select(cs->carried, relay);
-    visit_in_id_order(runs, visited, [&](KeyedBuffer::Entry& e) {
+    sim::visit_in_id_order(runs, visited, [&](sim::KeyedBuffer::Entry& e) {
       return try_deliver(*e.msg, [&] {
         return cs->falsely_injected.contains(e.id);
       });
@@ -511,16 +431,16 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   fpr_probes_.fetch_add(8, std::memory_order_relaxed);
   fpr_hits_.fetch_add(local_hits, std::memory_order_relaxed);
 
-  KeyedBuffer* produced = produced_[producer].get();
+  sim::KeyedBuffer* produced = produced_[producer].get();
   if (produced == nullptr || produced->size == 0) return;  // nothing to pick
   // The relay match is per key: only the buckets it passes are walked,
   // merged by id. The ground-truth lookup is per key too, made at a key's
   // first pickup (-1: not asked yet).
-  thread_local std::vector<Run> runs;
+  thread_local std::vector<sim::Run> runs;
   thread_local std::vector<signed char> genuine;
   runs.clear();
   genuine.resize(key_indices_.size());
-  for (KeyedBuffer::Bucket& bucket : produced->buckets) {
+  for (sim::KeyedBuffer::Bucket& bucket : produced->buckets) {
     if (!bucket.entries.empty() &&
         relay.contains_at(key_indices(bucket.key))) {
       runs.emplace_back(bucket.entries);
@@ -533,7 +453,7 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   exhausted.clear();
   std::uint64_t visited = 0;
   std::uint64_t picked = 0;
-  visit_in_id_order(runs, visited, [&](KeyedBuffer::Entry& e) {
+  sim::visit_in_id_order(runs, visited, [&](sim::KeyedBuffer::Entry& e) {
     if (e.copies_left == 0 || ever_carried(broker, e.id)) return true;
     const workload::Message& msg = *e.msg;
     if (!link.try_send(msg.size_bytes)) return false;

@@ -30,7 +30,7 @@
 #include "core/broker_allocation.h"
 #include "core/config.h"
 #include "core/interest_manager.h"
-#include "sim/expiry_index.h"
+#include "sim/keyed_buffer.h"
 #include "sim/protocol.h"
 #include "util/id_set.h"
 
@@ -72,11 +72,22 @@ class BsubProtocol final : public sim::Protocol {
     return false_injections_.load(std::memory_order_relaxed);
   }
 
+  /// A broker-to-broker preference below this many counter units is
+  /// floating-point rounding, not routing state: a genuine preference is
+  /// at least DF/60,000 per millisecond of reinforcement offset (about
+  /// 1.5e-6 at Eq. 5's DF, 8e-7 at Fig. 9's smallest nonzero DF), while
+  /// two relays that M-merged to identical doubles and then decayed
+  /// through their own lazy bases differ by a few ULPs.
+  static constexpr double kRoundingTie = 1e-9;
+
   /// Breakdown of message-body transmissions by protocol step.
   struct TrafficBreakdown {
     std::uint64_t pickups = 0;           ///< producer -> broker replicas
     std::uint64_t broker_transfers = 0;  ///< broker -> broker custody moves
     std::uint64_t deliveries = 0;        ///< transfers to a consumer
+    /// The broker_transfers made on a preference below kRoundingTie:
+    /// custody that moved on a rounding tie (measured, not prevented).
+    std::uint64_t tie_transfers = 0;
   };
   /// Snapshot of the (atomic) traffic tallies; by value so readers never
   /// observe a torn struct while executor threads are still bumping it.
@@ -84,7 +95,8 @@ class BsubProtocol final : public sim::Protocol {
     return TrafficBreakdown{
         traffic_pickups_.load(std::memory_order_relaxed),
         traffic_broker_transfers_.load(std::memory_order_relaxed),
-        traffic_deliveries_.load(std::memory_order_relaxed)};
+        traffic_deliveries_.load(std::memory_order_relaxed),
+        traffic_tie_transfers_.load(std::memory_order_relaxed)};
   }
 
   /// Time-averaged false-positive rate of the brokers' relay filters,
@@ -95,58 +107,13 @@ class BsubProtocol final : public sim::Protocol {
   double measured_relay_fpr() const;
 
  private:
-  /// A node's produced or carried messages, bucketed by key: one bucket per
-  /// key the buffer has held, in key order, each bucket's entries in id
-  /// order. Every forwarding question B-SUB asks of a buffered message (is
-  /// its key in the peer's report, does my relay still route it, what is
-  /// its preference) has a per-key answer, so a contact asks it once per
-  /// bucket and walks only the buckets that pass. Merging those by id
-  /// (visit_in_id_order) yields the messages in the order one id-sorted
-  /// buffer would, so the send order under the byte budget is id order.
-  /// A bucket stays when it empties, so a key that comes back reuses its
-  /// capacity; there are at most as many buckets as keys.
-  struct KeyedBuffer {
-    struct Entry {
-      workload::MessageId id;
-      const workload::Message* msg;  ///< borrowed from the workload's table
-      std::uint32_t copies_left;     ///< produced: broker copies left
-    };
-    struct Bucket {
-      workload::KeyId key;
-      std::vector<Entry> entries;  ///< id order
-    };
-
-    std::vector<Bucket> buckets;  ///< key order
-    std::size_t size = 0;         ///< entries over all buckets
-    /// Every entry's (expiry, id); purge pops only the due ones. An entry
-    /// that leaves early (copy budget spent, custody moved) goes stale in
-    /// here and is skipped when it comes due.
-    sim::ExpiryIndex expiry;
-
-    /// Adds a message (its id must not be buffered already).
-    void add(const workload::Message& msg, std::uint32_t copies_left);
-    /// Erases (key, id); false if it is not buffered.
-    bool erase(workload::KeyId key, workload::MessageId id);
-    /// The key's bucket, or null if the buffer never held the key.
-    Bucket* find(workload::KeyId key);
-  };
-
-  /// The not-yet-visited entries of one selected bucket.
-  using Run = std::span<KeyedBuffer::Entry>;
-  /// Calls visit(entry) on the entries of `runs` in ascending id order until
-  /// it returns false; counts each entry visited. Returns false iff visit
-  /// stopped the walk. Consumes `runs`.
-  template <class Visit>
-  static bool visit_in_id_order(std::vector<Run>& runs,
-                                std::uint64_t& visited, Visit&& visit);
-
   /// Per-node broker-custody state, materialized on the first copy taken
   /// into custody. Only nodes that ever carried pay for the buffer and the
   /// two id sets (bitmaps over the workload's dense message ids); a null
   /// entry reads as an empty buffer.
   struct CarrierState {
     /// Messages this node carries for others.
-    KeyedBuffer carried;
+    sim::KeyedBuffer carried;
     /// Copies whose pickup was a relay false positive (a subset of carried).
     util::DenseIdSet falsely_injected;
     /// Loop prevention: ids ever held, including every id in carried —
@@ -200,9 +167,9 @@ class BsubProtocol final : public sim::Protocol {
   /// touched, so writes to the pointer slots are race-free when only
   /// node-disjoint events run concurrently, same as every other per-node
   /// vector here).
-  KeyedBuffer& produced_state(trace::NodeId node) {
+  sim::KeyedBuffer& produced_state(trace::NodeId node) {
     auto& p = produced_[node];
-    if (p == nullptr) p = std::make_unique<KeyedBuffer>();
+    if (p == nullptr) p = std::make_unique<sim::KeyedBuffer>();
     return *p;
   }
   CarrierState& carrier_state(trace::NodeId node) {
@@ -219,11 +186,6 @@ class BsubProtocol final : public sim::Protocol {
   }
 
   void purge(trace::NodeId node, util::Time now);
-  /// Erases exactly the entries `buffer`'s expiry index reports due at
-  /// `now`, and drops the erased ids from `falsely_injected` (null for a
-  /// producer buffer).
-  void purge_buffer(KeyedBuffer& buffer, util::Time now,
-                    util::DenseIdSet* falsely_injected);
   void broker_exchange(trace::NodeId a, trace::NodeId b, util::Time now,
                        sim::Link& link);
   void forward_between_brokers(trace::NodeId from, trace::NodeId to,
@@ -248,7 +210,7 @@ class BsubProtocol final : public sim::Protocol {
   /// majority of nodes at city scale never do either, so they cost 16 bytes
   /// here instead of ~180 bytes of empty container headers. Produced
   /// entries carry the message's remaining broker-copy budget.
-  std::vector<std::unique_ptr<KeyedBuffer>> produced_;
+  std::vector<std::unique_ptr<sim::KeyedBuffer>> produced_;
   std::vector<std::unique_ptr<CarrierState>> carrier_;
 
   /// Interest name/hash caches, CSR-indexed by node (built at on_start).
@@ -283,6 +245,7 @@ class BsubProtocol final : public sim::Protocol {
   std::atomic<std::uint64_t> traffic_pickups_{0};
   std::atomic<std::uint64_t> traffic_broker_transfers_{0};
   std::atomic<std::uint64_t> traffic_deliveries_{0};
+  std::atomic<std::uint64_t> traffic_tie_transfers_{0};
   std::atomic<std::uint64_t> fpr_probes_{0};
   std::atomic<std::uint64_t> fpr_hits_{0};
 };

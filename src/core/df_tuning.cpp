@@ -83,15 +83,4 @@ DfEstimate compute_df(const trace::ContactTrace& trace, util::Time window,
                               params, initial_counter, delta_per_minute);
 }
 
-double OnlineDfController::observe(double measured_fpr) {
-  // A higher DF removes interests sooner, lowering the filter load and the
-  // FPR; so raise DF when the FPR is high, lower it when there is headroom.
-  if (measured_fpr > target_fpr_) {
-    df_ *= factor_;
-  } else if (measured_fpr < target_fpr_ * 0.5) {
-    df_ /= factor_;
-  }
-  return df_;
-}
-
 }  // namespace bsub::core

@@ -42,26 +42,4 @@ DfEstimate compute_df(const trace::ContactTrace& trace, util::Time window,
                       bloom::BloomParams params, double initial_counter,
                       double delta_per_minute = 0.01);
 
-/// Online controller for the feedback loop the paper sketches in section
-/// VI-B: "tentatively adjust the DF, then re-adjust its value by observing
-/// the resultant FPR, until a desirable FPR is achieved." Multiplicative
-/// increase/decrease toward a target false-positive rate.
-class OnlineDfController {
- public:
-  OnlineDfController(double initial_df, double target_fpr,
-                     double adjust_factor = 1.25)
-      : df_(initial_df), target_fpr_(target_fpr), factor_(adjust_factor) {}
-
-  /// Feeds one observation period's measured FPR; returns the updated DF.
-  double observe(double measured_fpr);
-
-  double df() const { return df_; }
-  double target_fpr() const { return target_fpr_; }
-
- private:
-  double df_;
-  double target_fpr_;
-  double factor_;
-};
-
 }  // namespace bsub::core

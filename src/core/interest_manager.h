@@ -122,7 +122,6 @@ class InterestManager {
   void set_node_df(trace::NodeId node, double df_per_minute);
   double node_df(trace::NodeId node) const;
 
-  double global_df() const { return df_per_minute_; }
   const bloom::BloomParams& params() const { return params_; }
 
   /// Observability for tests and memory accounting.

@@ -1,7 +1,6 @@
 #include "engine/node.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "bloom/tcbf_codec.h"
 #include "core/protocol_registry.h"
@@ -76,6 +75,14 @@ struct HelloReports {
 HelloReports& hello_reports() {
   thread_local HelloReports reports;
   return reports;
+}
+
+/// The decode target of genuine and relay frames: a received TCBF never
+/// outlives its handle() call, so one filter per thread serves every
+/// node, and a warm decode reuses its counter storage.
+bloom::Tcbf& received_filter() {
+  thread_local bloom::Tcbf filter;
+  return filter;
 }
 
 }  // namespace
@@ -197,21 +204,20 @@ Frames BsubNode::handle(std::span<const std::uint8_t> frame_bytes,
     }
     case FrameType::kGenuineFilter:
     case FrameType::kRelayFilter: {
-      // Decoded for this call only: a received TCBF never outlives it.
-      std::optional<bloom::Tcbf> filter;
+      bloom::Tcbf& filter = received_filter();
       try {
-        filter.emplace(bloom::decode_tcbf(frame.filter));
+        bloom::decode_tcbf_into(frame.filter, filter);
       } catch (const util::DecodeError&) {
         return {};
       }
       // A filter on another geometry can be neither merged with nor ranked
       // against ours (a peer configured with a different m or k): drop it.
-      if (filter->params() != config_.filter_params) return {};
+      if (filter.params() != config_.filter_params) return {};
       purge(now);
       if (frame.type == FrameType::kRelayFilter) {
-        on_relay(frame.sender, *filter, now, out);
+        on_relay(frame.sender, filter, now, out);
       } else if (broker_) {  // only brokers hold relay filters
-        merge_into_relay(*filter, /*additive=*/true, now);
+        merge_into_relay(filter, /*additive=*/true, now);
       }
       break;
     }

@@ -69,8 +69,9 @@ struct HotPathStats {
   std::uint64_t encode_cache_misses = 0;  ///< wire encodings recomputed
   std::uint64_t payload_copies_avoided = 0;  ///< buffered via shared payload
   std::uint64_t payload_copies_made = 0;     ///< buffered via deep copy
-  /// Buffered messages B-SUB's contact steps examined: direct delivery,
-  /// pickup and broker forwarding, each counting the entries of the key
+  /// Buffered messages the key-bucketed protocols' contact steps examined
+  /// (B-SUB's direct delivery, pickup and broker forwarding; PULL's pull;
+  /// SPRAY's delivery and spray), each counting the entries of the key
   /// buckets it walked (purge pops only due ids and is not counted).
   std::uint64_t buffer_entries_visited = 0;
 

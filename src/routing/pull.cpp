@@ -29,25 +29,17 @@ void PullProtocol::on_message_created(const workload::Message& msg,
                                       util::Time /*now*/) {
   // The simulator hands a reference into the workload's stable message
   // table; producers borrow it instead of copying.
-  produced_[msg.producer].add(sim::borrow_message(msg));
+  produced_[msg.producer].add(msg, 0);
+  ++collector_->hot_path().payload_copies_avoided;
 }
 
 void PullProtocol::on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
                               util::Time /*duration*/, sim::Link& link) {
-  produced_[a].purge_expired(now);
-  produced_[b].purge_expired(now);
+  auto& hp = collector_->hot_path();
+  produced_[a].purge(now, workload_->messages(), hp);
+  produced_[b].purge(now, workload_->messages(), hp);
   pull(a, b, now, link);
   pull(b, a, now, link);
-}
-
-void PullProtocol::on_end(util::Time /*now*/) {
-  auto& hp = collector_->hot_path();
-  for (const sim::MessageStore& store : produced_) {
-    const sim::MessageStore::Stats& s = store.stats();
-    hp.purge_scans_skipped += s.purges_skipped;
-    hp.purge_scans_run += s.purges_scanned;
-    hp.payload_copies_avoided += s.shared_adds;
-  }
 }
 
 void PullProtocol::pull(trace::NodeId consumer, trace::NodeId producer,
@@ -69,13 +61,21 @@ void PullProtocol::pull(trace::NodeId consumer, trace::NodeId producer,
   if (!link.try_send(announce_bytes)) return;
   collector_->record_control_bytes(announce_bytes);
 
-  for (const auto& [id, msg] : produced_[producer]) {
-    if (!workload_->is_interested(consumer, msg->key)) continue;
-    if (collector_->delivered(id, consumer)) continue;
-    if (!link.try_send(msg->size_bytes)) break;
-    collector_->record_forwarding(*msg);
-    collector_->record_delivery(*msg, consumer, now, /*interested=*/true);
-  }
+  // Only the buckets of the consumer's interest keys are offered; merged
+  // by id, they go out in creation order.
+  thread_local std::vector<sim::Run> runs;
+  runs.clear();
+  sim::select_keys(produced_[producer], workload_->interests_of(consumer),
+                   runs);
+  std::uint64_t visited = 0;
+  sim::visit_in_id_order(runs, visited, [&](sim::KeyedBuffer::Entry& e) {
+    if (collector_->delivered(e.id, consumer)) return true;
+    if (!link.try_send(e.msg->size_bytes)) return false;
+    collector_->record_forwarding(*e.msg);
+    collector_->record_delivery(*e.msg, consumer, now, /*interested=*/true);
+    return true;
+  });
+  if (visited > 0) hp.buffer_entries_visited += visited;
 }
 
 }  // namespace bsub::routing

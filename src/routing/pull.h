@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/message_store.h"
+#include "sim/keyed_buffer.h"
 #include "sim/protocol.h"
 
 namespace bsub::routing {
@@ -30,7 +30,6 @@ class PullProtocol final : public sim::Protocol {
                           util::Time now) override;
   void on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
                   util::Time duration, sim::Link& link) override;
-  void on_end(util::Time now) override;
   const char* name() const override { return "PULL"; }
   /// All run state lives in per-node vectors; collector tallies commute.
   bool parallel_contacts_safe() const override { return true; }
@@ -42,7 +41,7 @@ class PullProtocol final : public sim::Protocol {
 
   const workload::Workload* workload_ = nullptr;
   metrics::Collector* collector_ = nullptr;
-  std::vector<sim::MessageStore> produced_;  // each node's own messages
+  std::vector<sim::KeyedBuffer> produced_;  // each node's own messages
 
   /// Cached per-consumer announce size (pull_announce_wire_size), filled
   /// lazily on a consumer's first pull. Interests are fixed after on_start —

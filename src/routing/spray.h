@@ -12,11 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "sim/expiry_index.h"
-#include "sim/message_store.h"
+#include "sim/keyed_buffer.h"
 #include "sim/protocol.h"
 
 namespace bsub::routing {
@@ -35,17 +33,11 @@ class SprayProtocol final : public sim::Protocol {
                           util::Time now) override;
   void on_contact(trace::NodeId a, trace::NodeId b, util::Time now,
                   util::Time duration, sim::Link& link) override;
-  void on_end(util::Time now) override;
   const char* name() const override { return "SPRAY"; }
   /// All run state lives in per-node vectors; collector tallies commute.
   bool parallel_contacts_safe() const override { return true; }
 
  private:
-  struct SourceMessage {
-    sim::MessageRef msg;  ///< borrowed from the workload's message table
-    std::uint32_t copies_left;
-  };
-
   /// Producer side: spray copies of own messages to the peer.
   void spray(trace::NodeId producer, trace::NodeId peer, util::Time now,
              sim::Link& link);
@@ -57,11 +49,11 @@ class SprayProtocol final : public sim::Protocol {
   std::uint32_t copies_;
   const workload::Workload* workload_ = nullptr;
   metrics::Collector* collector_ = nullptr;
-  std::vector<std::map<workload::MessageId, SourceMessage>> produced_;
-  std::vector<sim::MessageStore> relayed_;
-  /// Expiry gate over produced_; stale entries from copy exhaustion are
-  /// skipped lazily.
-  std::vector<sim::ExpiryIndex> produced_expiry_;
+  /// Each node's own messages, with their spray copies left; a source
+  /// leaves when its budget is spent.
+  std::vector<sim::KeyedBuffer> sources_;
+  /// Each node's sprayed copies (copies_left unused).
+  std::vector<sim::KeyedBuffer> relayed_;
 };
 
 }  // namespace bsub::routing

@@ -119,6 +119,32 @@ TEST(TcbfCodec, PreservesQuerySemantics) {
   }
 }
 
+TEST(TcbfCodec, DecodeIntoMatchesDecode) {
+  // One reused target across encodings and geometries (a decayed, merged
+  // source, a fresh one, a wider filter, then the first again) reads
+  // exactly what decode_tcbf builds fresh; a malformed frame throws.
+  Tcbf merged = sample_tcbf(6);
+  merged.decay(7.25);
+  merged.a_merge(sample_tcbf(2));
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      encode_tcbf(merged, CounterEncoding::kFull),
+      encode_tcbf(sample_tcbf(3), CounterEncoding::kUniform),
+      encode_tcbf(sample_tcbf(9, 50.0, {1024, 3}), CounterEncoding::kFull),
+      encode_tcbf(merged, CounterEncoding::kCounterLess)};
+  Tcbf target;
+  for (const auto& bytes : frames) {
+    decode_tcbf_into(bytes, target);
+    const Tcbf fresh = decode_tcbf(bytes);
+    EXPECT_EQ(target.params(), fresh.params());
+    EXPECT_EQ(target.initial_counter(), fresh.initial_counter());
+    EXPECT_EQ(target.counters(), fresh.counters());
+    EXPECT_EQ(target.popcount(), fresh.popcount());
+    EXPECT_TRUE(target.merged());
+  }
+  const std::vector<std::uint8_t> garbage = {0x00, 0x01, 0x02};
+  EXPECT_THROW(decode_tcbf_into(garbage, target), util::DecodeError);
+}
+
 TEST(BloomCodec, RoundTrip) {
   BloomFilter bf({256, 4});
   bf.insert("alpha");

@@ -592,5 +592,37 @@ TEST(BsubProtocol, AdaptiveDfModeRunsAndDelivers) {
   EXPECT_GT(r.interested_deliveries, 0u);
 }
 
+TEST(BsubTieTransfers, NoDecayMeansNoRoundingTies) {
+  // Two brokers that M-merged hold identical counters; each then decays
+  // them through its own lazy base, which leaves them a few ULPs apart, so
+  // custody can move on a "preference" that is only rounding. At DF 0 no
+  // base exists and every broker-to-broker move rides a real preference;
+  // at Eq. 5's DF the same run moves custody on such ties.
+  trace::SyntheticTraceConfig tcfg;
+  tcfg.node_count = 30;
+  tcfg.contact_count = 6000;
+  tcfg.duration = util::kDay;
+  tcfg.seed = 77;
+  const auto t = trace::generate_trace(tcfg);
+  const auto keys = workload::twitter_trend_keys();
+  workload::WorkloadConfig wcfg;
+  wcfg.ttl = 6 * util::kHour;
+  const workload::Workload w(t, keys, wcfg);
+  auto run = [&](double df) {
+    BsubConfig cfg;
+    cfg.df_per_minute = df;
+    BsubProtocol proto(cfg);
+    sim::Simulator().run(t, w, proto);
+    return proto.traffic();
+  };
+  const BsubProtocol::TrafficBreakdown still = run(0.0);
+  EXPECT_GT(still.broker_transfers, 0u);
+  EXPECT_EQ(still.tie_transfers, 0u);
+  const BsubProtocol::TrafficBreakdown decaying = run(
+      compute_df(t, wcfg.ttl, BsubConfig{}.filter_params, 50.0).df_per_minute);
+  EXPECT_GT(decaying.tie_transfers, 0u);
+  EXPECT_LE(decaying.tie_transfers, decaying.broker_transfers);
+}
+
 }  // namespace
 }  // namespace bsub::core

@@ -195,35 +195,5 @@ TEST(ComputeDf, DrainsWithinRoughlyWindow) {
   EXPECT_NEAR(minutes_to_drain, util::to_minutes(window), 1e-6);
 }
 
-TEST(OnlineDfController, RaisesDfWhenFprTooHigh) {
-  OnlineDfController ctl(0.1, 0.02);
-  double df = ctl.observe(0.05);
-  EXPECT_GT(df, 0.1);
-}
-
-TEST(OnlineDfController, LowersDfWhenFprWellBelowTarget) {
-  OnlineDfController ctl(0.1, 0.02);
-  double df = ctl.observe(0.001);
-  EXPECT_LT(df, 0.1);
-}
-
-TEST(OnlineDfController, HoldsInDeadband) {
-  OnlineDfController ctl(0.1, 0.02);
-  double df = ctl.observe(0.015);  // between target/2 and target
-  EXPECT_DOUBLE_EQ(df, 0.1);
-}
-
-TEST(OnlineDfController, ConvergesTowardTargetInSimulatedLoop) {
-  // Toy plant: measured FPR is inversely proportional to DF.
-  OnlineDfController ctl(0.01, 0.02);
-  double measured = 0.0;
-  for (int i = 0; i < 50; ++i) {
-    measured = 0.002 / ctl.df();
-    ctl.observe(measured);
-  }
-  EXPECT_LT(measured, 0.05);
-  EXPECT_GT(measured, 0.005);
-}
-
 }  // namespace
 }  // namespace bsub::core

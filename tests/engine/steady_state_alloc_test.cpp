@@ -1,6 +1,7 @@
 // Allocation checks on the live contact path:
 //   - with warm caches and unchanged filters, a contact's outbound hello
 //     and relay frames are pure cache hits that allocate nothing;
+//   - handling warm inbound genuine and relay frames allocates nothing;
 //   - a serial loopback replay of a reduced fleet scenario stays within an
 //     allocation budget per contact;
 //   - reassembly memory follows the bytes that arrived, not the frame
@@ -18,6 +19,7 @@
 
 #include "bloom/bloom_filter.h"
 #include "bloom/tcbf.h"
+#include "engine/node.h"
 #include "engine/wire.h"
 #include "fleet_common.h"
 #include "metrics/collector.h"
@@ -61,6 +63,45 @@ TEST(SteadyStateAllocs, CachedEncodesAllocateNothing) {
 
   EXPECT_EQ(allocs, 0u) << "over " << kRounds << " cache-hit rounds";
   EXPECT_GT(bytes, 0u);  // the encodes really ran
+}
+
+TEST(SteadyStateAllocs, WarmFilterFramesAllocateNothing) {
+  // A broker absorbs a genuine filter (A-merge) and exchanges relay
+  // filters (ranking, then M-merge). Both frames decode into one reused
+  // per-thread filter, so once the relay, the decode target and the
+  // outbox are warm, handling them allocates nothing.
+  const bloom::BloomParams params{256, 4};
+  bloom::Tcbf genuine(params, 50.0);
+  bloom::Tcbf relay(params, 50.0);
+  for (int i = 0; i < 8; ++i) {
+    genuine.insert("key-" + std::to_string(i));
+    relay.insert("key-" + std::to_string(i + 4));
+  }
+  const std::vector<std::uint8_t> genuine_frame =
+      engine::encode(engine::GenuineFrame{1, genuine});
+  const std::vector<std::uint8_t> relay_frame =
+      engine::encode(engine::RelayFrame{1, relay});
+  engine::NodeConfig cfg;
+  cfg.filter_params = params;
+  engine::BsubNode node(2, cfg);
+  node.set_broker(true);
+  const util::Time now = util::kMinute;
+  node.handle(genuine_frame, now);
+  node.handle(relay_frame, now);
+
+  constexpr int kRounds = 10000;
+  std::size_t replies = 0;
+  const std::uint64_t before = bench::allocs_now();
+  for (int i = 0; i < kRounds; ++i) {
+    replies += node.handle(genuine_frame, now).size();
+    replies += node.handle(relay_frame, now).size();
+  }
+  const std::uint64_t allocs = bench::allocs_now() - before;
+
+  EXPECT_EQ(allocs, 0u) << "over " << kRounds << " warm rounds";
+  EXPECT_EQ(replies, 0u);  // no custody to offer: both frames only merge
+  EXPECT_TRUE(node.relay_filter().contains("key-0"));  // the merges ran
+  EXPECT_TRUE(node.relay_filter().contains("key-11"));
 }
 
 TEST(SteadyStateAllocs, FleetLoopbackContactStaysWithinBudget) {
