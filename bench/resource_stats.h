@@ -54,17 +54,27 @@ namespace bsub::bench::detail {
 inline std::atomic<std::uint64_t> g_alloc_count{0};
 inline std::atomic<std::uint64_t> g_alloc_bytes{0};
 
-inline void* counted_alloc(std::size_t size) {
+/// Counts one allocation of `size` bytes and returns the block, or null
+/// when malloc (or aligned_alloc) fails.
+inline void* try_counted_alloc(std::size_t size, std::size_t align = 0) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (size == 0) size = 1;
+  if (align == 0) return std::malloc(size);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+inline void* counted_alloc(std::size_t size, std::size_t align = 0) {
+  if (void* p = try_counted_alloc(size, align)) return p;
   throw std::bad_alloc();
 }
 }  // namespace bsub::bench::detail
 
 // Replacing the global allocation functions in this TU counts every heap
 // allocation the process makes (atomic, so multi-threaded benches count
-// correctly).
+// correctly), over-aligned ones included: the TCBF counter block comes
+// from the std::align_val_t forms.
 void* operator new(std::size_t size) {
   return bsub::bench::detail::counted_alloc(size);
 }
@@ -72,14 +82,28 @@ void* operator new[](std::size_t size) {
   return bsub::bench::detail::counted_alloc(size);
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  bsub::bench::detail::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  bsub::bench::detail::g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return bsub::bench::detail::try_counted_alloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  bsub::bench::detail::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  bsub::bench::detail::g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return bsub::bench::detail::try_counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return bsub::bench::detail::counted_alloc(size,
+                                            static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return bsub::bench::detail::counted_alloc(size,
+                                            static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return bsub::bench::detail::try_counted_alloc(
+      size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return bsub::bench::detail::try_counted_alloc(
+      size, static_cast<std::size_t>(align));
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -87,6 +111,22 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

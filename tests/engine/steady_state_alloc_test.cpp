@@ -190,5 +190,14 @@ TEST(SteadyStateAllocs, CounterSeesAllocations) {
   EXPECT_GT(allocs, 0u);
 }
 
+TEST(SteadyStateAllocs, CounterSeesAlignedAllocations) {
+  // A TCBF's counter block comes from the cache-line-aligned operator new;
+  // at m = 256 it is 256 doubles, 2,048 bytes.
+  const std::uint64_t before = bench::allocated_bytes_now();
+  const bloom::Tcbf filter({256, 4}, 50.0);
+  EXPECT_GE(bench::allocated_bytes_now() - before, 2048u);
+  EXPECT_TRUE(filter.empty());
+}
+
 }  // namespace
 }  // namespace bsub
