@@ -872,12 +872,13 @@ void memory_comparison(Report& r) {
   constexpr std::size_t kNodes = 100000;
   constexpr std::size_t kActive = kNodes / 10;
   const std::uint64_t start = allocated_bytes_now();
-  core::InterestManager im(kNodes, params, 50.0, 0.5);
+  core::InterestManager im(kNodes, keys.size(), params, 50.0, 0.5);
   core::BrokerElection el(kNodes, {3, 5, 5 * util::kHour});
   const std::uint64_t idle = allocated_bytes_now() - start;
-  const bloom::Tcbf genuine = im.make_genuine("NewMoon");
+  const workload::KeyId new_moon = 0;  // Table II's top key
+  const bloom::Tcbf genuine = im.make_genuine({&keys.hash(new_moon), 1});
   for (trace::NodeId n = 0; n < kActive; ++n) {
-    im.absorb_genuine(n, genuine, "NewMoon", util::kMinute);
+    im.absorb_genuine(n, genuine, {&new_moon, 1}, util::kMinute);
     el.on_contact(n, (n + 1) % kNodes, util::kMinute);
   }
   const std::uint64_t active = allocated_bytes_now() - start - idle;

@@ -13,14 +13,6 @@ BsubProtocol::BsubProtocol(BsubConfig config) : config_(config) {}
 
 BsubProtocol::~BsubProtocol() = default;
 
-const std::string& BsubProtocol::key_name(workload::KeyId key) const {
-  return workload_->keys().name(key);
-}
-
-const util::HashPair& BsubProtocol::key_hash(workload::KeyId key) const {
-  return workload_->keys().hash(key);
-}
-
 double BsubProtocol::measured_relay_fpr() const {
   const std::uint64_t probes = fpr_probes_.load(std::memory_order_relaxed);
   const std::uint64_t hits = fpr_hits_.load(std::memory_order_relaxed);
@@ -39,28 +31,12 @@ void BsubProtocol::on_start(const sim::ScenarioInfo& scenario,
       BrokerElection::Config{config_.broker_lower, config_.broker_upper,
                              config_.election_window});
   interests_ = std::make_unique<InterestManager>(
-      nodes, config_.filter_params, config_.initial_counter,
-      config_.df_per_minute);
+      nodes, workload.keys().size(), config_.filter_params,
+      config_.initial_counter, config_.df_per_minute);
   produced_.clear();
   produced_.resize(nodes);
   carrier_.clear();
   carrier_.resize(nodes);
-  interest_offsets_.assign(nodes + 1, 0);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    interest_offsets_[n + 1] =
-        interest_offsets_[n] +
-        static_cast<std::uint32_t>(workload.interests_of(n).size());
-  }
-  interest_names_flat_.clear();
-  interest_hashes_flat_.clear();
-  interest_names_flat_.reserve(interest_offsets_[nodes]);
-  interest_hashes_flat_.reserve(interest_offsets_[nodes]);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    for (workload::KeyId k : workload.interests_of(n)) {
-      interest_names_flat_.push_back(key_name(k));
-      interest_hashes_flat_.push_back(key_hash(k));
-    }
-  }
   filter_ptr_.assign(nodes, nullptr);
   shared_filters_.clear();
   filter_index_.clear();
@@ -107,9 +83,13 @@ void BsubProtocol::build_filter_cache(NodeFilterCache& fc,
                                       trace::NodeId node) const {
   // A node's interest set is fixed for the whole run, so its interest
   // report, genuine filter, and their exact wire sizes are run constants.
-  fc.report = interests_->make_report(interest_hashes(node));
+  std::vector<util::HashPair> hashes;
+  for (workload::KeyId k : workload_->interests_of(node)) {
+    hashes.push_back(workload_->keys().hash(k));
+  }
+  fc.report = interests_->make_report(hashes);
   fc.report_bytes = bloom::encoded_bloom_wire_size(fc.report);
-  fc.genuine = interests_->make_genuine(interest_hashes(node));
+  fc.genuine = interests_->make_genuine(hashes);
   fc.genuine_bytes = bloom::encoded_tcbf_wire_size(
       fc.genuine, bloom::CounterEncoding::kUniform);
   for (workload::KeyId k = 0; k < key_indices_.size(); ++k) {
@@ -233,9 +213,10 @@ void BsubProtocol::broker_exchange(trace::NodeId a, trace::NodeId b,
   // (not members) so concurrent executor threads each get their own
   // buffers while the capacity still survives across contacts on a thread.
   thread_local bloom::Tcbf scratch_relay;
-  thread_local InterestManager::ShadowMap scratch_shadow;
+  thread_local std::vector<double> scratch_shadow;
   scratch_relay = relay_a;
-  scratch_shadow = interests_->shadow_snapshot(a);
+  const std::span<const double> shadow_a = interests_->shadow_snapshot(a);
+  scratch_shadow.assign(shadow_a.begin(), shadow_a.end());
   interests_->merge_relay_from(a, relay_b, interests_->shadow_snapshot(b),
                                config_.broker_merge, now);
   interests_->merge_relay_from(b, scratch_relay, scratch_shadow,
@@ -385,11 +366,11 @@ void BsubProtocol::propagate_interest(trace::NodeId consumer,
   // The genuine filter is a pure function of the consumer's static interest
   // set — reuse the cached build and its wire size (fresh genuine filters
   // have identical counters: uniform encoding).
-  const std::span<const std::string_view> keys = interest_names(consumer);
   const NodeFilterCache& fc = node_filters(consumer);
   if (!link.try_send(fc.genuine_bytes)) return;
   collector_->record_control_bytes(fc.genuine_bytes);
-  interests_->absorb_genuine(broker, fc.genuine, keys, now);
+  interests_->absorb_genuine(broker, fc.genuine,
+                             workload_->interests_of(consumer), now);
 }
 
 void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
@@ -434,17 +415,13 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
   sim::KeyedBuffer* produced = produced_[producer].get();
   if (produced == nullptr || produced->size == 0) return;  // nothing to pick
   // The relay match is per key: only the buckets it passes are walked,
-  // merged by id. The ground-truth lookup is per key too, made at a key's
-  // first pickup (-1: not asked yet).
+  // merged by id.
   thread_local std::vector<sim::Run> runs;
-  thread_local std::vector<signed char> genuine;
   runs.clear();
-  genuine.resize(key_indices_.size());
   for (sim::KeyedBuffer::Bucket& bucket : produced->buckets) {
     if (!bucket.entries.empty() &&
         relay.contains_at(key_indices(bucket.key))) {
       runs.emplace_back(bucket.entries);
-      genuine[bucket.key] = -1;
     }
   }
   // A message whose copy budget runs out leaves the producer (V-D); erased
@@ -463,12 +440,9 @@ void BsubProtocol::broker_pickup(trace::NodeId producer, trace::NodeId broker,
     cs.carried.add(msg, 0);  // share the producer's payload
     cs.carried_ever.insert(msg.id);
     // Ground truth: a pickup whose key the relay never genuinely absorbed is
-    // a false injection (Bloom false positive of the relay filter).
-    if (genuine[msg.key] < 0) {
-      genuine[msg.key] =
-          interests_->genuinely_contains(broker, key_name(msg.key), now);
-    }
-    if (genuine[msg.key] == 0) {
+    // a false injection (Bloom false positive of the relay filter). The
+    // relay is already decayed to `now`, so this is one array read.
+    if (!interests_->genuinely_contains(broker, msg.key, now)) {
       cs.falsely_injected.insert(msg.id);
       false_injections_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -22,8 +22,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -138,20 +136,6 @@ class BsubProtocol final : public sim::Protocol {
     std::vector<workload::KeyId> report_keys;
   };
 
-  const std::string& key_name(workload::KeyId key) const;
-  const util::HashPair& key_hash(workload::KeyId key) const;
-  /// Per-node interest key names/hashes, cached at on_start (the workload's
-  /// subscriptions are static for a run) so contacts allocate nothing.
-  /// Stored CSR-style (one offset array over two flat arrays), so a node
-  /// costs 4 bytes of index instead of two vector headers.
-  std::span<const std::string_view> interest_names(trace::NodeId node) const {
-    return {interest_names_flat_.data() + interest_offsets_[node],
-            interest_offsets_[node + 1] - interest_offsets_[node]};
-  }
-  std::span<const util::HashPair> interest_hashes(trace::NodeId node) const {
-    return {interest_hashes_flat_.data() + interest_offsets_[node],
-            interest_offsets_[node + 1] - interest_offsets_[node]};
-  }
   /// Precomputed filter bit positions per key: the key universe and the
   /// filter geometry are both fixed for a run, so every membership probe in
   /// the contact loop reuses these instead of re-deriving k positions from
@@ -213,10 +197,6 @@ class BsubProtocol final : public sim::Protocol {
   std::vector<std::unique_ptr<sim::KeyedBuffer>> produced_;
   std::vector<std::unique_ptr<CarrierState>> carrier_;
 
-  /// Interest name/hash caches, CSR-indexed by node (built at on_start).
-  std::vector<std::uint32_t> interest_offsets_;
-  std::vector<std::string_view> interest_names_flat_;
-  std::vector<util::HashPair> interest_hashes_flat_;
   /// Per-key filter bit positions, indexed by KeyId (built at on_start).
   std::vector<util::IndexArray> key_indices_;
 

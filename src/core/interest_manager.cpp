@@ -6,9 +6,11 @@
 namespace bsub::core {
 
 InterestManager::InterestManager(std::size_t node_count,
+                                 std::size_t key_count,
                                  bloom::BloomParams params,
                                  double initial_counter, double df_per_minute)
-    : params_(params), initial_counter_(initial_counter),
+    : key_count_(key_count), params_(params),
+      initial_counter_(initial_counter),
       df_per_minute_(df_per_minute), slots_(node_count),
       empty_relay_(params, initial_counter) {
   assert(df_per_minute >= 0.0);
@@ -21,7 +23,8 @@ InterestManager::RelayState& InterestManager::state_for(trace::NodeId node,
     // Starting the clock at `now` equals an empty state built up front and
     // decayed to `now` — decaying an empty filter is a no-op.
     state = std::make_unique<RelayState>(
-        RelayState{bloom::Tcbf(params_, initial_counter_), {}, now});
+        RelayState{bloom::Tcbf(params_, initial_counter_),
+                   std::vector<double>(key_count_, 0.0), now});
   }
   return *state;
 }
@@ -40,27 +43,13 @@ bloom::Tcbf& InterestManager::relay(trace::NodeId node, util::Time now) {
     if (df > 0.0) {
       const double amount = df * util::to_minutes(now - s.last_decay);
       s.filter.decay(amount);
-      for (auto it = s.shadow.begin(); it != s.shadow.end();) {
-        it->second -= amount;
-        it = it->second <= 0.0 ? s.shadow.erase(it) : std::next(it);
-      }
+      // A counter that drains to <= 0 is no longer held (0.0); one not
+      // held stays 0.0.
+      for (double& v : s.shadow) v = std::max(v - amount, 0.0);
     }
     s.last_decay = now;
   }
   return s.filter;
-}
-
-bloom::Tcbf InterestManager::make_genuine(std::string_view key) const {
-  bloom::Tcbf g(params_, initial_counter_);
-  g.insert(key);
-  return g;
-}
-
-bloom::Tcbf InterestManager::make_genuine(
-    std::span<const std::string_view> keys) const {
-  bloom::Tcbf g(params_, initial_counter_);
-  for (std::string_view key : keys) g.insert(key);
-  return g;
 }
 
 bloom::Tcbf InterestManager::make_genuine(
@@ -68,19 +57,6 @@ bloom::Tcbf InterestManager::make_genuine(
   bloom::Tcbf g(params_, initial_counter_);
   for (const util::HashPair& hp : keys) g.insert(hp);
   return g;
-}
-
-bloom::BloomFilter InterestManager::make_report(std::string_view key) const {
-  bloom::BloomFilter bf(params_);
-  bf.insert(key);
-  return bf;
-}
-
-bloom::BloomFilter InterestManager::make_report(
-    std::span<const std::string_view> keys) const {
-  bloom::BloomFilter bf(params_);
-  for (std::string_view key : keys) bf.insert(key);
-  return bf;
 }
 
 bloom::BloomFilter InterestManager::make_report(
@@ -92,62 +68,46 @@ bloom::BloomFilter InterestManager::make_report(
 
 void InterestManager::absorb_genuine(trace::NodeId broker,
                                      const bloom::Tcbf& genuine,
-                                     std::string_view key, util::Time now) {
-  relay(broker, now).a_merge(genuine);
-  // A-merge adds the genuine counters (all = C) onto the key's bits; the
-  // key's minimum counter therefore grows by exactly C.
-  ShadowMap& shadow = slots_[broker].state->shadow;
-  if (auto it = shadow.find(key); it != shadow.end()) {
-    it->second += genuine.initial_counter();
-  } else {
-    shadow.emplace(std::string(key), genuine.initial_counter());
-  }
-}
-
-void InterestManager::absorb_genuine(trace::NodeId broker,
-                                     const bloom::Tcbf& genuine,
-                                     std::span<const std::string_view> keys,
+                                     std::span<const workload::KeyId> keys,
                                      util::Time now) {
   relay(broker, now).a_merge(genuine);
-  ShadowMap& shadow = slots_[broker].state->shadow;
-  for (std::string_view key : keys) {
-    if (auto it = shadow.find(key); it != shadow.end()) {
-      it->second += genuine.initial_counter();
-    } else {
-      shadow.emplace(std::string(key), genuine.initial_counter());
-    }
-  }
+  // A-merge adds the genuine counters (all = C) onto each key's bits; the
+  // key's minimum counter therefore grows by exactly C (0.0 + C when the
+  // key was not held).
+  std::vector<double>& shadow = slots_[broker].state->shadow;
+  for (workload::KeyId key : keys) shadow[key] += genuine.initial_counter();
 }
 
 void InterestManager::merge_relay_from(trace::NodeId dst,
                                        const bloom::Tcbf& src_filter,
-                                       const ShadowMap& src_shadow,
+                                       std::span<const double> src_shadow,
                                        BrokerMergeMode mode, util::Time now) {
   bloom::Tcbf& filter = relay(dst, now);
-  ShadowMap& shadow = slots_[dst].state->shadow;
+  std::vector<double>& shadow = slots_[dst].state->shadow;
+  // Every counter is >= 0, so a key either side does not hold (0.0) leaves
+  // the other side's value unchanged under both max and sum.
   if (mode == BrokerMergeMode::kMMerge) {
     filter.m_merge(src_filter);
-    for (const auto& [key, value] : src_shadow) {
-      auto [it, inserted] = shadow.emplace(key, value);
-      if (!inserted) it->second = std::max(it->second, value);
+    for (std::size_t key = 0; key < src_shadow.size(); ++key) {
+      shadow[key] = std::max(shadow[key], src_shadow[key]);
     }
   } else {
     filter.a_merge(src_filter);
-    for (const auto& [key, value] : src_shadow) shadow[key] += value;
+    for (std::size_t key = 0; key < src_shadow.size(); ++key) {
+      shadow[key] += src_shadow[key];
+    }
   }
 }
 
 bool InterestManager::genuinely_contains(trace::NodeId node,
-                                         std::string_view key,
+                                         workload::KeyId key,
                                          util::Time now) {
   // An unmaterialized relay never absorbed anything: answer without
   // materializing (decaying an empty state, then probing an empty shadow,
   // would observe the same `false`).
   if (slots_[node].state == nullptr) return false;
   relay(node, now);  // bring the shadow up to date
-  const ShadowMap& shadow = slots_[node].state->shadow;
-  auto it = shadow.find(key);  // transparent: no temp string
-  return it != shadow.end() && it->second > 0.0;
+  return slots_[node].state->shadow[key] > 0.0;
 }
 
 void InterestManager::set_node_df(trace::NodeId node, double df_per_minute) {

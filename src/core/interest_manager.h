@@ -5,16 +5,17 @@
 // A broker accumulates other users' interests in its *relay filter*, which
 // decays continuously at the DF; decay is applied lazily (per-filter
 // timestamps) so idle nodes cost nothing.
-// Ground truth: alongside every relay filter the manager keeps a *shadow
-// set* — the keys the filter genuinely absorbed, with counters mirroring the
-// TCBF's decay/merge arithmetic. The shadow is measurement instrumentation
-// only (it costs no protocol bytes): comparing a TCBF hit against the shadow
-// identifies relay-filter false positives, which feed the paper's
+// Ground truth: alongside every relay filter the manager keeps a *shadow*
+// — one counter per key of the run's universe, indexed by KeyId, mirroring
+// the TCBF's decay/merge arithmetic for the keys the filter genuinely
+// absorbed (0.0 = not held). The shadow is measurement instrumentation
+// only (it costs no protocol bytes): comparing a TCBF hit against the
+// shadow identifies relay-filter false positives, which feed the paper's
 // false-delivery metric (Fig. 9(d)).
 //
 // Storage is lazy: B-SUB's own premise is that only brokers carry relay
 // filters, so a node costs 16 bytes of slot (state pointer + DF override)
-// until its relay is first touched. Relay state (a full TCBF + shadow map)
+// until its relay is first touched. Relay state (a full TCBF + shadow)
 // materializes on first use and stays for the rest of the run: a demoted
 // broker keeps its relay (BsubProtocol::on_contact). This is bit-identical
 // in every protocol-observable way to building every node's relay up front
@@ -23,12 +24,8 @@
 // unobservable until the first insert, which materializes).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -37,25 +34,17 @@
 #include "trace/contact.h"
 #include "util/hash.h"
 #include "util/time.h"
+#include "workload/keys.h"
 
 namespace bsub::core {
 
-/// Transparent string hashing so shadow lookups by string_view need no
-/// temporary std::string.
-struct StringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
 class InterestManager {
  public:
-  /// Ground-truth key -> remaining counter value.
-  using ShadowMap =
-      std::unordered_map<std::string, double, StringHash, std::equal_to<>>;
-  InterestManager(std::size_t node_count, bloom::BloomParams params,
-                  double initial_counter, double df_per_minute);
+  /// `key_count` is the size of the run's key universe: every shadow holds
+  /// one counter per KeyId.
+  InterestManager(std::size_t node_count, std::size_t key_count,
+                  bloom::BloomParams params, double initial_counter,
+                  double df_per_minute);
 
   /// The node's relay filter, decayed up to `now`. The per-node DF override
   /// (if set) takes precedence over the global DF. Materializes the node's
@@ -69,52 +58,41 @@ class InterestManager {
     return s.state == nullptr ? empty_relay_ : s.state->filter;
   }
 
-  /// Builds the genuine filter for a single interest key.
-  bloom::Tcbf make_genuine(std::string_view key) const;
-
-  /// Builds the genuine filter for a set of interest keys (section V-A's
-  /// multi-key extension).
-  bloom::Tcbf make_genuine(std::span<const std::string_view> keys) const;
-
-  /// Interned-hash variant: no string hashing on the hot path.
+  /// Builds the genuine filter for a set of interest keys, given by their
+  /// interned hashes (section V-A's multi-key extension).
   bloom::Tcbf make_genuine(std::span<const util::HashPair> keys) const;
 
-  /// Builds the counter-less interest report (a plain BF) for a key.
-  bloom::BloomFilter make_report(std::string_view key) const;
-
-  /// Counter-less report for a set of keys.
-  bloom::BloomFilter make_report(std::span<const std::string_view> keys) const;
-
-  /// Interned-hash variant: no string hashing on the hot path.
+  /// Builds the counter-less interest report (a plain BF) for a set of
+  /// keys, given by their interned hashes.
   bloom::BloomFilter make_report(std::span<const util::HashPair> keys) const;
 
   /// A-merges a consumer's genuine filter into a broker's relay filter
-  /// (reinforcement happens through repeated meetings). `key` is the
-  /// interest the genuine filter represents, recorded in the shadow set.
+  /// (reinforcement happens through repeated meetings). `keys` are the
+  /// interests the genuine filter represents; each adds C to its shadow
+  /// counter, a repeated key once per occurrence.
   void absorb_genuine(trace::NodeId broker, const bloom::Tcbf& genuine,
-                      std::string_view key, util::Time now);
+                      std::span<const workload::KeyId> keys, util::Time now);
 
-  /// Multi-key absorb: every key of the genuine filter enters the shadow.
-  void absorb_genuine(trace::NodeId broker, const bloom::Tcbf& genuine,
-                      std::span<const std::string_view> keys, util::Time now);
-
-  /// Merges another broker's relay state (filter + shadow) into `dst`'s,
-  /// with M-merge or A-merge semantics. `dst` is decayed to `now` first.
+  /// Merges another broker's relay state (filter + key-indexed shadow, as
+  /// shadow_snapshot returns it) into `dst`'s, with M-merge or A-merge
+  /// semantics. `dst` is decayed to `now` first.
   void merge_relay_from(trace::NodeId dst, const bloom::Tcbf& src_filter,
-                        const ShadowMap& src_shadow, BrokerMergeMode mode,
-                        util::Time now);
+                        std::span<const double> src_shadow,
+                        BrokerMergeMode mode, util::Time now);
 
   /// Ground truth: does `node`'s relay filter genuinely hold `key` at `now`?
   /// A TCBF hit without this is a relay false positive. Never materializes:
   /// an unmaterialized relay holds nothing.
-  bool genuinely_contains(trace::NodeId node, std::string_view key,
+  bool genuinely_contains(trace::NodeId node, workload::KeyId key,
                           util::Time now);
 
-  /// Shadow set snapshot (decayed to whenever relay() was last called).
-  /// Unmaterialized nodes see a shared empty map.
-  const ShadowMap& shadow_snapshot(trace::NodeId node) const {
+  /// Shadow snapshot (decayed to whenever relay() was last called): one
+  /// counter per KeyId, 0.0 where the key is not held. Empty for an
+  /// unmaterialized node.
+  std::span<const double> shadow_snapshot(trace::NodeId node) const {
     const NodeSlot& s = slots_[node];
-    return s.state == nullptr ? empty_shadow_ : s.state->shadow;
+    if (s.state == nullptr) return {};
+    return s.state->shadow;
   }
 
   /// Per-node DF override in counter units per minute (adaptive DF); pass a
@@ -137,7 +115,7 @@ class InterestManager {
  private:
   struct RelayState {
     bloom::Tcbf filter;
-    ShadowMap shadow;
+    std::vector<double> shadow;  ///< indexed by KeyId; 0.0 = not held
     util::Time last_decay = 0;
   };
   /// What every node pays, participant or not: a state pointer (null until
@@ -152,13 +130,13 @@ class InterestManager {
   /// state built up front and decayed to `now`.
   RelayState& state_for(trace::NodeId node, util::Time now);
 
+  std::size_t key_count_;
   bloom::BloomParams params_;
   double initial_counter_;
   double df_per_minute_;
   std::vector<NodeSlot> slots_;
-  /// Shared snapshots for unmaterialized nodes.
+  /// Shared snapshot for unmaterialized nodes.
   bloom::Tcbf empty_relay_;
-  ShadowMap empty_shadow_;
 };
 
 }  // namespace bsub::core

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bloom/tcbf_codec.h"
@@ -375,11 +374,12 @@ struct BudgetHarness {
 
   /// Exact wire size of a node's interest report.
   std::size_t report_bytes(trace::NodeId node) const {
-    std::vector<std::string_view> names;
+    std::vector<util::HashPair> hashes;
     for (workload::KeyId k : workload.interests_of(node)) {
-      names.push_back(keys.name(k));
+      hashes.push_back(keys.hash(k));
     }
-    return bloom::encoded_bloom_wire_size(proto.interests().make_report(names));
+    return bloom::encoded_bloom_wire_size(
+        proto.interests().make_report(hashes));
   }
 
   /// Exact wire size of a broker's relay filter shipped counter-less.
