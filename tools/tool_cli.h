@@ -1,8 +1,10 @@
 // Shared command-line helpers for the CLI tools (bsub_node, bsub_scale,
-// bsub_fleet): the --list-protocols listing and strict number parsing.
+// bsub_fleet, and the bsub_sim_cli example): the --list-protocols listing
+// and strict number parsing.
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -36,6 +38,19 @@ inline bool parse_u64(std::string_view s, std::uint64_t& out) {
   std::uint64_t v = 0;
   const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || end != s.data() + s.size()) return false;
+  out = v;
+  return true;
+}
+
+/// Parses a whole string as a finite decimal double. Rejects empty input,
+/// whitespace, trailing characters ("10s"), "nan", "inf" and values past
+/// the double range, where atof would read a prefix, or garbage as 0.
+inline bool parse_double(std::string_view s, double& out) {
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || !std::isfinite(v)) {
+    return false;
+  }
   out = v;
   return true;
 }
