@@ -83,7 +83,6 @@ RunResults Collector::results() const {
                             static_cast<double>(total_delivered);
   }
   r.hot_path = hot_path_.snapshot();
-  r.transport = transport_.snapshot();
   return r;
 }
 

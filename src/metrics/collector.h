@@ -117,7 +117,7 @@ struct TransportStats {
 };
 
 /// The live (thread-safe) mirror of TransportStats; sessions and runtimes
-/// bump these, snapshot() flattens them for RunResults.
+/// bump these, snapshot() flattens them for net::FleetRunResults.
 struct TransportCounters {
   RelaxedCounter datagrams_sent;
   RelaxedCounter datagrams_received;
@@ -184,10 +184,6 @@ struct RunResults {
 
   /// Execution-shape counters; excluded from semantic-equality comparisons.
   HotPathStats hot_path;
-  /// Transport-shape counters (live runtime runs only; all-zero for the
-  /// trace-driven simulator substrates). Also excluded from semantic
-  /// equality.
-  TransportStats transport;
 };
 
 /// Accumulates events during a run; protocols report through this.
@@ -224,10 +220,6 @@ class Collector {
   HotPathCounters& hot_path() { return hot_path_; }
   const HotPathCounters& hot_path() const { return hot_path_; }
 
-  /// Mutable transport counters; the live runtime's sessions bump these.
-  TransportCounters& transport() { return transport_; }
-  const TransportCounters& transport() const { return transport_; }
-
   RunResults results() const;
 
  private:
@@ -257,7 +249,6 @@ class Collector {
   RelaxedCounter control_bytes_;
   std::vector<std::unique_ptr<NodeLog>> logs_;
   HotPathCounters hot_path_;
-  TransportCounters transport_;
 };
 
 }  // namespace bsub::metrics

@@ -120,23 +120,6 @@ TEST(Collector, DeliveredLookup) {
   EXPECT_FALSE(c.delivered(6, 3));
 }
 
-TEST(Collector, TransportCountersSurfaceInResults) {
-  Collector c;
-  ++c.transport().datagrams_sent;
-  c.transport().datagrams_sent += 2;
-  ++c.transport().datagrams_dropped;
-  ++c.transport().frames_retransmitted;
-  ++c.transport().session_opens;
-  ++c.transport().session_timeouts;
-  RunResults r = c.results();
-  EXPECT_EQ(r.transport.datagrams_sent, 3u);
-  EXPECT_EQ(r.transport.datagrams_dropped, 1u);
-  EXPECT_EQ(r.transport.frames_retransmitted, 1u);
-  EXPECT_EQ(r.transport.session_opens, 1u);
-  EXPECT_EQ(r.transport.session_timeouts, 1u);
-  EXPECT_EQ(r.transport.frames_received, 0u);
-}
-
 TEST(Collector, TransportStatsMergeSums) {
   TransportStats a{.datagrams_sent = 2, .frames_sent = 5, .session_opens = 1};
   TransportStats b{.datagrams_sent = 3, .frames_sent = 1,
